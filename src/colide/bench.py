@@ -212,7 +212,9 @@ def generate_instance(cfg: ExperimentConfig, seed: int, n: int | None = None):
     Graph sampling, weight assignment, variance draws, and noise draws use
     four independent named streams, so e.g. changing n never changes the graph.
     """
-    n = n or cfg.n
+    n = cfg.n if n is None else n
+    if n < 1:
+        raise ValueError(f"need n >= 1 samples, got {n}")
     sampler = sample_er_dag if cfg.graph.model == "ER" else sample_sf_dag
     support = sampler(cfg.graph, stream(cfg.master_seed, seed, "graph"))
     W_true = assign_edge_weights(support, cfg.graph.weight_ranges,

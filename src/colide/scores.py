@@ -48,31 +48,82 @@ def sigma_floor_nv(ds: Dataset) -> np.ndarray:
     return np.sqrt(diag) * 1e-2
 
 
-def _residual_gram(W: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    I_W = np.eye(W.shape[0]) - W
+def residual_gram(I_W: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """(I - W)^T cov (I - W) from I_W = I - W."""
     return I_W.T @ cov @ I_W
+
+
+def _sigma_ev(gram, floor):
+    val = np.trace(gram) / gram.shape[0]
+    if val < -1e-12:
+        raise ValueError(f"covariance is not PSD: trace term {val}")
+    return max(np.sqrt(max(val, 0.0)), floor)
+
+
+def _sigma_nv(gram, floors):
+    diag = np.diag(gram)
+    if np.any(diag < -1e-12):
+        raise ValueError("covariance is not PSD: negative residual diagonal")
+    return np.maximum(np.sqrt(np.maximum(diag, 0.0)), np.asarray(floors, dtype=float))
+
+
+# method -> (floor, grad, score, scale), cores that check nothing: the public
+# functions below check their arguments first. floor(ds) and scale(gram, floor)
+# are None for a scale frozen at 1; grad(-cov (I - W), scale) is the smooth-part
+# gradient; score(gram, scale) the smooth score without the l1 term.
+METHOD_CORES = {
+    "colide_ev": (
+        sigma_floor_ev, lambda P, sigma: P / sigma,
+        lambda gram, sigma: np.trace(gram) / (2.0 * sigma) + gram.shape[0] * sigma / 2.0,
+        _sigma_ev),
+    "colide_nv": (
+        sigma_floor_nv, lambda P, sigmas: P / sigmas[None, :],
+        lambda gram, sigmas: 0.5 * (np.diag(gram) / sigmas).sum() + 0.5 * sigmas.sum(),
+        _sigma_nv),
+    "ls_baseline": (None, lambda P, _: P, lambda gram, _: 0.5 * np.trace(gram), None),
+}
+
+
+def _positive(scale):
+    scale = np.asarray(scale, dtype=float)
+    if np.any(scale <= 0):
+        raise ValueError("noise scales must be positive")
+    return scale
+
+
+def _score(method, W, scale, ds, lam):
+    gram = residual_gram(np.eye(W.shape[0]) - W, sample_cov(ds))
+    return METHOD_CORES[method][2](gram, scale) + lam * np.abs(W).sum()
 
 
 def score_ev(W: np.ndarray, sigma: float, ds: Dataset, lam: float) -> float:
     """Concomitant score: ||X - W^T X||_F^2 / (2 n sigma) + d*sigma/2 + lam*||W||_1."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rss = np.trace(_residual_gram(W, sample_cov(ds)))
-    return rss / (2.0 * sigma) + ds.d * sigma / 2.0 + lam * np.abs(W).sum()
+    return _score("colide_ev", W, _positive(sigma), ds, lam)
 
 
 def score_nv(W: np.ndarray, sigmas: np.ndarray, ds: Dataset, lam: float) -> float:
     """Per-node concomitant score with Sigma = diag(sigmas) of standard deviations."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    if np.any(sigmas <= 0):
-        raise ValueError("sigmas must be positive")
-    gram = _residual_gram(W, sample_cov(ds))
-    return 0.5 * (np.diag(gram) / sigmas).sum() + 0.5 * sigmas.sum() + lam * np.abs(W).sum()
+    return _score("colide_nv", W, _positive(sigmas), ds, lam)
 
 
 def score_ls_baseline(W: np.ndarray, ds: Dataset, lam: float) -> float:
     """Ordinary least-squares score ||X - W^T X||_F^2 / (2n) + lam*||W||_1."""
-    return 0.5 * np.trace(_residual_gram(W, sample_cov(ds))) + lam * np.abs(W).sum()
+    return _score("ls_baseline", W, None, ds, lam)
+
+
+def ldet(M: np.ndarray, s: float) -> float:
+    """h = d*log(s) - log det M for M = sI - W*W; DomainViolation when det M <= 0."""
+    if s <= 0:
+        raise ValueError("s must be positive")
+    sign, logabsdet = np.linalg.slogdet(M)
+    if sign <= 0 or not np.isfinite(logabsdet):
+        raise DomainViolation(f"det(sI - W*W) <= 0 at s={s}")
+    return M.shape[0] * np.log(s) - logabsdet
+
+
+def grad_ldet(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Gradient 2 * M^{-T} * W of h at an in-domain M = sI - W*W."""
+    return 2.0 * np.linalg.inv(M).T * W
 
 
 def h_ldet(W: np.ndarray, s: float) -> float:
@@ -81,77 +132,48 @@ def h_ldet(W: np.ndarray, s: float) -> float:
     Zero exactly when W is a DAG (W*W nilpotent); positive on cyclic W inside
     the domain. Raises DomainViolation when the determinant is nonpositive.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    d = W.shape[0]
-    M = s * np.eye(d) - W * W
-    sign, logabsdet = np.linalg.slogdet(M)
-    if sign <= 0 or not np.isfinite(logabsdet):
-        raise DomainViolation(f"det(sI - W*W) <= 0 at s={s}")
-    return d * np.log(s) - logabsdet
+    return ldet(s * np.eye(W.shape[0]) - W * W, s)
 
 
 def grad_h_ldet(W: np.ndarray, s: float) -> np.ndarray:
     """Gradient 2 * (sI - W*W)^{-T} * W (Hadamard product)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    d = W.shape[0]
-    M = s * np.eye(d) - W * W
-    sign, _ = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise DomainViolation(f"det(sI - W*W) <= 0 at s={s}")
-    return 2.0 * np.linalg.inv(M).T * W
+    h_ldet(W, s)  # raises outside the domain
+    return grad_ldet(s * np.eye(W.shape[0]) - W * W, W)
+
+
+def _grad(method, W, scale, cov):
+    return METHOD_CORES[method][1](-cov @ (np.eye(W.shape[0]) - W), scale)
 
 
 def grad_w_ev(W: np.ndarray, sigma: float, cov: np.ndarray) -> np.ndarray:
     """Smooth-part gradient -cov(X) (I - W) / sigma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return -cov @ (np.eye(W.shape[0]) - W) / sigma
+    return _grad("colide_ev", W, _positive(sigma), cov)
 
 
 def grad_w_nv(W: np.ndarray, sigmas: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Smooth-part gradient -cov(X) (I - W) Sigma^{-1}."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    if np.any(sigmas <= 0):
-        raise ValueError("sigmas must be positive")
-    return -cov @ (np.eye(W.shape[0]) - W) / sigmas[None, :]
+    return _grad("colide_nv", W, _positive(sigmas), cov)
 
 
 def grad_ls_baseline(W: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Gradient of the ordinary LS loss: -cov(X) (I - W)."""
-    return -cov @ (np.eye(W.shape[0]) - W)
+    return _grad("ls_baseline", W, None, cov)
 
 
 def sigma_hat_ev(W: np.ndarray, cov: np.ndarray, floor: float) -> float:
     """Closed-form scale update max(sqrt(Tr((I-W)^T cov (I-W)) / d), floor)."""
-    d = W.shape[0]
-    val = np.trace(_residual_gram(W, cov)) / d
-    if val < 0:
-        if val < -1e-12:
-            raise ValueError(f"covariance is not PSD: trace term {val}")
-        val = 0.0
-    return max(np.sqrt(val), floor)
+    return _sigma_ev(residual_gram(np.eye(W.shape[0]) - W, cov), floor)
 
 
 def sigma_hat_nv(W: np.ndarray, cov: np.ndarray, floors: np.ndarray) -> np.ndarray:
     """Elementwise closed-form update max(sqrt(diag((I-W)^T cov (I-W))), floors)."""
-    diag = np.diag(_residual_gram(W, cov)).copy()
-    if np.any(diag < -1e-12):
-        raise ValueError("covariance is not PSD: negative residual diagonal")
-    diag[diag < 0] = 0.0
-    return np.maximum(np.sqrt(diag), np.asarray(floors, dtype=float))
+    return _sigma_nv(residual_gram(np.eye(W.shape[0]) - W, cov), floors)
 
 
 def stage_objective(W, scale, ds: Dataset, lam: float, mu: float, s: float,
                     method: str = "colide_ev") -> float:
     """Dualized stage value mu * score + h_ldet(W, s), used for early stopping."""
-    if method == "colide_ev":
-        sc = score_ev(W, scale, ds, lam)
-    elif method == "colide_nv":
-        sc = score_nv(W, scale, ds, lam)
-    elif method == "ls_baseline":
-        sc = score_ls_baseline(W, ds, lam)
-    else:
+    if method not in METHOD_CORES:
         raise ValueError(f"unknown method {method!r}")
-    return mu * sc + h_ldet(W, s)
+    scale = None if method == "ls_baseline" else _positive(scale)
+    return mu * _score(method, W, scale, ds, lam) + h_ldet(W, s)

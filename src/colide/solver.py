@@ -4,6 +4,12 @@ Each stage solves the dualized problem mu_k * score + h_ldet(W, s_k): one
 ADAM step on W per inner iteration (with an l1 subgradient folded in and a
 domain guard on the log-det term), followed by the closed-form scale update.
 Stages warm-start W and the scale; ADAM moments reset at stage boundaries.
+
+Per iteration without halvings: two factorisations of M = sI - W*W (inv for
+the log-det gradient; the guard's slogdet, which checks the domain and gives h
+for the objective) and three d x d matmuls (-cov (I - W) for the gradient; the
+Gram matrix (I - W)^T cov (I - W), read by the scale update and the score).
+One slogdet per stage start checks the warm start.
 """
 
 import time
@@ -11,18 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .scores import (
-    DomainViolation,
-    grad_h_ldet,
-    grad_ls_baseline,
-    grad_w_ev,
-    grad_w_nv,
-    h_ldet,
-    sigma_floor_ev,
-    sigma_floor_nv,
-    sigma_hat_ev,
-    sigma_hat_nv,
-)
+from .scores import (METHOD_CORES, DomainViolation, grad_ldet, ldet, residual_gram,
+                     sigma_floor_ev, sigma_floor_nv)
 from .sem import Dataset, sample_cov
 
 __all__ = [
@@ -41,7 +37,7 @@ __all__ = [
     "fit_online",
 ]
 
-METHODS = ("colide_ev", "colide_nv", "ls_baseline")
+METHODS = tuple(METHOD_CORES)
 
 DEFAULT_LAMBDA = 0.05
 DEFAULT_LR = 3e-4
@@ -99,21 +95,43 @@ def adam_step(st: AdamState, grad: np.ndarray):
     return replace(st, m=m, v=v, t=t), update
 
 
-def domain_guard(W: np.ndarray, update: np.ndarray, s: float, max_halvings: int = 20):
+def domain_guard(W: np.ndarray, update: np.ndarray, s: float, max_halvings: int = 20,
+                 sI: np.ndarray | None = None):
     """Apply W + update, halving the update while it leaves the log-det domain.
 
-    Returns (accepted W, stalled flag). A stall keeps W unchanged after all
-    halvings fail; W itself is assumed in-domain on entry.
+    Returns (accepted W, stalled flag, M = sI - W*W, h = h_ldet(W, s)), M and
+    h from the accepted point's one slogdet. A stall keeps W unchanged after
+    all halvings fail, with M = h = None; W is assumed in-domain on entry.
     """
+    if sI is None:
+        sI = s * np.eye(W.shape[0])
     step = update
     for _ in range(max_halvings + 1):
         candidate = W + step
+        M = sI - candidate * candidate
         try:
-            h_ldet(candidate, s)
-            return candidate, False
+            return candidate, False, M, ldet(M, s)
         except DomainViolation:
             step = step / 2.0
-    return W, True
+    return W, True, None, None
+
+
+def _guarded_step(grad_w, W, I_W, M, scale, neg_cov, adam, mu, lam, s, sI):
+    """ADAM step on mu * (score + l1) + h at W (I_W = I - W, M = sI - W*W), then the guard."""
+    grad = mu * (grad_w(neg_cov @ I_W, scale) + lam * np.sign(W)) + grad_ldet(M, W)
+    np.fill_diagonal(grad, 0.0)
+    adam, update = adam_step(adam, grad)
+    return (adam, *domain_guard(W, update, s, sI=sI))
+
+
+def _stage_entry(W, s, eye, k):
+    """(sI, M, h) at a stage's warm start; FitError when it leaves the domain."""
+    sI = s * eye
+    M = sI - W * W
+    try:
+        return sI, M, ldet(M, s)
+    except DomainViolation as exc:
+        raise FitError(f"stage {k} warm start: {exc}", stage=k, iteration=0) from exc
 
 
 def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -147,17 +165,6 @@ class FitError(RuntimeError):
         self.iteration = iteration
 
 
-def _score_from_cov(W, scale, cov, lam, method):
-    I_W = np.eye(W.shape[0]) - W
-    gram = I_W.T @ cov @ I_W
-    l1 = lam * np.abs(W).sum()
-    if method == "colide_ev":
-        return np.trace(gram) / (2.0 * scale) + W.shape[0] * scale / 2.0 + l1
-    if method == "colide_nv":
-        return 0.5 * (np.diag(gram) / scale).sum() + 0.5 * scale.sum() + l1
-    return 0.5 * np.trace(gram) + l1
-
-
 def fit(ds: Dataset, method: str = "colide_ev",
         schedule: StageSchedule | None = None,
         lam: float = DEFAULT_LAMBDA,
@@ -177,48 +184,32 @@ def fit(ds: Dataset, method: str = "colide_ev",
     schedule = schedule or default_schedule()
     start = time.perf_counter()
 
+    floor_of, grad_w, score_of, scale_of = METHOD_CORES[method]
     d = ds.d
     cov = sample_cov(ds)
-    W = np.zeros((d, d))
-    if method == "colide_ev":
-        floor = sigma_floor_ev(ds)
-        scale = floor * 1e2
-    elif method == "colide_nv":
-        floor = sigma_floor_nv(ds)
-        scale = floor * 1e2
-    else:
-        floor = None
-        scale = 1.0  # sigma frozen; plain LS loss
+    neg_cov = -cov
+    eye = np.eye(d)
+    W, I_W = np.zeros((d, d)), eye  # I_W = I - W; neither is modified in place
+    floor = floor_of(ds) if floor_of else None
+    scale = 1.0 if floor is None else floor * 1e2  # ls_baseline: sigma frozen
 
-    trace = []
-    iters_per_stage = []
-    stalls = 0
+    trace, iters_per_stage, stalls = [], [], 0
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
+        sI, M, h = _stage_entry(W, s, eye, k)
         adam = AdamState.zero(d, lr=lr)
         prev_obj = None
-        it = 0
         for it in range(1, max_iters + 1):
-            if method == "colide_ev":
-                grad = grad_w_ev(W, scale, cov)
-            elif method == "colide_nv":
-                grad = grad_w_nv(W, scale, cov)
-            else:
-                grad = grad_ls_baseline(W, cov)
-            grad = mu * (grad + lam * np.sign(W)) + grad_h_ldet(W, s)
-            np.fill_diagonal(grad, 0.0)
+            adam, W, stalled, M_new, h_new = _guarded_step(
+                grad_w, W, I_W, M, scale, neg_cov, adam, mu, lam, s, sI)
+            stalls += stalled
+            if not stalled:
+                M, h, I_W = M_new, h_new, eye - W
 
-            adam, update = adam_step(adam, grad)
-            W, stalled = domain_guard(W, update, s)
-            if stalled:
-                stalls += 1
-
-            if method == "colide_ev":
-                scale = sigma_hat_ev(W, cov, floor)
-            elif method == "colide_nv":
-                scale = sigma_hat_nv(W, cov, floor)
-
-            obj = mu * _score_from_cov(W, scale, cov, lam, method) + h_ldet(W, s)
+            gram = residual_gram(I_W, cov)
+            if scale_of:
+                scale = scale_of(gram, floor)
+            obj = mu * (score_of(gram, scale) + lam * np.abs(W).sum()) + h
             if not np.isfinite(obj):
                 raise FitError(f"objective diverged (stage {k}, iteration {it})",
                                stage=k, iteration=it)
@@ -231,20 +222,17 @@ def fit(ds: Dataset, method: str = "colide_ev",
             prev_obj = obj
         iters_per_stage.append(it)
 
-    result = FitResult(
+    return FitResult(
         W=W,
         W_thresholded=threshold(W, tau),
         method=method,
+        sigma=float(scale) if method == "colide_ev" else None,
+        sigmas=np.asarray(scale) if method == "colide_nv" else None,
         objective_trace=trace,
         iters_per_stage=iters_per_stage,
         stalls=stalls,
         wall_time=time.perf_counter() - start,
     )
-    if method == "colide_ev":
-        result.sigma = float(scale)
-    elif method == "colide_nv":
-        result.sigmas = np.asarray(scale)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +279,8 @@ def online_update(st: OnlineState, batch: np.ndarray, method: str = "colide_ev",
     """Consume one d x n_b mini-batch: update covariance, W, and the scale.
 
     The residual statistic uses the pre-update W, then the scale estimate is
-    sqrt(e_t / t) clamped at the floor (per node for NV).
+    sqrt(e_t / t) clamped at the floor (per node for NV). st.W must be inside
+    the log-det domain at s; fit_online checks that at each stage start.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] < 1:
@@ -301,36 +290,22 @@ def online_update(st: OnlineState, batch: np.ndarray, method: str = "colide_ev",
     cov = (st.cov_running * st.t + batch @ batch.T / n_b) / t
 
     # one first-order W step against the running covariance, previous scale
-    prev_scale = st.sigma if method == "colide_ev" else st.sigmas
-    if method == "colide_ev":
-        grad = grad_w_ev(st.W, prev_scale, cov)
-    else:
-        grad = grad_w_nv(st.W, prev_scale, cov)
-    grad = mu * (grad + lam * np.sign(st.W)) + grad_h_ldet(st.W, s)
-    np.fill_diagonal(grad, 0.0)
-    adam, update = adam_step(st.adam, grad)
-    W, stalled = domain_guard(st.W, update, s)
+    ev = method == "colide_ev"
+    sI = s * np.eye(d)
+    adam, W, stalled, _, _ = _guarded_step(METHOD_CORES[method][1], st.W, np.eye(d) - st.W,
+                                           sI - st.W * st.W, st.sigma if ev else st.sigmas,
+                                           -cov, st.adam, mu, lam, s, sI)
 
     # residual sufficient statistic uses the pre-update W
-    resid = batch - st.W.T @ batch
-    if method == "colide_ev":
-        e = st.e + (resid ** 2).sum() / (n_b * d)
-        scale = np.sqrt(e / t)
-        if st.floor is not None:
-            scale = max(scale, st.floor)
-    else:
-        e = st.e + (resid ** 2).sum(axis=1) / n_b
-        scale = np.sqrt(e / t)
-        if st.floor is not None:
-            scale = np.maximum(scale, st.floor)
-
-    out = OnlineState(W=W, cov_running=cov, adam=adam, e=e, t=t,
-                      floor=st.floor, stalls=st.stalls + int(stalled))
-    if method == "colide_ev":
-        out.sigma = float(scale)
-    else:
-        out.sigmas = np.asarray(scale)
-    return out
+    sq = (batch - st.W.T @ batch) ** 2
+    e = st.e + (sq.sum() / (n_b * d) if ev else sq.sum(axis=1) / n_b)
+    scale = np.sqrt(e / t)
+    if st.floor is not None:
+        scale = np.maximum(scale, st.floor)
+    return OnlineState(W=W, cov_running=cov, adam=adam, e=e, t=t, floor=st.floor,
+                       stalls=st.stalls + int(stalled),
+                       sigma=float(scale) if ev else None,
+                       sigmas=None if ev else np.asarray(scale))
 
 
 def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
@@ -364,6 +339,7 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
         # fresh ADAM moments and residual statistic per stage; W and the
         # running covariance warm-start the next stage
+        _stage_entry(st.W, s, np.eye(ds.d), k)
         st.adam = AdamState.zero(ds.d, lr=lr)
         st.e = 0.0 if method == "colide_ev" else np.zeros(ds.d)
         st.t = 0

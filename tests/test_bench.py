@@ -100,6 +100,12 @@ class TestGenerateInstance:
         assert np.array_equal(W0, W1)
         assert np.array_equal(d0.X, d1.X)
 
+    def test_n_defaults_to_config_and_must_be_positive(self):
+        assert generate_instance(self._cfg(n=150), 0, n=None)[2].n == 150
+        for n in (0, -5):
+            with pytest.raises(ValueError):
+                generate_instance(self._cfg(n=150), 0, n=n)
+
     def test_n_change_keeps_graph(self):
         # independent purpose streams: sample size never perturbs the graph
         W0, _, _ = generate_instance(self._cfg(n=100), 0)
@@ -247,6 +253,18 @@ class TestEmitResults:
         summary = (tmp_path / "out.jsonl.summary.csv").read_text()
         assert "colide_ev" in summary
         assert "1±0" in summary
+
+
+class TestFailedCells:
+    def test_warm_start_outside_domain_is_an_error_row(self):
+        # stage 0 ends outside stage 1's log-det domain (s = 0.2): the fit fails,
+        # the grid records the failure and carries on
+        cfg = parse_config("graph.d = 10\ngraph.k = 4\ndata.n = 500\n"
+                           "fit.methods = colide_ev\nfit.schedule = 1:1:2000, 0.1:0.2:200\n"
+                           "run.seeds = 0\n")
+        cell, agg = run_grid(cfg)
+        assert "warm start" in cell["error"]
+        assert agg["aggregate"] and agg["runs"] == 0
 
 
 class TestAggregateEdgeCases:

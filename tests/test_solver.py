@@ -4,9 +4,10 @@ import pytest
 from colide.bench import ExperimentConfig, generate_instance
 from colide.graphs import GraphModelSpec, is_dag
 from colide.rng import stream
-from colide.scores import sigma_floor_ev
+from colide.scores import h_ldet, sigma_floor_ev, stage_objective
 from colide.sem import Dataset, NoiseSpec, sample_cov, sample_noise, simulate_sem
 from colide.solver import (
+    METHODS,
     AdamState,
     FitError,
     StageSchedule,
@@ -79,30 +80,35 @@ class TestDomainGuard:
         W = np.zeros((2, 2))
         up = np.full((2, 2), 0.1)
         np.fill_diagonal(up, 0.0)
-        out, stalled = domain_guard(W, up, s=1.0)
+        out, stalled, M, h = domain_guard(W, up, s=1.0)
         assert not stalled
         assert np.array_equal(out, W + up)
+        # the accepted point's log-det comes back with it
+        assert np.array_equal(M, np.eye(2) - out * out)
+        assert h == h_ldet(out, 1.0)
 
     def test_halving_on_violation(self):
         W = np.zeros((2, 2))
         up = np.zeros((2, 2))
         up[0, 1] = up[1, 0] = 1.5  # full step leaves the domain at s=1
-        out, stalled = domain_guard(W, up, s=1.0)
+        out, stalled, _, h = domain_guard(W, up, s=1.0)
         assert not stalled
         assert 0 < out[0, 1] < 1.5
+        assert h == h_ldet(out, 1.0)
 
     def test_stall_returns_input(self):
         W = np.zeros((2, 2))
         W[0, 1] = W[1, 0] = 0.999  # right at the domain edge for s=1
         up = np.zeros((2, 2))
         up[0, 1] = 1e9
-        out, stalled = domain_guard(W, up, s=1.0, max_halvings=3)
+        out, stalled, M, h = domain_guard(W, up, s=1.0, max_halvings=3)
         assert stalled
         assert np.array_equal(out, W)
+        assert M is None and h is None
 
     def test_zero_update(self):
         W = np.zeros((3, 3))
-        out, stalled = domain_guard(W, np.zeros((3, 3)), s=0.7)
+        out, stalled, _, _ = domain_guard(W, np.zeros((3, 3)), s=0.7)
         assert not stalled and np.array_equal(out, W)
 
 
@@ -190,6 +196,42 @@ class TestFit:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             fit(Dataset(X=np.ones((1, 5))))
+
+    def test_warm_start_outside_domain_is_fit_error(self):
+        # stage 0 ends with a W that is outside stage 1's log-det domain at s = 0.2
+        _, _, ds = small_instance(seed=0, d=10, k=4, n=500)
+        sched = StageSchedule(stages=((1.0, 1.0, 2000), (0.1, 0.2, 200)))
+        for method in METHODS:
+            with pytest.raises(FitError) as err:
+                fit(ds, method=method, schedule=sched)
+            assert (err.value.stage, err.value.iteration) == (1, 0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trace_ends_at_stage_objective(self, method):
+        # the solver's objective and the public stage_objective share one score core
+        _, _, ds = small_instance(seed=12)
+        sched = StageSchedule(stages=((1.0, 1.0, 300), (0.1, 0.9, 300)))
+        res = fit(ds, method=method, schedule=sched, lam=0.05, keep_trace=True)
+        mu, s, _ = sched.stages[-1]
+        expect = stage_objective(res.W, res.scale, ds, 0.05, mu, s, method)
+        assert res.objective_trace[-1] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_factorisation_budget(self, method, monkeypatch):
+        # per iteration one inverse (gradient) and one slogdet (guard, which also
+        # gives h); one slogdet per stage start checks the warm start
+        _, _, ds = small_instance(seed=13)
+        sched = StageSchedule(stages=((1.0, 1.0, 200), (0.1, 0.9, 200)))
+        calls = {"slogdet": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kw):
+                calls[_name] += 1
+                return _orig(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        res = fit(ds, method=method, schedule=sched)
+        iters = sum(res.iters_per_stage)
+        assert res.stalls == 0
+        assert calls == {"slogdet": iters + len(sched.stages), "inv": iters}
 
 
 class TestOnline:
