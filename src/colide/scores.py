@@ -111,19 +111,11 @@ def score_ls_baseline(W: np.ndarray, ds: Dataset, lam: float) -> float:
     return _score("ls_baseline", W, None, ds, lam)
 
 
-def ldet(M: np.ndarray, s: float) -> float:
-    """h = d*log(s) - log det M for M = sI - W*W; DomainViolation when det M <= 0."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    sign, logabsdet = np.linalg.slogdet(M)
-    if sign <= 0 or not np.isfinite(logabsdet):
-        raise DomainViolation(f"det(sI - W*W) <= 0 at s={s}")
-    return M.shape[0] * np.log(s) - logabsdet
-
-
-def grad_ldet(M: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Gradient 2 * M^{-T} * W of h at an in-domain M = sI - W*W."""
-    return 2.0 * np.linalg.inv(M).T * W
+def _domain_matrix(W: np.ndarray, s: float) -> np.ndarray:
+    """sI - W*W with the same bits as s * np.eye(d) - W * W, without building I."""
+    M = np.subtract(0.0, W * W, dtype=float, order="C")
+    M.reshape(-1)[::W.shape[0] + 1] += s
+    return M
 
 
 def h_ldet(W: np.ndarray, s: float) -> float:
@@ -132,13 +124,24 @@ def h_ldet(W: np.ndarray, s: float) -> float:
     Zero exactly when W is a DAG (W*W nilpotent); positive on cyclic W inside
     the domain. Raises DomainViolation when the determinant is nonpositive.
     """
-    return ldet(s * np.eye(W.shape[0]) - W * W, s)
+    if s <= 0:
+        raise ValueError("s must be positive")
+    d = W.shape[0]
+    sign, logabsdet = np.linalg.slogdet(_domain_matrix(W, s))
+    if sign <= 0 or not np.isfinite(logabsdet):
+        raise DomainViolation(f"det(sI - W*W) <= 0 at s={s}")
+    return d * np.log(s) - logabsdet
+
+
+def grad_ldet(W: np.ndarray, s: float) -> np.ndarray:
+    """Gradient 2 * (sI - W*W)^{-T} * W of h_ldet at a W known to be in the domain."""
+    return 2.0 * np.linalg.inv(_domain_matrix(W, s)).T * W
 
 
 def grad_h_ldet(W: np.ndarray, s: float) -> np.ndarray:
     """Gradient 2 * (sI - W*W)^{-T} * W (Hadamard product)."""
     h_ldet(W, s)  # raises outside the domain
-    return grad_ldet(s * np.eye(W.shape[0]) - W * W, W)
+    return grad_ldet(W, s)
 
 
 def _grad(method, W, scale, cov):

@@ -6,10 +6,12 @@ domain guard on the log-det term), followed by the closed-form scale update.
 Stages warm-start W and the scale; ADAM moments reset at stage boundaries.
 
 Per iteration without halvings: two factorisations of M = sI - W*W (inv for
-the log-det gradient; the guard's slogdet, which checks the domain and gives h
-for the objective) and three d x d matmuls (-cov (I - W) for the gradient; the
-Gram matrix (I - W)^T cov (I - W), read by the scale update and the score).
-One slogdet per stage start checks the warm start.
+the log-det gradient, unchecked because the guard already accepted W; the
+guard's h_ldet slogdet, which checks the domain and gives h for the
+objective) and three d x d matmuls (-cov (I - W) for the gradient; the Gram
+matrix (I - W)^T cov (I - W), read by the scale update and the score). One
+h_ldet per stage start checks the warm start and gives h until the first
+accepted step.
 """
 
 import time
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .scores import (METHOD_CORES, DomainViolation, grad_ldet, ldet, residual_gram,
-                     sigma_floor_ev, sigma_floor_nv)
+from .scores import (METHOD_CORES, DomainViolation, grad_h_ldet, grad_ldet, h_ldet,
+                     residual_gram, sigma_floor_ev, sigma_floor_nv)
 from .sem import Dataset, sample_cov
 
 __all__ = [
@@ -95,41 +97,35 @@ def adam_step(st: AdamState, grad: np.ndarray):
     return replace(st, m=m, v=v, t=t), update
 
 
-def domain_guard(W: np.ndarray, update: np.ndarray, s: float, max_halvings: int = 20,
-                 sI: np.ndarray | None = None):
+def domain_guard(W: np.ndarray, update: np.ndarray, s: float, max_halvings: int = 20):
     """Apply W + update, halving the update while it leaves the log-det domain.
 
-    Returns (accepted W, stalled flag, M = sI - W*W, h = h_ldet(W, s)), M and
-    h from the accepted point's one slogdet. A stall keeps W unchanged after
-    all halvings fail, with M = h = None; W is assumed in-domain on entry.
+    Returns (accepted W, stalled flag, h = h_ldet(W, s)), h from the accepted
+    point's domain check. A stall keeps W unchanged after all halvings fail,
+    with h = None; W itself is assumed in-domain on entry.
     """
-    if sI is None:
-        sI = s * np.eye(W.shape[0])
     step = update
     for _ in range(max_halvings + 1):
         candidate = W + step
-        M = sI - candidate * candidate
         try:
-            return candidate, False, M, ldet(M, s)
+            return candidate, False, h_ldet(candidate, s)
         except DomainViolation:
             step = step / 2.0
-    return W, True, None, None
+    return W, True, None
 
 
-def _guarded_step(grad_w, W, I_W, M, scale, neg_cov, adam, mu, lam, s, sI):
-    """ADAM step on mu * (score + l1) + h at W (I_W = I - W, M = sI - W*W), then the guard."""
-    grad = mu * (grad_w(neg_cov @ I_W, scale) + lam * np.sign(W)) + grad_ldet(M, W)
+def _guarded_step(grad_w, W, I_W, scale, neg_cov, grad_h, adam, mu, lam, s):
+    """ADAM step on mu * (score + l1) + h at W (I_W = I - W, grad_h = dh/dW), then the guard."""
+    grad = mu * (grad_w(neg_cov @ I_W, scale) + lam * np.sign(W)) + grad_h
     np.fill_diagonal(grad, 0.0)
     adam, update = adam_step(adam, grad)
-    return (adam, *domain_guard(W, update, s, sI=sI))
+    return (adam, *domain_guard(W, update, s))
 
 
-def _stage_entry(W, s, eye, k):
-    """(sI, M, h) at a stage's warm start; FitError when it leaves the domain."""
-    sI = s * eye
-    M = sI - W * W
+def _stage_entry(W, s, k):
+    """h_ldet at a stage's warm start; FitError when it leaves the domain."""
     try:
-        return sI, M, ldet(M, s)
+        return h_ldet(W, s)
     except DomainViolation as exc:
         raise FitError(f"stage {k} warm start: {exc}", stage=k, iteration=0) from exc
 
@@ -196,15 +192,15 @@ def fit(ds: Dataset, method: str = "colide_ev",
     trace, iters_per_stage, stalls = [], [], 0
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
-        sI, M, h = _stage_entry(W, s, eye, k)
+        h = _stage_entry(W, s, k)
         adam = AdamState.zero(d, lr=lr)
         prev_obj = None
         for it in range(1, max_iters + 1):
-            adam, W, stalled, M_new, h_new = _guarded_step(
-                grad_w, W, I_W, M, scale, neg_cov, adam, mu, lam, s, sI)
+            adam, W, stalled, h_new = _guarded_step(
+                grad_w, W, I_W, scale, neg_cov, grad_ldet(W, s), adam, mu, lam, s)
             stalls += stalled
             if not stalled:
-                M, h, I_W = M_new, h_new, eye - W
+                h, I_W = h_new, eye - W
 
             gram = residual_gram(I_W, cov)
             if scale_of:
@@ -279,8 +275,9 @@ def online_update(st: OnlineState, batch: np.ndarray, method: str = "colide_ev",
     """Consume one d x n_b mini-batch: update covariance, W, and the scale.
 
     The residual statistic uses the pre-update W, then the scale estimate is
-    sqrt(e_t / t) clamped at the floor (per node for NV). st.W must be inside
-    the log-det domain at s; fit_online checks that at each stage start.
+    sqrt(e_t / t) clamped at the floor (per node for NV). The first update
+    (st.t == 0) raises DomainViolation when st.W is outside the log-det domain
+    at s; later ones rely on the guard having kept it there, at the same s.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] < 1:
@@ -291,10 +288,10 @@ def online_update(st: OnlineState, batch: np.ndarray, method: str = "colide_ev",
 
     # one first-order W step against the running covariance, previous scale
     ev = method == "colide_ev"
-    sI = s * np.eye(d)
-    adam, W, stalled, _, _ = _guarded_step(METHOD_CORES[method][1], st.W, np.eye(d) - st.W,
-                                           sI - st.W * st.W, st.sigma if ev else st.sigmas,
-                                           -cov, st.adam, mu, lam, s, sI)
+    grad_h = (grad_h_ldet if st.t == 0 else grad_ldet)(st.W, s)
+    adam, W, stalled, _ = _guarded_step(METHOD_CORES[method][1], st.W, np.eye(d) - st.W,
+                                        st.sigma if ev else st.sigmas, -cov, grad_h,
+                                        st.adam, mu, lam, s)
 
     # residual sufficient statistic uses the pre-update W
     sq = (batch - st.W.T @ batch) ** 2
@@ -339,7 +336,7 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
         # fresh ADAM moments and residual statistic per stage; W and the
         # running covariance warm-start the next stage
-        _stage_entry(st.W, s, np.eye(ds.d), k)
+        _stage_entry(st.W, s, k)
         st.adam = AdamState.zero(ds.d, lr=lr)
         st.e = 0.0 if method == "colide_ev" else np.zeros(ds.d)
         st.t = 0

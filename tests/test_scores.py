@@ -5,6 +5,7 @@ from colide.graphs import GraphModelSpec, assign_edge_weights, sample_er_dag
 from colide.rng import stream
 from colide.scores import (
     DomainViolation,
+    _domain_matrix,
     grad_h_ldet,
     grad_ls_baseline,
     grad_w_ev,
@@ -81,6 +82,21 @@ class TestHLdet:
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             h_ldet(np.zeros((2, 2)), 0.0)
+
+    def test_domain_matrix_has_the_bits_of_s_eye_minus_w_squared(self):
+        # the solver's iterates depend on every bit of sI - W*W, signed zeros included
+        rng = np.random.default_rng(0)
+        for d in (2, 7, 30):
+            W = rng.normal(size=(d, d))
+            W[rng.random((d, d)) < 0.5] = 0.0
+            W[0, 1] = -0.0
+            for X in (W, W.T, W.astype(np.float32), np.round(3 * W).astype(int)):
+                for s in (0.7, 1.0):
+                    expect = s * np.eye(d) - X * X
+                    got = _domain_matrix(X, s)
+                    assert got.dtype == expect.dtype
+                    assert got.tobytes() == expect.tobytes()
+                    assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 class TestGradients:

@@ -4,7 +4,7 @@ import pytest
 from colide.bench import ExperimentConfig, generate_instance
 from colide.graphs import GraphModelSpec, is_dag
 from colide.rng import stream
-from colide.scores import h_ldet, sigma_floor_ev, stage_objective
+from colide.scores import DomainViolation, h_ldet, sigma_floor_ev, stage_objective
 from colide.sem import Dataset, NoiseSpec, sample_cov, sample_noise, simulate_sem
 from colide.solver import (
     METHODS,
@@ -80,18 +80,17 @@ class TestDomainGuard:
         W = np.zeros((2, 2))
         up = np.full((2, 2), 0.1)
         np.fill_diagonal(up, 0.0)
-        out, stalled, M, h = domain_guard(W, up, s=1.0)
+        out, stalled, h = domain_guard(W, up, s=1.0)
         assert not stalled
         assert np.array_equal(out, W + up)
         # the accepted point's log-det comes back with it
-        assert np.array_equal(M, np.eye(2) - out * out)
         assert h == h_ldet(out, 1.0)
 
     def test_halving_on_violation(self):
         W = np.zeros((2, 2))
         up = np.zeros((2, 2))
         up[0, 1] = up[1, 0] = 1.5  # full step leaves the domain at s=1
-        out, stalled, _, h = domain_guard(W, up, s=1.0)
+        out, stalled, h = domain_guard(W, up, s=1.0)
         assert not stalled
         assert 0 < out[0, 1] < 1.5
         assert h == h_ldet(out, 1.0)
@@ -101,14 +100,14 @@ class TestDomainGuard:
         W[0, 1] = W[1, 0] = 0.999  # right at the domain edge for s=1
         up = np.zeros((2, 2))
         up[0, 1] = 1e9
-        out, stalled, M, h = domain_guard(W, up, s=1.0, max_halvings=3)
+        out, stalled, h = domain_guard(W, up, s=1.0, max_halvings=3)
         assert stalled
         assert np.array_equal(out, W)
-        assert M is None and h is None
+        assert h is None
 
     def test_zero_update(self):
         W = np.zeros((3, 3))
-        out, stalled, _, _ = domain_guard(W, np.zeros((3, 3)), s=0.7)
+        out, stalled, _ = domain_guard(W, np.zeros((3, 3)), s=0.7)
         assert not stalled and np.array_equal(out, W)
 
 
@@ -271,6 +270,26 @@ class TestOnline:
         st = init_online(3, method="colide_ev", floor=0.1)
         with pytest.raises(ValueError):
             online_update(st, np.zeros((3, 0)), method="colide_ev")
+
+    def test_first_update_checks_the_domain(self, monkeypatch):
+        st = init_online(2, method="colide_ev", floor=0.1)
+        st.W = np.array([[0.0, 1.0], [1.0, 0.0]])  # det(0.7 I - W*W) < 0
+        with pytest.raises(DomainViolation):
+            online_update(st, np.ones((2, 5)), method="colide_ev", s=0.7)
+        # inside the domain: the first update checks W (slogdet), then each
+        # update makes one inverse (gradient) and one guard slogdet
+        _, _, ds = small_instance(seed=8, d=6, n=120)
+        st = init_online(6, method="colide_ev", floor=sigma_floor_ev(ds))
+        calls = {"slogdet": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kw):
+                calls[_name] += 1
+                return _orig(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for i in range(3):
+            st = online_update(st, ds.X[:, i * 40:(i + 1) * 40], method="colide_ev")
+        assert st.stalls == 0
+        assert calls == {"slogdet": 4, "inv": 3}
 
     def test_ls_unsupported(self):
         with pytest.raises(ValueError):
