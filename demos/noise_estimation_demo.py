@@ -6,7 +6,7 @@ to re-derive a scale from its residuals afterwards. With enough noise power
 the joint estimate wins at every sample size.
 """
 
-from colide.bench import ExperimentConfig, noise_study
+from colide.bench import ExperimentConfig, run_grid
 from colide.graphs import GraphModelSpec
 from colide.sem import NoiseSpec
 
@@ -19,7 +19,7 @@ cfg = ExperimentConfig(
 )
 
 print("running the sweep (a few minutes: 2 methods x 3 seeds x 4 sizes)...")
-records = noise_study(cfg)
+records = run_grid(cfg)
 
 print(f"\n{'n':>6} {'colide_ev':>12} {'ls posthoc':>12}")
 for n in cfg.n_sweep:

@@ -8,6 +8,7 @@ least-squares baseline, the standard DAG-recovery metric suite, and a
 seeded benchmark harness.
 """
 
+from .errors import ConfigError, DataError
 from .graphs import (
     Cpdag,
     GraphModelSpec,

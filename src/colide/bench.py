@@ -1,6 +1,7 @@
 """Benchmark harness: experiment configs, seeded grids, and result emission.
 
-A grid cell is one (seed, method) pair; cells own independent random streams
+A grid cell is one (seed, method, n) triple, n ranging over the sample-size
+sweep (data.n_sweep) or fixed at data.n; cells own independent random streams
 (see rng.stream), so reruns and harness parallelism are bit-reproducible.
 Records are emitted as JSON lines plus a CSV summary table; the record file
 carries a content hash over the payload (timestamp excluded).
@@ -11,12 +12,14 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphs import GraphModelSpec, assign_edge_weights, sample_er_dag, sample_sf_dag
-from .metrics import evaluate, noise_error, posthoc_noise
+from .errors import ConfigError, DataError
+from .graphs import (GraphModelSpec, assign_edge_weights, is_dag, load_adjacency_csv,
+                     sample_er_dag, sample_sf_dag)
+from .metrics import evaluate, posthoc_noise
 from .rng import stream
 from .sem import Dataset, NoiseSpec, draw_node_variances, sample_noise, simulate_sem, standardize
 from .solver import (
@@ -35,7 +38,6 @@ __all__ = [
     "parse_config",
     "read_config",
     "run_grid",
-    "noise_study",
     "run_sachs",
     "generate_instance",
     "load_dataset_csv",
@@ -66,8 +68,8 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if min((self.n, *self.n_sweep)) < 1:
+            raise ValueError("n and every n_sweep size must be at least 1")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be nonempty and distinct")
         for m in self.methods:
@@ -127,79 +129,76 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected boolean, got {text!r}")
 
 
+def _parse_ints(text: str):
+    return tuple(int(x) for x in text.split(","))
+
+
+# config key -> (value parser, ExperimentConfig field or graph./noise. spec field)
 _CONFIG_KEYS = {
-    "graph.model": str,
-    "graph.d": int,
-    "graph.k": float,
-    "graph.weight_ranges": _parse_intervals,
-    "noise.family": str,
-    "noise.profile": str,
-    "noise.variance": float,
-    "noise.variance_range": lambda t: _parse_intervals(t)[0],
-    "data.n": int,
-    "data.standardize": _parse_bool,
-    "data.n_sweep": lambda t: tuple(int(x) for x in t.split(",")),
-    "fit.methods": lambda t: tuple(x.strip() for x in t.split(",")),
-    "fit.lambda": float,
-    "fit.lr": float,
-    "fit.threshold": float,
-    "fit.schedule": _parse_stages,
-    "run.seeds": lambda t: tuple(int(x) for x in t.split(",")),
-    "run.master_seed": int,
-    "run.jobs": int,
-    "out.path": str,
+    "graph.model": (str, "graph.model"),
+    "graph.d": (int, "graph.d"),
+    "graph.k": (float, "graph.k"),
+    "graph.weight_ranges": (_parse_intervals, "graph.weight_ranges"),
+    "noise.family": (str, "noise.family"),
+    "noise.profile": (str, "noise.profile"),
+    "noise.variance": (float, "noise.variance"),
+    "noise.variance_range": (lambda t: _parse_intervals(t)[0], "noise.variance_range"),
+    "data.n": (int, "n"),
+    "data.standardize": (_parse_bool, "standardize"),
+    "data.n_sweep": (_parse_ints, "n_sweep"),
+    "fit.methods": (lambda t: tuple(x.strip() for x in t.split(",")), "methods"),
+    "fit.lambda": (float, "lam"),
+    "fit.lr": (float, "lr"),
+    "fit.threshold": (float, "threshold"),
+    "fit.schedule": (_parse_stages, "schedule"),
+    "run.seeds": (_parse_ints, "seeds"),
+    "run.master_seed": (int, "master_seed"),
+    "run.jobs": (int, "jobs"),
+    "out.path": (str, "out_path"),
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the line-oriented key = value experiment config format."""
-    values = {}
+    """Parse the line-oriented key = value experiment config format.
+
+    Keys absent from the text keep the dataclass defaults, except the graph
+    model, d and k, which default to ER, 20 and 2. Any fault is a ConfigError.
+    """
+    kw = {"graph": {"model": "ER", "d": 20, "k": 2.0}, "noise": {}}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate config key {key!r}")
-        values[key] = _CONFIG_KEYS[key](val)
-
-    graph_kw = {"model": values.get("graph.model", "ER"),
-                "d": values.get("graph.d", 20),
-                "k": values.get("graph.k", 2.0)}
-    if "graph.weight_ranges" in values:
-        graph_kw["weight_ranges"] = values["graph.weight_ranges"]
-    noise_kw = {"family": values.get("noise.family", "gaussian"),
-                "profile": values.get("noise.profile", "ev")}
-    if "noise.variance" in values:
-        noise_kw["variance"] = values["noise.variance"]
-    if "noise.variance_range" in values:
-        noise_kw["variance_range"] = values["noise.variance_range"]
-    return ExperimentConfig(
-        graph=GraphModelSpec(**graph_kw),
-        noise=NoiseSpec(**noise_kw),
-        n=values.get("data.n", 1000),
-        methods=values.get("fit.methods", ("colide_ev",)),
-        lam=values.get("fit.lambda", DEFAULT_LAMBDA),
-        lr=values.get("fit.lr", DEFAULT_LR),
-        threshold=values.get("fit.threshold", DEFAULT_THRESHOLD),
-        schedule=values.get("fit.schedule"),
-        seeds=values.get("run.seeds", (0,)),
-        master_seed=values.get("run.master_seed", 0),
-        standardize=values.get("data.standardize", False),
-        jobs=values.get("run.jobs", 1),
-        n_sweep=values.get("data.n_sweep", ()),
-        out_path=values.get("out.path"),
-    )
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
+        seen.add(key)
+        parser, target = _CONFIG_KEYS[key]
+        group, _, name = target.rpartition(".")
+        try:
+            (kw[group] if group else kw)[name] = parser(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    try:
+        return ExperimentConfig(graph=GraphModelSpec(**kw.pop("graph")),
+                                noise=NoiseSpec(**kw.pop("noise")), **kw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def read_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +231,10 @@ def generate_instance(cfg: ExperimentConfig, seed: int, n: int | None = None):
     return W_true, np.sqrt(variances), ds
 
 
-def _true_scale_for(method: str, true_sigmas: np.ndarray):
-    if method == "colide_nv":
-        return true_sigmas
-    # scalar reference: root-mean-square of per-node standard deviations
-    return float(np.sqrt(np.mean(true_sigmas ** 2)))
-
-
 def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = None):
     W_true, true_sigmas, ds = generate_instance(cfg, seed, n=n)
     record = dict(cfg.flat())
-    record.update({"seed": seed, "method": method, "n": n or cfg.n})
+    record.update({"seed": seed, "method": method, "n": ds.n})
     t0 = time.perf_counter()
     try:
         res = fit(ds, method=method, schedule=cfg.schedule, lam=cfg.lam,
@@ -252,19 +244,17 @@ def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = Non
         return record
     record["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
     record["iterations"] = res.iters_per_stage
+    if not is_dag(res.W_thresholded):
+        record["error"] = "cyclic estimate: the thresholded W has a directed cycle"
+        return record
 
-    if method == "ls_baseline":
-        est_scale = posthoc_noise(ds, res.W, profile=cfg.noise.profile)
-        record["sigma_posthoc"] = np.atleast_1d(est_scale).tolist()
-    else:
-        est_scale = res.sigma if method == "colide_ev" else res.sigmas
-        record["sigma_estimate"] = np.atleast_1d(est_scale).tolist()
-
-    # compare scalar estimates to the RMS true sigma, vectors per node
-    if np.ndim(est_scale) == 0:
-        true_scale = _true_scale_for("colide_ev", true_sigmas)
-    else:
-        true_scale = true_sigmas
+    est_scale, key = res.scale, "sigma_estimate"
+    if est_scale is None:  # no concomitant scale: post-hoc residual estimate
+        est_scale, key = posthoc_noise(ds, res.W, profile=cfg.noise.profile), "sigma_posthoc"
+    record[key] = np.atleast_1d(est_scale).tolist()
+    # compare vector estimates per node, scalar ones to the RMS true sigma
+    true_scale = (true_sigmas if np.ndim(est_scale)
+                  else float(np.sqrt(np.mean(true_sigmas ** 2))))
     report = evaluate(res.W_thresholded, W_true,
                       est_scale=est_scale, true_scale=true_scale,
                       sid_ceiling=max(cfg.graph.d, 200))
@@ -272,26 +262,29 @@ def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = Non
     return record
 
 
-def _cell_args(cfg):
-    for seed in sorted(cfg.seeds):
-        for method in cfg.methods:
-            yield seed, method
-
-
 def run_grid(cfg: ExperimentConfig):
-    """Run the seed x method grid; returns per-cell records plus aggregates.
+    """Run the seed x method grid at each sample size of cfg.n_sweep (or at cfg.n).
 
-    Fit failures are recorded in the affected row, never fatal to the grid.
+    Returns per-cell records, each size's cells followed by its aggregate
+    rows; in a sweep the aggregate rows carry "n". Fit failures and cyclic
+    estimates are recorded in the affected row, never fatal to the grid.
     Cells may run in parallel (cfg.jobs); output order is deterministic
-    (sorted by seed, then method order).
+    (by size, then seed, then method order).
     """
-    args = list(_cell_args(cfg))
+    sizes = cfg.n_sweep or (None,)
+    cells = [(seed, method, n) for n in sizes
+             for seed in sorted(cfg.seeds) for method in cfg.methods]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_run_cell, *zip(*[(cfg, s, m) for s, m in args])))
+            done = list(pool.map(_run_cell, [cfg] * len(cells), *zip(*cells)))
     else:
-        records = [_run_cell(cfg, s, m) for s, m in args]
-    records.extend(aggregate(records, cfg.methods))
+        done = [_run_cell(cfg, *cell) for cell in cells]
+    records, per_size = [], len(done) // len(sizes)
+    for k, n in enumerate(sizes):
+        batch = done[k * per_size:(k + 1) * per_size]
+        records.extend(batch)
+        for row in aggregate(batch, cfg.methods):
+            records.append(row if n is None else {**row, "n": n})
     return records
 
 
@@ -311,26 +304,6 @@ def aggregate(records, methods):
     return rows
 
 
-def noise_study(cfg: ExperimentConfig):
-    """Sample-size sweep of noise-estimation error.
-
-    For each n in cfg.n_sweep, fits every configured method and records the
-    relative noise error (concomitant estimate, or post-hoc residual formula
-    for the LS baseline). Emits per-n aggregates after the cell records.
-    """
-    if not cfg.n_sweep:
-        raise ValueError("noise_study requires data.n_sweep")
-    records = []
-    for n in cfg.n_sweep:
-        batch = [_run_cell(cfg, seed, method, n=n)
-                 for seed, method in _cell_args(cfg)]
-        records.extend(batch)
-        for row in aggregate(batch, cfg.methods):
-            row["n"] = n
-            records.append(row)
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Dataset CSV ingestion (rows = samples, columns = variables).
 # ---------------------------------------------------------------------------
@@ -340,20 +313,20 @@ def load_dataset_csv(path, has_header: bool = False) -> Dataset:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
     if not rows:
-        raise ValueError(f"empty dataset file: {path}")
+        raise DataError(f"empty dataset file: {path}")
     names = None
     if has_header:
         names = [c.strip() for c in rows[0]]
         rows = rows[1:]
     if not rows:
-        raise ValueError(f"dataset file has a header but no samples: {path}")
+        raise DataError(f"dataset file has a header but no samples: {path}")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged rows in dataset file: {path}")
+        raise DataError(f"ragged rows in dataset file: {path}")
     try:
         data = np.array(rows, dtype=float)
     except ValueError as exc:
-        raise ValueError(f"non-numeric cell in dataset file {path}: {exc}") from None
+        raise DataError(f"non-numeric cell in dataset file {path}: {exc}") from None
     meta = {"path": str(path)}
     if names:
         meta["variables"] = names
@@ -371,19 +344,16 @@ def save_dataset_csv(ds: Dataset, path, header: bool = False) -> None:
 
 
 def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),
-              lam: float = DEFAULT_LAMBDA, threshold: float = DEFAULT_THRESHOLD,
-              schedule: StageSchedule | None = None):
+              lam: float = DEFAULT_LAMBDA, threshold: float = DEFAULT_THRESHOLD):
     """Fit real flow-cytometry data and score against the consensus network."""
-    from .graphs import load_adjacency_csv
-
     ds = load_dataset_csv(data_path, has_header=True)
     W_true = load_adjacency_csv(truth_path)
     if W_true.shape[0] != ds.d:
-        raise ValueError("ground-truth node count does not match the dataset")
+        raise DataError("ground-truth node count does not match the dataset")
     records = []
     for method in methods:
         t0 = time.perf_counter()
-        res = fit(ds, method=method, lam=lam, tau=threshold, schedule=schedule)
+        res = fit(ds, method=method, lam=lam, tau=threshold)
         report = evaluate(res.W_thresholded, W_true)
         record = {"dataset": str(data_path), "method": method,
                   "wall_time_ms": (time.perf_counter() - t0) * 1e3,
@@ -409,27 +379,22 @@ def payload_bytes(records) -> bytes:
     return json.dumps(stripped, sort_keys=True).encode("utf-8")
 
 
-def _payload_hash(records) -> str:
-    return hashlib.sha256(payload_bytes(records)).hexdigest()
-
-
-def emit_results(records, path, summary_path=None) -> str:
+def emit_results(records, path) -> str:
     """Write one JSON object per record, a trailing meta line, and a CSV summary.
 
     The meta line carries a sha256 over the record payload; the timestamp
-    lives only in the meta line and is excluded from the hash. Returns the hash.
+    lives only in the meta line and is excluded from the hash. The summary
+    goes to <path>.summary.csv. Returns the hash.
     """
-    content_hash = _payload_hash(records)
+    content_hash = hashlib.sha256(payload_bytes(records)).hexdigest()
     with open(path, "w") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
         fh.write(json.dumps({"meta": True, "content_hash": content_hash,
                              "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}) + "\n")
     aggregates = [r for r in records if r.get("aggregate")]
-    if summary_path is None:
-        summary_path = str(path) + ".summary.csv"
     if aggregates:
-        _write_summary_csv(aggregates, summary_path)
+        _write_summary_csv(aggregates, f"{path}.summary.csv")
     return content_hash
 
 

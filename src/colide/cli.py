@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import bench
+from .errors import DataError
 from .graphs import load_adjacency_csv, save_adjacency_csv
 from .metrics import evaluate, posthoc_noise
 from .sem import standardize
@@ -32,13 +33,6 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
 
-def _common_fit_flags(p):
-    p.add_argument("--method", default="colide_ev", choices=METHODS)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--standardize", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="colide",
                                      description="Linear DAG estimation benchmark harness")
@@ -53,7 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one dataset and write the adjacency estimate")
     p.add_argument("--data", required=True)
     p.add_argument("--header", action="store_true", help="dataset CSV has a header row")
-    _common_fit_flags(p)
+    p.add_argument("--method", default="colide_ev", choices=METHODS)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--standardize", action="store_true")
     p.add_argument("--out", required=True,
                    help="output prefix; writes <out>.adjacency.csv and <out>.scales.json")
 
@@ -68,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="overrides out.path from the config")
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--noise-study", action="store_true",
-                   help="run the sample-size noise sweep instead of the plain grid")
 
     p = sub.add_parser("sachs", help="real-data preset: fit and score the 11-node dataset")
     p.add_argument("--data", required=True)
@@ -100,12 +95,10 @@ def _cmd_fit(args) -> int:
     save_adjacency_csv(res.W_thresholded, f"{args.out}.adjacency.csv")
     save_adjacency_csv(res.W, f"{args.out}.adjacency_raw.csv")
     scales = {"method": args.method, "iterations": res.iters_per_stage}
-    if args.method == "colide_ev":
-        scales["sigma"] = res.sigma
-    elif args.method == "colide_nv":
-        scales["sigmas"] = res.sigmas.tolist()
-    else:
+    if res.scale is None:  # no concomitant scale: post-hoc residual estimate
         scales["sigma_posthoc"] = posthoc_noise(ds, res.W, profile="ev")
+    else:
+        scales["sigma" if np.ndim(res.scale) == 0 else "sigmas"] = np.asarray(res.scale).tolist()
     with open(f"{args.out}.scales.json", "w") as fh:
         json.dump(scales, fh, indent=2)
     print(f"wrote {args.out}.adjacency.csv and {args.out}.scales.json")
@@ -135,7 +128,7 @@ def _cmd_bench(args) -> int:
     if out is None:
         print("error: no output path (use --out or out.path)", file=sys.stderr)
         return EXIT_CONFIG
-    records = bench.noise_study(cfg) if args.noise_study else bench.run_grid(cfg)
+    records = bench.run_grid(cfg)
     content_hash = bench.emit_results(records, out)
     print(f"wrote {len(records)} records to {out} (hash {content_hash[:12]})")
     return EXIT_OK
@@ -168,18 +161,11 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, np.exceptions.AxisError) as exc:
+    except (DataError, OSError, np.exceptions.AxisError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        # distinguish file-content problems from configuration problems
-        msg = str(exc)
-        data_markers = ("dataset", "ragged", "non-numeric", "empty",
-                        "weight matrix", "node count")
-        if any(m in msg for m in data_markers):
-            print(f"data error: {msg}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"config error: {msg}", file=sys.stderr)
+    except ValueError as exc:  # ConfigError and every other bad setting
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

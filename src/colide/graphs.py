@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
+
 __all__ = [
     "GraphModelSpec",
     "Cpdag",
@@ -72,11 +74,11 @@ def check_weights(W: np.ndarray) -> np.ndarray:
     """Validate a weight matrix: square, finite, zero diagonal."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] < 1:
-        raise ValueError(f"expected square matrix, got shape {W.shape}")
+        raise DataError(f"expected square matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
-        raise ValueError("weight matrix has non-finite entries")
+        raise DataError("weight matrix has non-finite entries")
     if np.any(np.diag(W) != 0):
-        raise ValueError("weight matrix diagonal must be zero")
+        raise DataError("weight matrix diagonal must be zero")
     return W
 
 
@@ -203,7 +205,7 @@ def assign_edge_weights(support: np.ndarray, ranges, rng: np.random.Generator) -
 
 
 # ---------------------------------------------------------------------------
-# CPDAG of a DAG: skeleton + v-structures + Meek rules R1-R4.
+# CPDAG of a DAG: skeleton + v-structures + Meek rules R1-R3.
 # ---------------------------------------------------------------------------
 
 def cpdag_of(W: np.ndarray) -> Cpdag:
@@ -233,7 +235,12 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
 
 
 def _meek_closure(D: np.ndarray, U: np.ndarray):
-    """Apply Meek rules R1-R4 until no undirected edge can be oriented."""
+    """Apply Meek rules R1-R3 until no undirected edge can be oriented.
+
+    Starting from a DAG's skeleton and v-structures (no background
+    knowledge), R1-R3 are complete (Meek, UAI 1995); R4 is only needed
+    when extra orientations are imposed.
+    """
     D = D.copy()
     U = U.copy()
     d = D.shape[0]
@@ -264,11 +271,6 @@ def _meek_closure(D: np.ndarray, U: np.ndarray):
                 if _rule3(D, U, adj, a, b, d):
                     orient(a, b)
                     changed = True
-                    continue
-                # R4: u -> v -> b with a - u and a - v  =>  a -> b
-                if _rule4(D, U, adj, a, b, d):
-                    orient(a, b)
-                    changed = True
     return D, U
 
 
@@ -277,16 +279,6 @@ def _rule3(D, U, adj, a, b, d):
     for i in range(len(cands)):
         for j in range(i + 1, len(cands)):
             if not adj(cands[i], cands[j]):
-                return True
-    return False
-
-
-def _rule4(D, U, adj, a, b, d):
-    for u in range(d):
-        if not U[a, u]:
-            continue
-        for v in range(d):
-            if D[u, v] and D[v, b] and U[a, v]:
                 return True
     return False
 

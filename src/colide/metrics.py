@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .graphs import Cpdag, check_weights, cpdag_of, is_dag
 from .sem import Dataset
 
@@ -43,7 +44,7 @@ def _supports(est, true):
     A = check_weights(est) != 0
     B = check_weights(true) != 0
     if A.shape != B.shape:
-        raise ValueError("graphs must have the same node count")
+        raise DataError("graphs must have the same node count")
     return A, B
 
 

@@ -8,6 +8,7 @@ solver folds in a subgradient.
 
 import numpy as np
 
+from .errors import DataError
 from .sem import Dataset, sample_cov
 
 __all__ = [
@@ -36,7 +37,7 @@ def sigma_floor_ev(ds: Dataset) -> float:
     """Scalar noise floor ||X||_F / sqrt(d*n) * 1e-2."""
     norm = np.linalg.norm(ds.X)
     if norm == 0:
-        raise ValueError("all-zero dataset has no usable noise floor")
+        raise DataError("all-zero dataset has no usable noise floor")
     return norm / np.sqrt(ds.d * ds.n) * 1e-2
 
 
@@ -44,7 +45,7 @@ def sigma_floor_nv(ds: Dataset) -> np.ndarray:
     """Per-node noise floor sqrt(diag(cov(X))) * 1e-2."""
     diag = np.diag(sample_cov(ds))
     if np.any(diag == 0):
-        raise ValueError("identically-zero variable has no usable noise floor")
+        raise DataError("identically-zero variable has no usable noise floor")
     return np.sqrt(diag) * 1e-2
 
 

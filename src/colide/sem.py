@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
 from .graphs import check_weights, is_dag, topological_order
 
 __all__ = [
@@ -60,9 +61,9 @@ class Dataset:
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
         if self.X.ndim != 2 or self.X.shape[1] < 1:
-            raise ValueError("X must be d x n with n >= 1")
+            raise DataError("X must be d x n with n >= 1")
         if not np.all(np.isfinite(self.X)):
-            raise ValueError("X has non-finite entries")
+            raise DataError("X has non-finite entries")
 
     @property
     def d(self) -> int:
@@ -127,7 +128,7 @@ def standardize(ds: Dataset) -> Dataset:
     mean = ds.X.mean(axis=1, keepdims=True)
     sd = ds.X.std(axis=1, keepdims=True)
     if np.any(sd == 0):
-        raise ValueError("cannot standardize a constant row")
+        raise DataError("cannot standardize a constant row")
     meta = dict(ds.meta)
     meta["standardized"] = True
     return Dataset(X=(ds.X - mean) / sd, meta=meta)

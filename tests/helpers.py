@@ -1,7 +1,8 @@
 """Shared brute-force oracles for the test suite.
 
 Everything here is deliberately independent of the library implementation:
-DAG enumeration, Markov-equivalence grouping, path-enumeration d-separation,
+DAG enumeration, Markov-equivalence grouping, equivalence classes by
+orientation enumeration, path-enumeration d-separation,
 and the adjustment criterion checked path by path.
 """
 
@@ -83,6 +84,25 @@ def consensus_cpdag(members):
                 directed[j, i] = True
     return directed, undirected
 
+
+def equivalence_class_cpdag(A):
+    """CPDAG of the DAG A by brute force, for graphs too large to enumerate all DAGs.
+
+    Tries both directions of every skeleton edge, keeps the acyclic
+    orientations with A's v-structures (A's Markov equivalence class), and
+    returns their consensus.
+    """
+    d = A.shape[0]
+    edges = [(i, j) for i in range(d) for j in range(i + 1, d) if A[i, j] or A[j, i]]
+    target = vstructures(A)
+    members = []
+    for flips in itertools.product([False, True], repeat=len(edges)):
+        B = np.zeros((d, d), dtype=bool)
+        for (i, j), flip in zip(edges, flips):
+            B[(j, i) if flip else (i, j)] = True
+        if _acyclic(B) and vstructures(B) == target:
+            members.append(B)
+    return consensus_cpdag(members)
 
 # ---------------------------------------------------------------------------
 # Path-enumeration d-separation and the adjustment criterion.

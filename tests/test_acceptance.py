@@ -14,7 +14,6 @@ import pytest
 from colide.bench import (
     ExperimentConfig,
     generate_instance,
-    noise_study,
     payload_bytes,
     run_grid,
     run_sachs,
@@ -244,7 +243,7 @@ def _noise_curves(profile):
     cfg = ExperimentConfig(graph=graph, noise=noise,
                            methods=(concomitant, "ls_baseline"),
                            seeds=(0, 1, 2), n_sweep=(250, 500, 1000, 2000))
-    records = noise_study(cfg)
+    records = run_grid(cfg)
     curves = {concomitant: [], "ls_baseline": []}
     for n in cfg.n_sweep:
         for method in curves:

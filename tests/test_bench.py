@@ -9,11 +9,11 @@ from colide.bench import (
     emit_results,
     generate_instance,
     load_dataset_csv,
-    noise_study,
     parse_config,
     run_grid,
     save_dataset_csv,
 )
+from colide.errors import ConfigError
 from colide.graphs import GraphModelSpec, is_dag
 from colide.sem import Dataset, NoiseSpec
 from colide.solver import StageSchedule
@@ -31,6 +31,16 @@ data.n = 300
 fit.methods = colide_ev, ls_baseline
 fit.schedule = {FAST_SCHED}
 run.seeds = 0, 1
+"""
+
+# a short single stage with a low threshold leaves a cycle in the estimate
+CYCLIC_CFG = """
+graph.d = 10
+graph.k = 4
+fit.schedule = 1:1:300
+fit.lr = 0.03
+fit.threshold = 0.1
+run.seeds = 0
 """
 
 
@@ -76,6 +86,18 @@ class TestConfigParsing:
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             parse_config("run.seeds = 1, 1")
+
+    def test_faults_are_config_errors(self):
+        for text in ("graph.shape = torus", "graph.d = 5\ngraph.d = 6", "graph.d: 5",
+                     "graph.d = five", "data.standardize = maybe", "graph.d = 1",
+                     "data.n_sweep = 100, 0", "fit.methods = gradient_boosting"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
+
+    def test_absent_keys_keep_the_dataclass_defaults(self):
+        cfg = parse_config("")
+        assert cfg == ExperimentConfig(graph=GraphModelSpec(model="ER", d=20, k=2.0),
+                                       noise=NoiseSpec())
 
 
 class TestGenerateInstance:
@@ -172,20 +194,36 @@ def _strip_times(records):
     return out
 
 
-class TestNoiseStudy:
-    def test_requires_sweep(self):
-        with pytest.raises(ValueError):
-            noise_study(parse_config(SMALL_CFG))
+SWEEP_CFG = SMALL_CFG + "data.n_sweep = 100, 200\n"
 
-    def test_per_n_aggregates(self):
-        cfg = parse_config(SMALL_CFG + "data.n_sweep = 100, 200\n")
-        records = noise_study(cfg)
-        aggs = [r for r in records if r.get("aggregate")]
+
+@pytest.fixture(scope="module")
+def sweep_records():
+    return run_grid(parse_config(SWEEP_CFG))
+
+
+class TestNoiseStudy:
+    """data.n_sweep makes the sample size a grid axis."""
+
+    def test_per_n_aggregates(self, sweep_records):
+        aggs = [r for r in sweep_records if r.get("aggregate")]
         assert sorted({r["n"] for r in aggs}) == [100, 200]
         assert len(aggs) == 4  # 2 n values x 2 methods
-        cells = [r for r in records if not r.get("aggregate")]
+        cells = [r for r in sweep_records if not r.get("aggregate")]
         assert len(cells) == 8
         assert all(r["noise_rel_error"] is not None for r in cells)
+
+    def test_each_size_is_followed_by_its_aggregates(self, sweep_records):
+        sizes = [r["n"] for r in sweep_records]
+        assert sizes == [100] * 6 + [200] * 6
+        assert [bool(r.get("aggregate")) for r in sweep_records[:6]] == [False] * 4 + [True] * 2
+
+    def test_plain_grid_aggregates_carry_no_n(self, records):
+        assert all("n" not in r for r in records if r.get("aggregate"))
+
+    def test_parallel_sweep_matches_serial(self, sweep_records):
+        par = run_grid(parse_config(SWEEP_CFG + "run.jobs = 2\n"))
+        assert _strip_times(par) == _strip_times(sweep_records)
 
 
 class TestDatasetCsv:
@@ -264,6 +302,11 @@ class TestFailedCells:
                            "run.seeds = 0\n")
         cell, agg = run_grid(cfg)
         assert "warm start" in cell["error"]
+        assert agg["aggregate"] and agg["runs"] == 0
+
+    def test_cyclic_estimate_is_an_error_row(self):
+        cell, agg = run_grid(parse_config(CYCLIC_CFG))
+        assert "cyclic estimate" in cell["error"]
         assert agg["aggregate"] and agg["runs"] == 0
 
 

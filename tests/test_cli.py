@@ -70,12 +70,45 @@ class TestBenchCommand:
     def test_bench_without_out_is_config_error(self, cfg_path, capsys):
         assert main(["bench", "--config", str(cfg_path)]) == 1
 
+    def test_bench_runs_the_sample_size_sweep(self, tmp_path, capsys):
+        p = tmp_path / "sweep.cfg"
+        p.write_text(CFG + "data.n_sweep = 100, 200\n")
+        out = tmp_path / "sweep.jsonl"
+        assert main(["bench", "--config", str(p), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()[:-1]]
+        assert [r["n"] for r in rows if r.get("aggregate")] == [100, 200]
+        summary = (tmp_path / "sweep.jsonl.summary.csv").read_text().splitlines()
+        assert summary[0].split(",")[0] == "n"
+        assert {line.split(",")[0] for line in summary[1:]} == {"100", "200"}
+
+    def test_cyclic_estimate_does_not_abort_the_grid(self, tmp_path, capsys):
+        p = tmp_path / "cyclic.cfg"
+        p.write_text("graph.d = 10\ngraph.k = 4\nfit.schedule = 1:1:300\n"
+                     "fit.lr = 0.03\nfit.threshold = 0.1\nrun.seeds = 0\n")
+        out = tmp_path / "cyclic.jsonl"
+        assert main(["bench", "--config", str(p), "--out", str(out)]) == 0
+        assert "cyclic estimate" in json.loads(out.read_text().splitlines()[0])["error"]
+
 
 class TestExitCodes:
     def test_bad_config_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("graph.shape = torus\n")
         assert main(["bench", "--config", str(p), "--out", "x"]) == 1
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(tmp_path / "absent.cfg"), "--out", "x"]) == 1
+
+    def test_nan_in_data_file(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("1,2\nnan,4\n3,5\n")
+        assert main(["fit", "--data", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    def test_zero_column_under_nv(self, tmp_path, capsys):
+        p = tmp_path / "zero.csv"
+        p.write_text("1,0\n2,0\n3,0\n")
+        assert main(["fit", "--data", str(p), "--method", "colide_nv",
+                     "--out", str(tmp_path / "o")]) == 2
 
     def test_missing_data_file(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "nope.csv"),

@@ -15,7 +15,13 @@ from colide.graphs import (
 )
 from colide.rng import stream
 
-from helpers import all_dags, consensus_cpdag, equivalence_classes
+from helpers import (
+    all_dags,
+    consensus_cpdag,
+    equivalence_class_cpdag,
+    equivalence_classes,
+    random_dag,
+)
 
 
 def chain(d):
@@ -188,6 +194,23 @@ class TestCpdag:
             expect = Cpdag(directed=D, undirected=U)
             for A in members:
                 assert cpdag_of(A.astype(float)) == expect
+
+    def test_fully_compelled_edges_keep_their_direction(self):
+        # every edge is compelled; an unsound rule used to turn 5 -> 2 into 2 -> 5
+        A = np.zeros((6, 6), dtype=bool)
+        for i, j in [(0, 3), (1, 2), (1, 3), (1, 5), (3, 2), (3, 5), (4, 5), (5, 2)]:
+            A[i, j] = True
+        D, U = equivalence_class_cpdag(A)
+        assert np.array_equal(D, A) and not U.any()
+        assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_matches_equivalence_class_on_random_dags(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(40):
+            A = random_dag(d, rng, p=0.4)
+            D, U = equivalence_class_cpdag(A)
+            assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
 
     def test_equivalence_class_counts(self):
         # known counts: 25 DAGs / 11 classes at d=3, 543 / 185 at d=4
