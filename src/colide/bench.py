@@ -256,8 +256,7 @@ def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = Non
     true_scale = (true_sigmas if np.ndim(est_scale)
                   else float(np.sqrt(np.mean(true_sigmas ** 2))))
     report = evaluate(res.W_thresholded, W_true,
-                      est_scale=est_scale, true_scale=true_scale,
-                      sid_ceiling=max(cfg.graph.d, 200))
+                      est_scale=est_scale, true_scale=true_scale)
     record.update(asdict(report))
     return record
 

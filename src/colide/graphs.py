@@ -216,71 +216,45 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
     """
     B = _support(check_weights(W))
     if not is_dag(B):
-        raise ValueError("input graph is not a DAG")
-    d = B.shape[0]
+        raise DataError("input graph is not a DAG")
     adj = B | B.T
-    D = np.zeros((d, d), dtype=bool)  # compelled i -> j
+    D = np.zeros_like(B)  # compelled i -> j
     # v-structures: i -> j <- k with i, k non-adjacent
-    for j in range(d):
-        parents = np.flatnonzero(B[:, j])
-        for a in range(len(parents)):
-            for b in range(a + 1, len(parents)):
-                i, k = parents[a], parents[b]
-                if not adj[i, k]:
-                    D[i, j] = True
-                    D[k, j] = True
-    U = adj & ~(D | D.T)
-    D, U = _meek_closure(D, U)
-    return Cpdag(directed=D, undirected=U)
+    for j in range(B.shape[0]):
+        pa = np.flatnonzero(B[:, j])
+        if len(pa) > 1:
+            apart = ~adj[np.ix_(pa, pa)]
+            np.fill_diagonal(apart, False)
+            D[pa[apart.any(axis=1)], j] = True
+    return Cpdag(*_meek_closure(D, adj & ~(D | D.T), adj))
 
 
-def _meek_closure(D: np.ndarray, U: np.ndarray):
+def _meek_closure(D: np.ndarray, U: np.ndarray, adj: np.ndarray):
     """Apply Meek rules R1-R3 until no undirected edge can be oriented.
 
-    Starting from a DAG's skeleton and v-structures (no background
-    knowledge), R1-R3 are complete (Meek, UAI 1995); R4 is only needed
-    when extra orientations are imposed.
+    adj is the skeleton. Starting from a DAG's skeleton and v-structures (no
+    background knowledge), R1-R3 are complete (Meek, UAI 1995); R4 is only
+    needed when extra orientations are imposed. Each sweep visits the
+    undirected edges in row-major order, orienting as it goes.
     """
-    D = D.copy()
-    U = U.copy()
-    d = D.shape[0]
-    adj = lambda a, b: D[a, b] or D[b, a] or U[a, b]  # noqa: E731
-
-    def orient(a, b):
-        D[a, b] = True
-        U[a, b] = U[b, a] = False
-
+    D, U = D.copy(), U.copy()
     changed = True
     while changed:
         changed = False
-        for a in range(d):
-            for b in range(d):
-                if not U[a, b]:
-                    continue
-                # R1: c -> a, a - b, c and b non-adjacent  =>  a -> b
-                if any(D[c, a] and not adj(c, b) for c in range(d)):
-                    orient(a, b)
-                    changed = True
-                    continue
-                # R2: a -> c -> b and a - b  =>  a -> b
-                if any(D[a, c] and D[c, b] for c in range(d)):
-                    orient(a, b)
-                    changed = True
-                    continue
-                # R3: a - c, a - e, c -> b, e -> b, c and e non-adjacent  =>  a -> b
-                if _rule3(D, U, adj, a, b, d):
-                    orient(a, b)
-                    changed = True
+        for a, b in np.argwhere(U):
+            if not U[a, b]:  # oriented earlier in this sweep
+                continue
+            # R1: c -> a, a - b, c and b non-adjacent  =>  a -> b
+            # R2: a -> c -> b and a - b  =>  a -> b
+            # R3: a - c, a - e, c -> b, e -> b, c and e non-adjacent  =>  a -> b
+            #     (adj has a False diagonal, so ~adj counts each c once on it)
+            c = np.flatnonzero(U[a] & D[:, b])
+            if ((D[:, a] & ~adj[:, b]).any() or (D[a] & D[:, b]).any()
+                    or np.count_nonzero(~adj[np.ix_(c, c)]) > len(c)):
+                D[a, b] = True
+                U[a, b] = U[b, a] = False
+                changed = True
     return D, U
-
-
-def _rule3(D, U, adj, a, b, d):
-    cands = [c for c in range(d) if U[a, c] and D[c, b]]
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            if not adj(cands[i], cands[j]):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 All structural metrics operate on supports (nonzero patterns); reversed
 edges count once in SHD, and as false positives for FDR / misses for TPR.
+Each metric is a core on two validated supports; the public functions take
+weight matrices, and `evaluate` validates them once for every core. SID
+(Peters & Buehlmann, Neural Computation 2015) builds each graph's descendant
+closure once per call and has no size ceiling.
 """
 
 from dataclasses import dataclass
@@ -23,8 +27,6 @@ __all__ = [
     "posthoc_noise",
     "evaluate",
 ]
-
-SID_DEFAULT_CEILING = 200
 
 
 @dataclass
@@ -48,13 +50,21 @@ def _supports(est, true):
     return A, B
 
 
-def shd(est: np.ndarray, true: np.ndarray) -> int:
+def _on_weights(core):
+    """Public form of a metric core: validates two weight matrices, scores their supports."""
+    def metric(est: np.ndarray, true: np.ndarray):
+        return core(*_supports(est, true))
+    metric.__name__ = metric.__qualname__ = core.__name__.lstrip("_")
+    metric.__doc__ = core.__doc__
+    return metric
+
+
+def _shd(A, B) -> int:
     """Structural Hamming distance between two DAG supports.
 
     Per unordered pair: a reversal counts 1; an edge present in exactly one
     graph counts 1 (addition or deletion).
     """
-    A, B = _supports(est, true)
     iu = np.triu_indices(A.shape[0], k=1)
 
     def status(M):
@@ -71,29 +81,26 @@ def _cpdag_status(c: Cpdag):
             + 3 * c.undirected[iu].astype(int))
 
 
-def shd_c(est: np.ndarray, true: np.ndarray) -> int:
+def _shd_c(A, B) -> int:
     """SHD between the CPDAGs of two DAGs.
 
     An undirected edge mismatching a directed one counts 1, like any other
     status difference on a node pair.
     """
-    A, B = _supports(est, true)
     ca, cb = cpdag_of(A.astype(float)), cpdag_of(B.astype(float))
     return int(np.count_nonzero(_cpdag_status(ca) != _cpdag_status(cb)))
 
 
-def tpr(est: np.ndarray, true: np.ndarray) -> float:
+def _tpr(A, B) -> float:
     """Correctly directed detected edges / true edge count."""
-    A, B = _supports(est, true)
     n_true = int(B.sum())
     if n_true == 0:
         raise ValueError("true graph has no edges")
     return int((A & B).sum()) / n_true
 
 
-def fdr(est: np.ndarray, true: np.ndarray) -> float:
+def _fdr(A, B) -> float:
     """(Detections minus correctly directed) / detections; 0 when nothing detected."""
-    A, B = _supports(est, true)
     detected = int(A.sum())
     return (detected - int((A & B).sum())) / max(detected, 1)
 
@@ -112,44 +119,71 @@ def _descendant_matrix(A: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _ancestors_of_set(A: np.ndarray, nodes) -> set:
-    """Nodes with a directed path into the set, including the set itself."""
-    desc = _descendant_matrix(A)
-    out = set(nodes)
-    for v in range(A.shape[0]):
-        if any(desc[v, z] for z in nodes):
-            out.add(v)
-    return out
+class _Dag:
+    """A DAG support with its descendant closure and parent/child lists."""
+
+    def __init__(self, A: np.ndarray):
+        self.desc = _descendant_matrix(A)
+        self.parents = [np.flatnonzero(col).tolist() for col in A.T]
+        self.children = [np.flatnonzero(row).tolist() for row in A]
+
+    def ancestors(self, Z: np.ndarray) -> np.ndarray:
+        """Mask of the nodes in Z and of every node with a directed path into Z."""
+        return Z | self.desc[:, Z].any(axis=1)
+
+    def connected(self, x, y, Z, anc_z, x_children) -> bool:
+        """True iff a path x .. y is active given Z (not d-separated).
+
+        Bayes-ball search over (node, direction) states, where "up" means the
+        node was entered against an arrow. x_children replaces x's children,
+        which cuts x's other outgoing edges from the graph.
+        """
+        in_z, in_anc = Z.tolist(), anc_z.tolist()
+        seen_up, seen_down = bytearray(len(in_z)), bytearray(len(in_z))
+        stack = [(x, True)]
+        while stack:
+            v, up = stack.pop()
+            seen = seen_up if up else seen_down
+            if seen[v]:
+                continue
+            seen[v] = 1
+            if v == y:
+                return True
+            kids = x_children if v == x else self.children[v]
+            if not in_z[v]:
+                stack.extend((c, False) for c in kids)
+                if up:
+                    stack.extend((p, True) for p in self.parents[v])
+            if not up and in_anc[v]:  # collider opened by conditioning on a descendant
+                stack.extend((p, True) for p in self.parents[v])
+        return False
+
+    def adjusts(self, i, j, Z, anc_z) -> bool:
+        """Adjustment criterion for the effect of i on j, with i, j outside Z.
+
+        Z must avoid the causal nodes (on directed paths i -> ... -> j, j
+        included) and their descendants, and d-separate i and j once i's
+        edges into causal nodes are removed. Removing them changes no
+        ancestor of Z when that first test passes, since an edge i -> c only
+        leads to descendants of c, all forbidden; so the ancestors of Z in
+        this graph (anc_z) serve the reduced graph as well.
+        """
+        causal = self.desc[i] & self.desc[:, j]
+        causal[j] = self.desc[i, j]
+        forbidden = causal | self.desc[causal].any(axis=0)
+        if (Z & forbidden).any():
+            return False
+        kept = [c for c in self.children[i] if not causal[c]]
+        return not self.connected(i, j, Z, anc_z, kept)
 
 
 def d_separated(A: np.ndarray, x: int, y: int, Z) -> bool:
     """d-separation of x and y given Z in the DAG with adjacency A (bool)."""
-    Zset = set(int(z) for z in Z)
-    if x in Zset or y in Zset:
+    Z = np.isin(np.arange(A.shape[0]), list(Z))
+    if Z[x] or Z[y]:
         raise ValueError("endpoints may not be conditioned on")
-    anc_z = _ancestors_of_set(A, Zset) if Zset else set()
-    parents = [np.flatnonzero(A[:, v]) for v in range(A.shape[0])]
-    children = [np.flatnonzero(A[v, :]) for v in range(A.shape[0])]
-
-    # reachability over (node, direction): "up" = entered against an arrow
-    visited = set()
-    frontier = [(x, "up")]
-    while frontier:
-        v, direction = frontier.pop()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        if v == y:
-            return False
-        if direction == "up" and v not in Zset:
-            frontier.extend((int(p), "up") for p in parents[v])
-            frontier.extend((int(c), "down") for c in children[v])
-        elif direction == "down":
-            if v not in Zset:
-                frontier.extend((int(c), "down") for c in children[v])
-            if v in anc_z:  # collider opened by conditioning on a descendant
-                frontier.extend((int(p), "up") for p in parents[v])
-    return True
+    g = _Dag(A)
+    return not g.connected(x, y, Z, g.ancestors(Z), g.children[x])
 
 
 def valid_adjustment(A: np.ndarray, i: int, j: int, Z) -> bool:
@@ -159,52 +193,43 @@ def valid_adjustment(A: np.ndarray, i: int, j: int, Z) -> bool:
     block every proper non-causal path (d-separation in the graph with the
     first causal edges out of i removed).
     """
-    Zset = set(int(z) for z in Z)
-    if i in Zset or j in Zset:
+    Z = np.isin(np.arange(A.shape[0]), list(Z))
+    if Z[i] or Z[j]:
         return False
-    desc = _descendant_matrix(A)
-    causal_nodes = {w for w in range(A.shape[0])
-                    if desc[i, w] and (w == j or desc[w, j])}
-    forbidden = set(causal_nodes)
-    for w in causal_nodes:
-        forbidden.update(np.flatnonzero(desc[w]).tolist())
-    if Zset & forbidden:
-        return False
-    # proper back-door graph: drop edges i -> c entering a causal path
-    A2 = A.copy()
-    for c in np.flatnonzero(A[i]):
-        if c in causal_nodes:
-            A2[i, c] = False
-    return d_separated(A2, i, j, Zset)
+    g = _Dag(A)
+    return g.adjusts(i, j, Z, g.ancestors(Z))
 
 
-def sid(est: np.ndarray, true: np.ndarray, ceiling: int = SID_DEFAULT_CEILING) -> int:
-    """Count ordered pairs whose interventional prediction from est fails in true.
+def _sid(est, true) -> int:
+    """Structural intervention distance (Peters & Buehlmann, Neural Computation 2015).
 
-    When est claims a causal path i -> ... -> j, the pair is disrupted unless
-    est's parent set of i is a valid adjustment set for (i, j) in true. When
-    est claims no effect, the pair is disrupted iff true has a causal path.
+    Counts ordered pairs (i, j) whose interventional prediction from est
+    fails in true. When est claims a causal path i -> ... -> j, the pair is
+    disrupted unless est's parent set of i is a valid adjustment set for
+    (i, j) in true. When est claims no effect, the pair is disrupted iff true
+    has a causal path.
+
+    Both descendant closures and true's parent and child lists are built
+    once, O(d^3); each source i gets the ancestor mask of Z = pa_est(i) once.
+    Each pair that est connects then costs O(d * |causal nodes|) for the
+    forbidden set plus one O(d + edges) back-door search in true, so no
+    graph-wide work repeats per pair.
     """
-    A, B = _supports(est, true)
-    if not is_dag(A.astype(float)) or not is_dag(B.astype(float)):
-        raise ValueError("sid requires two DAGs")
-    d = A.shape[0]
-    if d > ceiling:
-        raise ValueError(f"sid ceiling exceeded: d={d} > {ceiling}")
-    desc_est = _descendant_matrix(A)
-    desc_true = _descendant_matrix(B)
-    count = 0
-    for i in range(d):
-        pa_i = np.flatnonzero(A[:, i]).tolist()
-        for j in range(d):
-            if i == j:
-                continue
-            if desc_est[i, j]:
-                if not valid_adjustment(B, i, j, pa_i):
-                    count += 1
-            elif desc_true[i, j]:
-                count += 1
+    if not is_dag(est) or not is_dag(true):
+        raise DataError("sid requires two DAGs")
+    reach, g = _descendant_matrix(est), _Dag(true)
+    count = int(np.count_nonzero(g.desc & ~reach))
+    for i in range(est.shape[0]):
+        targets = np.flatnonzero(reach[i])
+        if targets.size == 0:
+            continue
+        Z = est[:, i]  # est's parents of i; a DAG never has i or j here
+        anc_z = g.ancestors(Z)
+        count += sum(not g.adjusts(i, int(j), Z, anc_z) for j in targets)
     return count
+
+
+shd, shd_c, tpr, fdr, sid = map(_on_weights, (_shd, _shd_c, _tpr, _fdr, _sid))
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +261,20 @@ def posthoc_noise(ds: Dataset, W_est: np.ndarray, profile: str = "ev"):
 
 
 def evaluate(W_est: np.ndarray, W_true: np.ndarray,
-             est_scale=None, true_scale=None,
-             sid_ceiling: int = SID_DEFAULT_CEILING) -> MetricReport:
+             est_scale=None, true_scale=None) -> MetricReport:
     """Full metric suite for a thresholded estimate against the ground truth."""
     A, B = _supports(W_est, W_true)
-    d = A.shape[0]
     err = None
     if est_scale is not None and true_scale is not None:
         err = noise_error(est_scale, true_scale)
+    dist = _shd(A, B)
     return MetricReport(
-        shd=shd(W_est, W_true),
-        shd_normalized=shd(W_est, W_true) / d,
-        shd_c=shd_c(W_est, W_true),
-        sid=sid(W_est, W_true, ceiling=sid_ceiling),
-        tpr=tpr(W_est, W_true),
-        fdr=fdr(W_est, W_true),
+        shd=dist,
+        shd_normalized=dist / A.shape[0],
+        shd_c=_shd_c(A, B),
+        sid=_sid(A, B),
+        tpr=_tpr(A, B),
+        fdr=_fdr(A, B),
         edge_count_est=int(A.sum()),
         edge_count_true=int(B.sum()),
         noise_rel_error=err,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import DataError
 from .scores import (METHOD_CORES, DomainViolation, grad_h_ldet, grad_ldet, h_ldet,
                      residual_gram, sigma_floor_ev, sigma_floor_nv)
 from .sem import Dataset, sample_cov
@@ -176,7 +177,7 @@ def fit(ds: Dataset, method: str = "colide_ev",
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if ds.d < 2:
-        raise ValueError("need at least two variables")
+        raise DataError("need at least two variables")
     schedule = schedule or default_schedule()
     start = time.perf_counter()
 

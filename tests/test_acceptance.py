@@ -199,6 +199,7 @@ def test_criterion_05_metric_bruteforce_agreement():
     print("criterion 5 metric brute-force agreement (d=3 exhaustive, d=4 sampled): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_06_desk_scale_recovery(grid6_runs):
     records, _ = grid6_runs
     cells = [r for r in records if not r.get("aggregate")]
@@ -211,6 +212,7 @@ def test_criterion_06_desk_scale_recovery(grid6_runs):
           f"mean TPR {np.mean(tprs):.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_07_heteroscedastic_ordering():
     cfg = ExperimentConfig(
         graph=GraphModelSpec(model="ER", d=50, k=4,
@@ -257,6 +259,7 @@ def _inversions(seq):
     return sum(1 for a, b in zip(seq, seq[1:]) if b > a + 1e-12)
 
 
+@pytest.mark.slow
 def test_criterion_08_noise_estimation_sweep():
     for profile in ("ev", "nv"):
         conc, ls = _noise_curves(profile)
@@ -267,6 +270,7 @@ def test_criterion_08_noise_estimation_sweep():
               f"< posthoc {['%.4f' % b for b in ls]})")
 
 
+@pytest.mark.slow
 def test_criterion_09_sachs_reproduction():
     data = os.environ.get("COLIDE_SACHS_DATA", "data/sachs.data.csv")
     truth = os.environ.get("COLIDE_SACHS_TRUTH", "data/sachs.truth.csv")
@@ -282,6 +286,7 @@ def test_criterion_09_sachs_reproduction():
           f"(NV SHD {records['colide_nv']['shd']}, EV SHD {records['colide_ev']['shd']})")
 
 
+@pytest.mark.slow
 def test_criterion_10_online_tracking():
     cfg = ExperimentConfig(
         graph=GraphModelSpec(model="ER", d=50, k=4),
@@ -309,6 +314,7 @@ def test_criterion_10_online_tracking():
           f"sigma err {np.mean(serr[head]):.4f}->{serr[-1]:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_11_grid_determinism(grid6_runs):
     first, second = grid6_runs
     assert payload_bytes(first) == payload_bytes(second)

@@ -58,6 +58,16 @@ class TestSimulateFitEval:
         assert report["shd"] == 0 and report["sid"] == 0
 
 
+    def test_eval_has_no_size_ceiling(self, tmp_path, capsys):
+        d = 201
+        est, truth = tmp_path / "est.csv", tmp_path / "truth.csv"
+        np.savetxt(est, np.zeros((d, d)), delimiter=",")
+        np.savetxt(truth, np.eye(d, k=1), delimiter=",")
+        assert main(["eval", "--est", str(est), "--truth", str(truth)]) == 0
+        # every ordered pair i < j of the chain is a missed effect
+        assert json.loads(capsys.readouterr().out)["sid"] == d * (d - 1) // 2
+
+
 class TestBenchCommand:
     def test_bench_writes_records(self, tmp_path, cfg_path, capsys):
         out = tmp_path / "results.jsonl"
@@ -126,6 +136,20 @@ class TestExitCodes:
         np.savetxt(a, np.zeros((3, 3)), delimiter=",")
         np.savetxt(b, np.zeros((4, 4)), delimiter=",")
         assert main(["eval", "--est", str(a), "--truth", str(b)]) == 2
+
+    @pytest.mark.parametrize("cyclic", ["--est", "--truth"])
+    def test_eval_cyclic_graph(self, tmp_path, capsys, cyclic):
+        loop, chain = tmp_path / "loop.csv", tmp_path / "chain.csv"
+        np.savetxt(loop, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], delimiter=",")
+        np.savetxt(chain, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], delimiter=",")
+        paths = {"--est": chain, "--truth": chain, cyclic: loop}
+        assert main(["eval", "--est", str(paths["--est"]),
+                     "--truth", str(paths["--truth"])]) == 2
+
+    def test_fit_one_column(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text("1\n2\n3\n")
+        assert main(["fit", "--data", str(p), "--out", str(tmp_path / "o")]) == 2
 
     def test_sachs_missing_files(self, tmp_path, capsys):
         assert main(["sachs", "--data", str(tmp_path / "no.csv"),

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colide.graphs import (
     Cpdag,
@@ -211,6 +215,20 @@ class TestCpdag:
             A = random_dag(d, rng, p=0.4)
             D, U = equivalence_class_cpdag(A)
             assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_equivalence_class_property(self, data):
+        # at most 12 edges keeps the oracle's 2^edges orientation scan small
+        d = data.draw(st.integers(2, 7))
+        pairs = list(itertools.combinations(range(d), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
+        rank = data.draw(st.permutations(range(d)))
+        A = np.zeros((d, d), dtype=bool)
+        for a, b in edges:
+            A[(a, b) if rank[a] < rank[b] else (b, a)] = True
+        D, U = equivalence_class_cpdag(A)
+        assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
 
     def test_equivalence_class_counts(self):
         # known counts: 25 DAGs / 11 classes at d=3, 543 / 185 at d=4

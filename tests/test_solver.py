@@ -173,6 +173,7 @@ class TestFit:
         assert r1.sigma == r2.sigma
         assert r1.iters_per_stage == r2.iters_per_stage
 
+    @pytest.mark.slow
     def test_early_stopping_caps_iterations(self):
         _, _, ds = small_instance(seed=5)
         res = fit(ds, method="colide_ev")
