@@ -3,7 +3,8 @@
 full-batch solution?
 
 The streaming driver consumes the dataset 100 samples at a time, keeping a
-running covariance and a residual sufficient statistic for the noise scale.
+running covariance and a running residual Gram matrix, whose closed-form
+scale is the batch fit's.
 """
 
 import numpy as np

@@ -255,9 +255,11 @@ def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = Non
     # compare vector estimates per node, scalar ones to the RMS true sigma
     true_scale = (true_sigmas if np.ndim(est_scale)
                   else float(np.sqrt(np.mean(true_sigmas ** 2))))
-    report = evaluate(res.W_thresholded, W_true,
-                      est_scale=est_scale, true_scale=true_scale)
-    record.update(asdict(report))
+    try:
+        record.update(asdict(evaluate(res.W_thresholded, W_true,
+                                      est_scale=est_scale, true_scale=true_scale)))
+    except DataError as exc:  # e.g. a truth with no edges has no TPR
+        record["error"] = str(exc)
     return record
 
 
@@ -265,8 +267,9 @@ def run_grid(cfg: ExperimentConfig):
     """Run the seed x method grid at each sample size of cfg.n_sweep (or at cfg.n).
 
     Returns per-cell records, each size's cells followed by its aggregate
-    rows; in a sweep the aggregate rows carry "n". Fit failures and cyclic
-    estimates are recorded in the affected row, never fatal to the grid.
+    rows; in a sweep the aggregate rows carry "n". Fit failures, cyclic
+    estimates and data faults met while scoring (a truth with no edges) are
+    recorded in the affected row, never fatal to the grid.
     Cells may run in parallel (cfg.jobs); output order is deterministic
     (by size, then seed, then method order).
     """

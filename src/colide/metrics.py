@@ -95,7 +95,7 @@ def _tpr(A, B) -> float:
     """Correctly directed detected edges / true edge count."""
     n_true = int(B.sum())
     if n_true == 0:
-        raise ValueError("true graph has no edges")
+        raise DataError("true graph has no edges")
     return int((A & B).sum()) / n_true
 
 

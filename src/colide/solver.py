@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .scores import (METHOD_CORES, DomainViolation, grad_h_ldet, grad_ldet, h_ldet,
-                     residual_gram, sigma_floor_ev, sigma_floor_nv)
+                     residual_gram)
 from .sem import Dataset, sample_cov
 
 __all__ = [
@@ -46,6 +46,7 @@ DEFAULT_LAMBDA = 0.05
 DEFAULT_LR = 3e-4
 DEFAULT_THRESHOLD = 0.3
 EARLY_STOP_RTOL = 1e-6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,24 +79,21 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = DEFAULT_LR
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zero(cls, d: int, lr: float = DEFAULT_LR, **kw) -> "AdamState":
-        return cls(m=np.zeros((d, d)), v=np.zeros((d, d)), lr=lr, **kw)
+    def zero(cls, d: int, lr: float = DEFAULT_LR) -> "AdamState":
+        return cls(m=np.zeros((d, d)), v=np.zeros((d, d)), lr=lr)
 
 
 def adam_step(st: AdamState, grad: np.ndarray):
     """One bias-corrected ADAM step; returns (new state, additive update)."""
     t = st.t + 1
-    m = st.beta1 * st.m + (1 - st.beta1) * grad
-    v = st.beta2 * st.v + (1 - st.beta2) * grad * grad
-    m_hat = m / (1 - st.beta1 ** t)
-    v_hat = v / (1 - st.beta2 ** t)
-    update = -st.lr * m_hat / (np.sqrt(v_hat) + st.eps)
-    return replace(st, m=m, v=v, t=t), update
+    m = ADAM_BETA1 * st.m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * st.v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    update = -st.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m, v, t, st.lr), update
 
 
 def domain_guard(W: np.ndarray, update: np.ndarray, s: float, max_halvings: int = 20):
@@ -233,50 +231,45 @@ def fit(ds: Dataset, method: str = "colide_ev",
 
 
 # ---------------------------------------------------------------------------
-# Online / mini-batch variant with running covariance and residual statistics.
+# Online / mini-batch variant with running covariance and residual Gram matrix.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class OnlineState:
-    """Running state for the mini-batch variant.
+    """Running state for the mini-batch variant of a method with a scale core.
 
-    cov_running averages per-batch covariances; e accumulates residual
-    sufficient statistics (scalar for EV, d-vector for NV).
+    cov_running and gram_running average C_b and residual_gram(I - W_prev, C_b)
+    over the batches; scale is the method's closed form of gram_running.
     """
 
     W: np.ndarray
     cov_running: np.ndarray
+    gram_running: np.ndarray
     adam: AdamState
-    e: float | np.ndarray
+    method: str
+    floor: float | np.ndarray
+    scale: float | np.ndarray
     t: int = 0
-    sigma: float | None = None
-    sigmas: np.ndarray | None = None
-    floor: float | np.ndarray | None = None
     stalls: int = 0
 
 
-def init_online(d: int, method: str = "colide_ev", floor=None,
-                lr: float = DEFAULT_LR) -> OnlineState:
-    if method not in ("colide_ev", "colide_nv"):
-        raise ValueError("online updates support colide_ev and colide_nv")
-    e = 0.0 if method == "colide_ev" else np.zeros(d)
-    st = OnlineState(W=np.zeros((d, d)), cov_running=np.zeros((d, d)),
-                     adam=AdamState.zero(d, lr=lr), e=e, floor=floor)
-    # pre-data scale guess mirrors the batch initializer (100x the floor)
-    if method == "colide_ev":
-        st.sigma = float(floor) * 1e2 if floor is not None else 1.0
-    else:
-        st.sigmas = np.asarray(floor) * 1e2 if floor is not None else np.ones(d)
-    return st
+def init_online(d: int, method: str, floor=None, lr: float = DEFAULT_LR) -> OnlineState:
+    """Zero state with the scale at 100x its floor, like the batch initializer."""
+    if METHOD_CORES.get(method, (None,) * 4)[3] is None or floor is None:
+        raise ValueError(f"online updates need a scale core and floor; got {method!r}, {floor!r}")
+    return OnlineState(W=np.zeros((d, d)), cov_running=np.zeros((d, d)),
+                       gram_running=np.zeros((d, d)),
+                       adam=AdamState.zero(d, lr=lr), method=method, floor=floor,
+                       scale=floor * 1e2)
 
 
-def online_update(st: OnlineState, batch: np.ndarray, method: str = "colide_ev",
-                  lam: float = DEFAULT_LAMBDA, mu: float = 0.001,
-                  s: float = 0.7) -> OnlineState:
+def online_update(st: OnlineState, batch: np.ndarray, lam: float = DEFAULT_LAMBDA,
+                  mu: float = 0.001, s: float = 0.7) -> OnlineState:
     """Consume one d x n_b mini-batch: update covariance, W, and the scale.
 
-    The residual statistic uses the pre-update W, then the scale estimate is
-    sqrt(e_t / t) clamped at the floor (per node for NV). The first update
+    W takes one guarded step against the running covariance at the previous
+    scale. The residual Gram matrix uses the pre-update W; the new scale is
+    the batch fit's closed form of its running mean. The first update
     (st.t == 0) raises DomainViolation when st.W is outside the log-det domain
     at s; later ones rely on the guard having kept it there, at the same s.
     """
@@ -284,26 +277,17 @@ def online_update(st: OnlineState, batch: np.ndarray, method: str = "colide_ev",
     if batch.ndim != 2 or batch.shape[1] < 1:
         raise ValueError("batch must be d x n_b with n_b >= 1")
     d, n_b = batch.shape
+    _, grad_w, _, scale_of = METHOD_CORES[st.method]
     t = st.t + 1
-    cov = (st.cov_running * st.t + batch @ batch.T / n_b) / t
-
-    # one first-order W step against the running covariance, previous scale
-    ev = method == "colide_ev"
+    cov_b = batch @ batch.T / n_b
+    cov = (st.cov_running * st.t + cov_b) / t
+    I_W = np.eye(d) - st.W
     grad_h = (grad_h_ldet if st.t == 0 else grad_ldet)(st.W, s)
-    adam, W, stalled, _ = _guarded_step(METHOD_CORES[method][1], st.W, np.eye(d) - st.W,
-                                        st.sigma if ev else st.sigmas, -cov, grad_h,
+    adam, W, stalled, _ = _guarded_step(grad_w, st.W, I_W, st.scale, -cov, grad_h,
                                         st.adam, mu, lam, s)
-
-    # residual sufficient statistic uses the pre-update W
-    sq = (batch - st.W.T @ batch) ** 2
-    e = st.e + (sq.sum() / (n_b * d) if ev else sq.sum(axis=1) / n_b)
-    scale = np.sqrt(e / t)
-    if st.floor is not None:
-        scale = np.maximum(scale, st.floor)
-    return OnlineState(W=W, cov_running=cov, adam=adam, e=e, t=t, floor=st.floor,
-                       stalls=st.stalls + int(stalled),
-                       sigma=float(scale) if ev else None,
-                       sigmas=None if ev else np.asarray(scale))
+    gram = (st.gram_running * st.t + residual_gram(I_W, cov_b)) / t
+    return replace(st, W=W, cov_running=cov, gram_running=gram, adam=adam, t=t,
+                   stalls=st.stalls + stalled, scale=scale_of(gram, st.floor))
 
 
 def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
@@ -314,37 +298,30 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
                snapshot_every: int = 1):
     """Mini-batch driver: re-stream the dataset in fixed batch order per epoch.
 
-    Each stage restarts the ADAM moments and the residual sufficient
-    statistic while carrying W and the running covariance forward, mirroring
-    the batch driver's per-stage warm start. Returns (final state, snapshots),
-    where snapshots records (stage, epoch, W copy, scale) at epoch ends.
+    Each stage restarts the ADAM moments and both running means (covariance
+    and residual Gram matrix), carrying W and the scale forward like the batch
+    driver's warm start. Returns (final state, snapshots), where snapshots
+    records (stage, epoch, W copy, scale) at epoch ends.
     """
     if batch_size < 1 or batch_size > ds.n:
         raise ValueError("batch_size must be in [1, n]")
     schedule = schedule or default_schedule()
-    n_batches = int(np.ceil(ds.n / batch_size))
+    batches = [ds.X[:, i:i + batch_size] for i in range(0, ds.n, batch_size)]
     if epochs_per_stage is None:
-        epochs_per_stage = [max(1, int(np.ceil(t / n_batches)))
+        epochs_per_stage = [max(1, int(np.ceil(t / len(batches))))
                             for _, _, t in schedule.stages]
     if len(epochs_per_stage) != len(schedule.stages):
         raise ValueError("epochs_per_stage must match the stage count")
 
-    floor = sigma_floor_ev(ds) if method == "colide_ev" else sigma_floor_nv(ds)
-    st = init_online(ds.d, method=method, floor=floor, lr=lr)
-    batches = [ds.X[:, i * batch_size:(i + 1) * batch_size]
-               for i in range(n_batches)]
+    floor_of = METHOD_CORES.get(method, (None,))[0]
+    st = init_online(ds.d, method, floor_of(ds) if floor_of else None, lr)
     snapshots = []
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
-        # fresh ADAM moments and residual statistic per stage; W and the
-        # running covariance warm-start the next stage
         _stage_entry(st.W, s, k)
-        st.adam = AdamState.zero(ds.d, lr=lr)
-        st.e = 0.0 if method == "colide_ev" else np.zeros(ds.d)
-        st.t = 0
+        st = replace(st, adam=AdamState.zero(ds.d, lr=lr), t=0)
         for epoch in range(epochs):
             for batch in batches:
-                st = online_update(st, batch, method=method, lam=lam, mu=mu, s=s)
+                st = online_update(st, batch, lam=lam, mu=mu, s=s)
             if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:
-                scale = st.sigma if method == "colide_ev" else np.array(st.sigmas)
-                snapshots.append((k, epoch, st.W.copy(), scale))
+                snapshots.append((k, epoch, st.W.copy(), st.scale))
     return st, snapshots

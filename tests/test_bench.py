@@ -309,6 +309,14 @@ class TestFailedCells:
         assert "cyclic estimate" in cell["error"]
         assert agg["aggregate"] and agg["runs"] == 0
 
+    def test_edgeless_truth_is_an_error_row(self):
+        # seed 8 draws an ER graph with no edges: TPR is undefined
+        cfg = parse_config("graph.d = 4\ngraph.k = 1\ndata.n = 50\nfit.schedule = 1:1:50\n"
+                           "fit.methods = colide_ev\nrun.seeds = 8\n")
+        cell, agg = run_grid(cfg)
+        assert "no edges" in cell["error"]
+        assert agg["aggregate"] and agg["runs"] == 0
+
 
 class TestAggregateEdgeCases:
     def test_failed_cells_excluded(self):

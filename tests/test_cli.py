@@ -146,6 +146,12 @@ class TestExitCodes:
         assert main(["eval", "--est", str(paths["--est"]),
                      "--truth", str(paths["--truth"])]) == 2
 
+    def test_eval_edgeless_truth(self, tmp_path, capsys):
+        chain, empty = tmp_path / "chain.csv", tmp_path / "empty.csv"
+        np.savetxt(chain, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], delimiter=",")
+        np.savetxt(empty, np.zeros((3, 3)), delimiter=",")
+        assert main(["eval", "--est", str(chain), "--truth", str(empty)]) == 2
+
     def test_fit_one_column(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
         p.write_text("1\n2\n3\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colide.graphs import GraphModelSpec, assign_edge_weights, sample_er_dag
 from colide.rng import stream
@@ -12,6 +14,8 @@ from colide.sem import (
     simulate_sem,
     standardize,
 )
+
+from helpers import random_dag
 
 
 def random_sem(d, seed, k=2):
@@ -102,6 +106,18 @@ class TestSimulateSem:
             ds = simulate_sem(W, Z)
             X_ref = np.linalg.solve(np.eye(10) - W.T, Z)
             assert np.allclose(ds.X, X_ref, atol=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.0, 1.0), st.integers(1, 30),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_linear_solve_property(self, d, p, n, seed):
+        rng = np.random.default_rng(seed)
+        W = assign_edge_weights(random_dag(d, rng, p=p), ((0.5, 2.0), (-2.0, -0.5)), rng)
+        Z = rng.standard_normal((d, n))
+        X_ref = np.linalg.solve(np.eye(d) - W.T, Z)
+        # atol at rounding level of the largest entry, for entries that cancel to ~0
+        np.testing.assert_allclose(simulate_sem(W, Z).X, X_ref, rtol=1e-10,
+                                   atol=1e-13 * np.abs(X_ref).max())
 
     def test_empty_graph_passes_noise_through(self):
         Z = np.arange(12.0).reshape(3, 4)

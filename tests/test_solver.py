@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from colide.bench import ExperimentConfig, generate_instance
 from colide.graphs import GraphModelSpec, is_dag
@@ -238,7 +240,7 @@ class TestOnline:
     def test_single_batch_cov_is_sample_cov(self):
         _, _, ds = small_instance(seed=8, d=6, n=120)
         st = init_online(6, method="colide_ev", floor=sigma_floor_ev(ds))
-        st = online_update(st, ds.X, method="colide_ev")
+        st = online_update(st, ds.X)
         assert np.allclose(st.cov_running, sample_cov(ds))
         assert st.t == 1
 
@@ -250,33 +252,33 @@ class TestOnline:
         for i in range(4):
             batch = ds.X[:, i * 30:(i + 1) * 30]
             covs.append(batch @ batch.T / 30)
-            st = online_update(st, batch, method="colide_ev")
+            st = online_update(st, batch)
         assert np.allclose(st.cov_running, np.mean(covs, axis=0))
 
     def test_scale_floor(self):
         st = init_online(3, method="colide_ev", floor=5.0)
-        st = online_update(st, np.zeros((3, 10)) + 1e-9, method="colide_ev")
-        assert st.sigma == 5.0
+        st = online_update(st, np.zeros((3, 10)) + 1e-9)
+        assert st.scale == 5.0
 
     def test_nv_statistic_per_node(self):
         _, _, ds = small_instance(seed=10, d=6, n=120, profile="nv")
         from colide.scores import sigma_floor_nv
         st = init_online(6, method="colide_nv", floor=sigma_floor_nv(ds))
-        st = online_update(st, ds.X, method="colide_nv")
+        st = online_update(st, ds.X)
         # with W = 0 the statistic is the per-node mean square
         expect = (ds.X ** 2).sum(axis=1) / ds.n
-        assert np.allclose(st.sigmas, np.sqrt(expect))
+        assert np.allclose(st.scale, np.sqrt(expect))
 
     def test_empty_batch_rejected(self):
         st = init_online(3, method="colide_ev", floor=0.1)
         with pytest.raises(ValueError):
-            online_update(st, np.zeros((3, 0)), method="colide_ev")
+            online_update(st, np.zeros((3, 0)))
 
     def test_first_update_checks_the_domain(self, monkeypatch):
         st = init_online(2, method="colide_ev", floor=0.1)
         st.W = np.array([[0.0, 1.0], [1.0, 0.0]])  # det(0.7 I - W*W) < 0
         with pytest.raises(DomainViolation):
-            online_update(st, np.ones((2, 5)), method="colide_ev", s=0.7)
+            online_update(st, np.ones((2, 5)), s=0.7)
         # inside the domain: the first update checks W (slogdet), then each
         # update makes one inverse (gradient) and one guard slogdet
         _, _, ds = small_instance(seed=8, d=6, n=120)
@@ -288,9 +290,28 @@ class TestOnline:
                 return _orig(*args, **kw)
             monkeypatch.setattr(np.linalg, name, counted)
         for i in range(3):
-            st = online_update(st, ds.X[:, i * 40:(i + 1) * 40], method="colide_ev")
+            st = online_update(st, ds.X[:, i * 40:(i + 1) * 40])
         assert st.stalls == 0
         assert calls == {"slogdet": 4, "inv": 3}
+
+    @settings(max_examples=50, deadline=None)
+    @given(hs.sampled_from(["colide_ev", "colide_nv"]), hs.integers(2, 6),
+           hs.sampled_from([3e-4, 1e-2, 0.3]), hs.sampled_from([1.0, 0.1, 0.001]),
+           hs.sampled_from([1.0, 0.7]),
+           hs.lists(hs.tuples(hs.integers(1, 20), hs.sampled_from([1e-9, 1.0, 10.0]),
+                              hs.sampled_from([0.0, 3.0])),
+                    min_size=1, max_size=25),
+           hs.integers(0, 2 ** 32 - 1))
+    def test_scale_floor_and_domain_hold_property(self, method, d, lr, mu, s, batches, seed):
+        rng = np.random.default_rng(seed)
+        floor = rng.uniform(0.01, 1.0, size=None if method == "colide_ev" else d)
+        st = init_online(d, method=method, floor=floor, lr=lr)
+        for n_b, amplitude, shared in batches:
+            # a shared component correlates all nodes and pulls W towards cycles
+            noise = rng.standard_normal((d, n_b)) + shared * rng.standard_normal(n_b)
+            st = online_update(st, amplitude * noise, mu=mu, s=s)
+            assert np.all(st.scale >= st.floor)
+            h_ldet(st.W, s)  # raises DomainViolation outside the domain
 
     def test_ls_unsupported(self):
         with pytest.raises(ValueError):
@@ -303,7 +324,7 @@ class TestOnline:
                                snapshot_every=50)
         rel = np.linalg.norm(st.W - res.W) / np.linalg.norm(res.W)
         assert rel < 0.35
-        assert abs(st.sigma - res.sigma) / res.sigma < 0.1
+        assert abs(st.scale - res.sigma) / res.sigma < 0.1
         assert snaps  # per-epoch history recorded
 
     def test_fit_online_bad_batch_size(self):
@@ -312,3 +333,9 @@ class TestOnline:
             fit_online(ds, 0)
         with pytest.raises(ValueError):
             fit_online(ds, 101)
+
+    @pytest.mark.parametrize("method", ["ls_baseline", "no_such_method"])
+    def test_fit_online_needs_a_scale_method(self, method):
+        _, _, ds = small_instance(seed=12, d=6, n=100)
+        with pytest.raises(ValueError):
+            fit_online(ds, 50, method=method)
