@@ -28,13 +28,11 @@ print(f"\n{'method':<12} {'SHD':>4} {'SHD-C':>6} {'SID':>5} "
 for method in METHODS:
     res = fit(ds, method=method)
     rep = evaluate(res.W_thresholded, W_true)
-    if method == "colide_ev":
-        sigma = res.sigma
-    elif method == "colide_nv":
-        sigma = float(np.sqrt(np.mean(res.sigmas ** 2)))
-    else:
+    if res.scale is None:
         # the baseline has no scale estimate; fall back to residuals
         sigma = posthoc_noise(ds, res.W, profile="ev")
+    else:  # RMS of a per-node scale vector
+        sigma = float(np.sqrt(np.mean(np.square(res.scale))))
     print(f"{method:<12} {rep.shd:>4} {rep.shd_c:>6} {rep.sid:>5} "
           f"{rep.tpr:>6.2f} {rep.fdr:>6.2f} {sigma:>7.3f}")
 

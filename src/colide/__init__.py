@@ -22,22 +22,7 @@ from .graphs import (
 )
 from .metrics import MetricReport, evaluate, fdr, noise_error, posthoc_noise, shd, shd_c, sid, tpr
 from .rng import stream
-from .scores import (
-    DomainViolation,
-    grad_h_ldet,
-    grad_ls_baseline,
-    grad_w_ev,
-    grad_w_nv,
-    h_ldet,
-    score_ev,
-    score_ls_baseline,
-    score_nv,
-    sigma_floor_ev,
-    sigma_floor_nv,
-    sigma_hat_ev,
-    sigma_hat_nv,
-    stage_objective,
-)
+from .scores import DomainViolation, h_ldet, sigma_floor_ev, sigma_floor_nv
 from .sem import (
     Dataset,
     NoiseSpec,
@@ -48,14 +33,11 @@ from .sem import (
     standardize,
 )
 from .solver import (
-    AdamState,
     FitError,
     FitResult,
     OnlineState,
     StageSchedule,
-    adam_step,
     default_schedule,
-    domain_guard,
     fit,
     fit_online,
     init_online,

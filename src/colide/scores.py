@@ -1,4 +1,8 @@
-"""Score functions, acyclicity penalty, gradients, and closed-form scale updates.
+"""Method cores, noise floors and the log-det acyclicity penalty.
+
+METHOD_CORES holds each method's score, gradient and closed-form scale, read
+by the batch and online solvers; the log-det penalty and its gradient accept
+a point only inside the domain s > rho(W*W).
 
 Conventions: sigma and the entries of Sigma are exogenous noise standard
 deviations (never variances). The sample covariance is the uncentered
@@ -15,22 +19,14 @@ __all__ = [
     "DomainViolation",
     "sigma_floor_ev",
     "sigma_floor_nv",
-    "score_ev",
-    "score_nv",
-    "score_ls_baseline",
     "h_ldet",
-    "grad_h_ldet",
-    "grad_w_ev",
-    "grad_w_nv",
-    "grad_ls_baseline",
-    "sigma_hat_ev",
-    "sigma_hat_nv",
-    "stage_objective",
+    "grad_ldet",
+    "ldet_and_grad",
 ]
 
 
 class DomainViolation(ValueError):
-    """Raised when sI - W*W leaves the positive-determinant domain."""
+    """Raised when W leaves the log-det domain s > rho(W*W)."""
 
 
 def sigma_floor_ev(ds: Dataset) -> float:
@@ -68,10 +64,10 @@ def _sigma_nv(gram, floors):
     return np.maximum(np.sqrt(np.maximum(diag, 0.0)), np.asarray(floors, dtype=float))
 
 
-# method -> (floor, grad, score, scale), cores that check nothing: the public
-# functions below check their arguments first. floor(ds) and scale(gram, floor)
-# are None for a scale frozen at 1; grad(-cov (I - W), scale) is the smooth-part
-# gradient; score(gram, scale) the smooth score without the l1 term.
+# method -> (floor, grad, score, scale), cores that check nothing; the solver
+# passes them positive scales. floor(ds) and scale(gram, floor) are None for a
+# scale frozen at 1; grad(-cov (I - W), scale) is the smooth-part gradient;
+# score(gram, scale) the smooth score without the l1 term.
 METHOD_CORES = {
     "colide_ev": (
         sigma_floor_ev, lambda P, sigma: P / sigma,
@@ -85,33 +81,6 @@ METHOD_CORES = {
 }
 
 
-def _positive(scale):
-    scale = np.asarray(scale, dtype=float)
-    if np.any(scale <= 0):
-        raise ValueError("noise scales must be positive")
-    return scale
-
-
-def _score(method, W, scale, ds, lam):
-    gram = residual_gram(np.eye(W.shape[0]) - W, sample_cov(ds))
-    return METHOD_CORES[method][2](gram, scale) + lam * np.abs(W).sum()
-
-
-def score_ev(W: np.ndarray, sigma: float, ds: Dataset, lam: float) -> float:
-    """Concomitant score: ||X - W^T X||_F^2 / (2 n sigma) + d*sigma/2 + lam*||W||_1."""
-    return _score("colide_ev", W, _positive(sigma), ds, lam)
-
-
-def score_nv(W: np.ndarray, sigmas: np.ndarray, ds: Dataset, lam: float) -> float:
-    """Per-node concomitant score with Sigma = diag(sigmas) of standard deviations."""
-    return _score("colide_nv", W, _positive(sigmas), ds, lam)
-
-
-def score_ls_baseline(W: np.ndarray, ds: Dataset, lam: float) -> float:
-    """Ordinary least-squares score ||X - W^T X||_F^2 / (2n) + lam*||W||_1."""
-    return _score("ls_baseline", W, None, ds, lam)
-
-
 def _domain_matrix(W: np.ndarray, s: float) -> np.ndarray:
     """sI - W*W with the same bits as s * np.eye(d) - W * W, without building I."""
     M = np.subtract(0.0, W * W, dtype=float, order="C")
@@ -119,65 +88,45 @@ def _domain_matrix(W: np.ndarray, s: float) -> np.ndarray:
     return M
 
 
+def _checked_grad(W: np.ndarray, M: np.ndarray, s: float) -> np.ndarray:
+    """Log-det gradient 2 * M^{-T} * W for M = sI - W*W if s > rho(W*W); else DomainViolation.
+
+    The Z-matrix M is a nonsingular M-matrix, i.e. s > rho(W*W), exactly when
+    x = M^{-1} 1 > 0: then Mx = 1 > 0 makes M semipositive, and an M-matrix
+    inverse is nonnegative with a positive diagonal. det(M) > 0 is weaker (an
+    even number of eigenvalues of W*W above s keeps it positive). The row sums
+    are tested rather than DAGMA's entries >= -1e-16 because a DAG's zero
+    entries of M^{-1} round to about -1e-15 when others are large.
+    """
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise DomainViolation(f"sI - W*W is singular at s={s}") from None
+    rows = Minv.sum(axis=1)  # a non-finite entry makes its row sum non-finite
+    if not (rows.min() > 0 and rows.max() < np.inf):
+        raise DomainViolation(f"s={s} is not above the spectral radius of W*W")
+    return 2.0 * Minv.T * W
+
+
+def grad_ldet(W: np.ndarray, s: float) -> np.ndarray:
+    """Gradient 2 * (sI - W*W)^{-T} * W (Hadamard product) of h_ldet; checks the domain."""
+    return _checked_grad(W, _domain_matrix(W, s), s)
+
+
+def ldet_and_grad(W: np.ndarray, s: float):
+    """(h_ldet(W, s), grad_ldet(W, s)) from one inverse and one slogdet of sI - W*W."""
+    M = _domain_matrix(W, s)
+    G = _checked_grad(W, M, s)
+    return W.shape[0] * np.log(s) - np.linalg.slogdet(M)[1], G
+
+
 def h_ldet(W: np.ndarray, s: float) -> float:
     """Log-determinant acyclicity value d*log(s) - log det(sI - W*W).
 
     Zero exactly when W is a DAG (W*W nilpotent); positive on cyclic W inside
-    the domain. Raises DomainViolation when the determinant is nonpositive.
+    the domain s > rho(W*W). Raises DomainViolation outside it, checked
+    strictly on the inverse (see _checked_grad), not on the determinant's sign.
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    d = W.shape[0]
-    sign, logabsdet = np.linalg.slogdet(_domain_matrix(W, s))
-    if sign <= 0 or not np.isfinite(logabsdet):
-        raise DomainViolation(f"det(sI - W*W) <= 0 at s={s}")
-    return d * np.log(s) - logabsdet
-
-
-def grad_ldet(W: np.ndarray, s: float) -> np.ndarray:
-    """Gradient 2 * (sI - W*W)^{-T} * W of h_ldet at a W known to be in the domain."""
-    return 2.0 * np.linalg.inv(_domain_matrix(W, s)).T * W
-
-
-def grad_h_ldet(W: np.ndarray, s: float) -> np.ndarray:
-    """Gradient 2 * (sI - W*W)^{-T} * W (Hadamard product)."""
-    h_ldet(W, s)  # raises outside the domain
-    return grad_ldet(W, s)
-
-
-def _grad(method, W, scale, cov):
-    return METHOD_CORES[method][1](-cov @ (np.eye(W.shape[0]) - W), scale)
-
-
-def grad_w_ev(W: np.ndarray, sigma: float, cov: np.ndarray) -> np.ndarray:
-    """Smooth-part gradient -cov(X) (I - W) / sigma."""
-    return _grad("colide_ev", W, _positive(sigma), cov)
-
-
-def grad_w_nv(W: np.ndarray, sigmas: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Smooth-part gradient -cov(X) (I - W) Sigma^{-1}."""
-    return _grad("colide_nv", W, _positive(sigmas), cov)
-
-
-def grad_ls_baseline(W: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Gradient of the ordinary LS loss: -cov(X) (I - W)."""
-    return _grad("ls_baseline", W, None, cov)
-
-
-def sigma_hat_ev(W: np.ndarray, cov: np.ndarray, floor: float) -> float:
-    """Closed-form scale update max(sqrt(Tr((I-W)^T cov (I-W)) / d), floor)."""
-    return _sigma_ev(residual_gram(np.eye(W.shape[0]) - W, cov), floor)
-
-
-def sigma_hat_nv(W: np.ndarray, cov: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    """Elementwise closed-form update max(sqrt(diag((I-W)^T cov (I-W))), floors)."""
-    return _sigma_nv(residual_gram(np.eye(W.shape[0]) - W, cov), floors)
-
-
-def stage_objective(W, scale, ds: Dataset, lam: float, mu: float, s: float,
-                    method: str = "colide_ev") -> float:
-    """Dualized stage value mu * score + h_ldet(W, s), used for early stopping."""
-    if method not in METHOD_CORES:
-        raise ValueError(f"unknown method {method!r}")
-    scale = None if method == "ls_baseline" else _positive(scale)
-    return mu * _score(method, W, scale, ds, lam) + h_ldet(W, s)
+    return ldet_and_grad(W, s)[0]

@@ -5,13 +5,14 @@ ADAM step on W per inner iteration (with an l1 subgradient folded in and a
 domain guard on the log-det term), followed by the closed-form scale update.
 Stages warm-start W and the scale; ADAM moments reset at stage boundaries.
 
-Per iteration without halvings: two factorisations of M = sI - W*W (inv for
-the log-det gradient, unchecked because the guard already accepted W; the
-guard's h_ldet slogdet, which checks the domain and gives h for the
-objective) and three d x d matmuls (-cov (I - W) for the gradient; the Gram
-matrix (I - W)^T cov (I - W), read by the scale update and the score). One
-h_ldet per stage start checks the warm start and gives h until the first
-accepted step.
+Per iteration without halvings: two factorisations of M = sI - W*W, both of
+the guard's accepted candidate. Its inverse checks the domain s > rho(W*W)
+(positive row sums) and gives the log-det gradient for the next step; its
+slogdet gives h for the objective. Then three d x d matmuls (-cov (I - W) for
+the gradient; the Gram matrix (I - W)^T cov (I - W), read by the scale update
+and the score). Each stage start makes one inverse and one slogdet of its warm
+start, which check it and give h and the gradient until the first accepted
+step; a stall keeps both.
 """
 
 import time
@@ -20,8 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .scores import (METHOD_CORES, DomainViolation, grad_h_ldet, grad_ldet, h_ldet,
-                     residual_gram)
+from .scores import METHOD_CORES, DomainViolation, grad_ldet, ldet_and_grad, residual_gram
 from .sem import Dataset, sample_cov
 
 __all__ = [
@@ -99,18 +99,19 @@ def adam_step(st: AdamState, grad: np.ndarray):
 def domain_guard(W: np.ndarray, update: np.ndarray, s: float, max_halvings: int = 20):
     """Apply W + update, halving the update while it leaves the log-det domain.
 
-    Returns (accepted W, stalled flag, h = h_ldet(W, s)), h from the accepted
-    point's domain check. A stall keeps W unchanged after all halvings fail,
-    with h = None; W itself is assumed in-domain on entry.
+    Returns (accepted W, stalled flag, h, grad_h), where (h, grad_h) =
+    ldet_and_grad(W, s) comes from the inverse that checked the accepted point.
+    A stall keeps W unchanged after all halvings fail, with h = grad_h = None;
+    W itself is assumed in-domain on entry.
     """
     step = update
     for _ in range(max_halvings + 1):
         candidate = W + step
         try:
-            return candidate, False, h_ldet(candidate, s)
+            return (candidate, False, *ldet_and_grad(candidate, s))
         except DomainViolation:
             step = step / 2.0
-    return W, True, None
+    return W, True, None, None
 
 
 def _guarded_step(grad_w, W, I_W, scale, neg_cov, grad_h, adam, mu, lam, s):
@@ -122,9 +123,9 @@ def _guarded_step(grad_w, W, I_W, scale, neg_cov, grad_h, adam, mu, lam, s):
 
 
 def _stage_entry(W, s, k):
-    """h_ldet at a stage's warm start; FitError when it leaves the domain."""
+    """ldet_and_grad at a stage's warm start; FitError when it leaves the domain."""
     try:
-        return h_ldet(W, s)
+        return ldet_and_grad(W, s)
     except DomainViolation as exc:
         raise FitError(f"stage {k} warm start: {exc}", stage=k, iteration=0) from exc
 
@@ -191,15 +192,15 @@ def fit(ds: Dataset, method: str = "colide_ev",
     trace, iters_per_stage, stalls = [], [], 0
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
-        h = _stage_entry(W, s, k)
+        h, grad_h = _stage_entry(W, s, k)
         adam = AdamState.zero(d, lr=lr)
         prev_obj = None
         for it in range(1, max_iters + 1):
-            adam, W, stalled, h_new = _guarded_step(
-                grad_w, W, I_W, scale, neg_cov, grad_ldet(W, s), adam, mu, lam, s)
+            adam, W, stalled, h_new, grad_new = _guarded_step(
+                grad_w, W, I_W, scale, neg_cov, grad_h, adam, mu, lam, s)
             stalls += stalled
             if not stalled:
-                h, I_W = h_new, eye - W
+                h, grad_h, I_W = h_new, grad_new, eye - W
 
             gram = residual_gram(I_W, cov)
             if scale_of:
@@ -239,7 +240,8 @@ class OnlineState:
     """Running state for the mini-batch variant of a method with a scale core.
 
     cov_running and gram_running average C_b and residual_gram(I - W_prev, C_b)
-    over the batches; scale is the method's closed form of gram_running.
+    over the adam.t batches since the last reset; scale is the method's closed
+    form of gram_running.
     """
 
     W: np.ndarray
@@ -249,7 +251,6 @@ class OnlineState:
     method: str
     floor: float | np.ndarray
     scale: float | np.ndarray
-    t: int = 0
     stalls: int = 0
 
 
@@ -269,24 +270,23 @@ def online_update(st: OnlineState, batch: np.ndarray, lam: float = DEFAULT_LAMBD
 
     W takes one guarded step against the running covariance at the previous
     scale. The residual Gram matrix uses the pre-update W; the new scale is
-    the batch fit's closed form of its running mean. The first update
-    (st.t == 0) raises DomainViolation when st.W is outside the log-det domain
-    at s; later ones rely on the guard having kept it there, at the same s.
+    the batch fit's closed form of its running mean. Raises DomainViolation
+    when st.W is outside the log-det domain at s; the inverse that checks it
+    gives the log-det gradient.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] < 1:
         raise ValueError("batch must be d x n_b with n_b >= 1")
     d, n_b = batch.shape
     _, grad_w, _, scale_of = METHOD_CORES[st.method]
-    t = st.t + 1
+    t = st.adam.t
     cov_b = batch @ batch.T / n_b
-    cov = (st.cov_running * st.t + cov_b) / t
+    cov = (st.cov_running * t + cov_b) / (t + 1)
     I_W = np.eye(d) - st.W
-    grad_h = (grad_h_ldet if st.t == 0 else grad_ldet)(st.W, s)
-    adam, W, stalled, _ = _guarded_step(grad_w, st.W, I_W, st.scale, -cov, grad_h,
-                                        st.adam, mu, lam, s)
-    gram = (st.gram_running * st.t + residual_gram(I_W, cov_b)) / t
-    return replace(st, W=W, cov_running=cov, gram_running=gram, adam=adam, t=t,
+    adam, W, stalled, _, _ = _guarded_step(grad_w, st.W, I_W, st.scale, -cov,
+                                           grad_ldet(st.W, s), st.adam, mu, lam, s)
+    gram = (st.gram_running * t + residual_gram(I_W, cov_b)) / (t + 1)
+    return replace(st, W=W, cov_running=cov, gram_running=gram, adam=adam,
                    stalls=st.stalls + stalled, scale=scale_of(gram, st.floor))
 
 
@@ -318,7 +318,7 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     snapshots = []
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
         _stage_entry(st.W, s, k)
-        st = replace(st, adam=AdamState.zero(ds.d, lr=lr), t=0)
+        st = replace(st, adam=AdamState.zero(ds.d, lr=lr))
         for epoch in range(epochs):
             for batch in batches:
                 st = online_update(st, batch, lam=lam, mu=mu, s=s)

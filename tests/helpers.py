@@ -1,14 +1,55 @@
 """Shared brute-force oracles for the test suite.
 
-Everything here is deliberately independent of the library implementation:
-DAG enumeration, Markov-equivalence grouping, equivalence classes by
-orientation enumeration, path-enumeration d-separation,
-and the adjustment criterion checked path by path.
+Everything here except method_core is deliberately independent of the
+library implementation: finite-difference gradients, DAG enumeration,
+Markov-equivalence grouping, equivalence classes by orientation enumeration,
+path-enumeration d-separation, and the adjustment criterion checked path by
+path. method_core evaluates the library's method table the way the solver
+does, so the tests check the code the solver runs.
 """
 
 import itertools
 
 import numpy as np
+
+from colide.scores import METHOD_CORES, residual_gram
+from colide.sem import sample_cov
+
+
+def method_core(method, part, W, ds, arg=None, lam=0.0):
+    """METHOD_CORES[method] at W on ds, from the residual Gram matrix the solver builds.
+
+    part "score" gives the smooth score plus lam * ||W||_1 and "grad" the
+    smooth-part gradient, both at scale arg; "scale" gives the closed-form
+    scale with floor arg.
+    """
+    _, grad, score, scale = METHOD_CORES[method]
+    cov = sample_cov(ds)
+    I_W = np.eye(W.shape[0]) - W
+    if part == "grad":
+        return grad(-cov @ I_W, arg)
+    gram = residual_gram(I_W, cov)
+    if part == "scale":
+        return scale(gram, arg)
+    if part == "score":
+        return score(gram, arg) + lam * np.abs(W).sum()
+    raise ValueError(f"unknown part {part!r}")
+
+
+def fd_grad(f, W, step=1e-6):
+    """Central finite-difference gradient of a scalar function of W."""
+    G = np.zeros_like(W)
+    for i in range(W.shape[0]):
+        for j in range(W.shape[1]):
+            Wp, Wm = W.copy(), W.copy()
+            Wp[i, j] += step
+            Wm[i, j] -= step
+            G[i, j] = (f(Wp) - f(Wm)) / (2 * step)
+    return G
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
 
 
 def all_dags(d):

@@ -21,41 +21,13 @@ from colide.bench import (
 from colide.graphs import GraphModelSpec, assign_edge_weights, sample_er_dag
 from colide.metrics import shd, shd_c, sid
 from colide.rng import stream
-from colide.scores import (
-    grad_h_ldet,
-    grad_ls_baseline,
-    grad_w_ev,
-    grad_w_nv,
-    h_ldet,
-    score_ev,
-    score_nv,
-    sigma_floor_ev,
-    sigma_floor_nv,
-    sigma_hat_ev,
-    sigma_hat_nv,
-)
+from colide.scores import grad_ldet, h_ldet, sigma_floor_ev, sigma_floor_nv
 from colide.sem import Dataset, NoiseSpec, sample_cov
 from colide.solver import fit, fit_online
 
-from helpers import all_dags, random_dag, random_in_domain, shd_bf, sid_bf
+from helpers import (all_dags, fd_grad, method_core, random_dag, random_in_domain, rel_err,
+                     shd_bf, sid_bf)
 from test_metrics import _vstructs
-
-FD_STEP = 1e-6
-
-
-def fd_grad(f, W, step=FD_STEP):
-    G = np.zeros_like(W)
-    for i in range(W.shape[0]):
-        for j in range(W.shape[1]):
-            Wp, Wm = W.copy(), W.copy()
-            Wp[i, j] += step
-            Wm[i, j] -= step
-            G[i, j] = (f(Wp) - f(Wm)) / (2 * step)
-    return G
-
-
-def rel_err(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +63,14 @@ def test_criterion_01_gradient_finite_differences():
                 W = random_in_domain(d, s, rng)
                 worst = max(
                     worst,
-                    rel_err(grad_w_ev(W, sigma, cov),
-                            fd_grad(lambda M: score_ev(M, sigma, ds, 0.0), W)),
-                    rel_err(grad_w_nv(W, sigmas, cov),
-                            fd_grad(lambda M: score_nv(M, sigmas, ds, 0.0), W)),
-                    rel_err(grad_ls_baseline(W, cov),
+                    rel_err(method_core("colide_ev", "grad", W, ds, sigma),
+                            fd_grad(lambda M: method_core("colide_ev", "score", M, ds, sigma), W)),
+                    rel_err(method_core("colide_nv", "grad", W, ds, sigmas),
+                            fd_grad(lambda M: method_core("colide_nv", "score", M, ds, sigmas), W)),
+                    rel_err(method_core("ls_baseline", "grad", W, ds),
                             fd_grad(lambda M: 0.5 * np.trace(
                                 (np.eye(d) - M).T @ cov @ (np.eye(d) - M)), W)),
-                    rel_err(grad_h_ldet(W, s),
+                    rel_err(grad_ldet(W, s),
                             fd_grad(lambda M: h_ldet(M, s), W)),
                 )
     assert worst < 1e-5
@@ -109,26 +81,26 @@ def test_criterion_02_scale_updates_beat_grid_scan():
     for seed in range(20):
         d = 3 + seed % 3  # d in {3, 4, 5}
         ds = Dataset(X=stream(102, seed, "data").standard_normal((d, 40)))
-        cov = sample_cov(ds)
         W = random_in_domain(d, 1.0, stream(102, seed, "w"))
         resid = ds.X - W.T @ ds.X
 
         floor = sigma_floor_ev(ds)
-        sig = sigma_hat_ev(W, cov, floor)
+        sig = method_core("colide_ev", "scale", W, ds, floor)
         grid = np.arange(floor, 10.0, 1e-4)
         rss = (resid ** 2).sum() / ds.n
         best = grid[np.argmin(rss / (2 * grid) + d * grid / 2)]
-        assert score_ev(W, sig, ds, 0.1) <= score_ev(W, best, ds, 0.1) + 1e-8
+        assert (method_core("colide_ev", "score", W, ds, sig, lam=0.1)
+                <= method_core("colide_ev", "score", W, ds, best, lam=0.1) + 1e-8)
 
         floors = sigma_floor_nv(ds)
-        sigs = sigma_hat_nv(W, cov, floors)
+        sigs = method_core("colide_nv", "scale", W, ds, floors)
         rss_i = (resid ** 2).sum(axis=1) / ds.n
-        val = score_nv(W, sigs, ds, 0.1)
+        val = method_core("colide_nv", "score", W, ds, sigs, lam=0.1)
         for i in range(d):
             grid = np.arange(floors[i], 10.0, 1e-4)
             trial = sigs.copy()
             trial[i] = grid[np.argmin(0.5 * rss_i[i] / grid + 0.5 * grid)]
-            assert score_nv(W, trial, ds, 0.1) >= val - 1e-8
+            assert method_core("colide_nv", "score", W, ds, trial, lam=0.1) >= val - 1e-8
     print("criterion 2 closed-form scale updates beat 1e-4 grid scans: PASS")
 
 
@@ -165,12 +137,16 @@ def test_criterion_04_joint_convexity():
             np.fill_diagonal(M, 0.0)
         t = rng.random()
         s1, s2 = 0.1 + 2 * rng.random(2)
-        mid = score_ev(t * W1 + (1 - t) * W2, t * s1 + (1 - t) * s2, ds, 0.05)
-        bound = t * score_ev(W1, s1, ds, 0.05) + (1 - t) * score_ev(W2, s2, ds, 0.05)
+        mid = method_core("colide_ev", "score", t * W1 + (1 - t) * W2, ds,
+                          t * s1 + (1 - t) * s2, lam=0.05)
+        bound = (t * method_core("colide_ev", "score", W1, ds, s1, lam=0.05)
+                 + (1 - t) * method_core("colide_ev", "score", W2, ds, s2, lam=0.05))
         worst = max(worst, mid - bound)
         v1, v2 = 0.1 + 2 * rng.random(size=(2, 5))
-        mid = score_nv(t * W1 + (1 - t) * W2, t * v1 + (1 - t) * v2, ds, 0.05)
-        bound = t * score_nv(W1, v1, ds, 0.05) + (1 - t) * score_nv(W2, v2, ds, 0.05)
+        mid = method_core("colide_nv", "score", t * W1 + (1 - t) * W2, ds,
+                          t * v1 + (1 - t) * v2, lam=0.05)
+        bound = (t * method_core("colide_nv", "score", W1, ds, v1, lam=0.05)
+                 + (1 - t) * method_core("colide_nv", "score", W2, ds, v2, lam=0.05))
         worst = max(worst, mid - bound)
     assert worst < 1e-9
     print(f"criterion 4 joint convexity spot check: PASS (max violation {worst:.2e})")

@@ -6,46 +6,20 @@ from colide.rng import stream
 from colide.scores import (
     DomainViolation,
     _domain_matrix,
-    grad_h_ldet,
-    grad_ls_baseline,
-    grad_w_ev,
-    grad_w_nv,
+    grad_ldet,
     h_ldet,
-    score_ev,
-    score_ls_baseline,
-    score_nv,
     sigma_floor_ev,
     sigma_floor_nv,
-    sigma_hat_ev,
-    sigma_hat_nv,
-    stage_objective,
 )
 from colide.sem import Dataset, sample_cov
 
-from helpers import random_in_domain
+from helpers import fd_grad, method_core, random_in_domain, rel_err
 
-FD_STEP = 1e-6
 FD_RTOL = 1e-5
 
 
 def random_dataset(d, n, seed):
     return Dataset(X=stream(9, seed, "data").standard_normal((d, n)))
-
-
-def fd_grad(f, W, step=FD_STEP):
-    """Central finite-difference gradient of a scalar function of W."""
-    G = np.zeros_like(W)
-    for i in range(W.shape[0]):
-        for j in range(W.shape[1]):
-            Wp, Wm = W.copy(), W.copy()
-            Wp[i, j] += step
-            Wm[i, j] -= step
-            G[i, j] = (f(Wp) - f(Wm)) / (2 * step)
-    return G
-
-
-def rel_err(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
 
 
 class TestHLdet:
@@ -77,7 +51,7 @@ class TestHLdet:
         with pytest.raises(DomainViolation):
             h_ldet(W, 1.0)
         with pytest.raises(DomainViolation):
-            grad_h_ldet(W, 1.0)
+            grad_ldet(W, 1.0)
 
     def test_invalid_s(self):
         with pytest.raises(ValueError):
@@ -104,31 +78,31 @@ class TestGradients:
     def test_grad_w_ev(self, d):
         for seed in range(20):
             ds = random_dataset(d, 60, seed)
-            cov = sample_cov(ds)
             W = random_in_domain(d, 1.0, stream(3, seed, "w"))
             sigma = 0.5 + stream(3, seed, "sig").random()
             # score without the l1 term (analytic gradients exclude it)
-            f = lambda M: score_ev(M, sigma, ds, 0.0)  # noqa: E731
-            assert rel_err(grad_w_ev(W, sigma, cov), fd_grad(f, W)) < FD_RTOL
+            f = lambda M: method_core("colide_ev", "score", M, ds, sigma)  # noqa: E731
+            grad = method_core("colide_ev", "grad", W, ds, sigma)
+            assert rel_err(grad, fd_grad(f, W)) < FD_RTOL
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_grad_w_nv(self, d):
         for seed in range(20):
             ds = random_dataset(d, 60, seed)
-            cov = sample_cov(ds)
             W = random_in_domain(d, 1.0, stream(4, seed, "w"))
             sigmas = 0.5 + stream(4, seed, "sig").random(d)
-            f = lambda M: score_nv(M, sigmas, ds, 0.0)  # noqa: E731
-            assert rel_err(grad_w_nv(W, sigmas, cov), fd_grad(f, W)) < FD_RTOL
+            f = lambda M: method_core("colide_nv", "score", M, ds, sigmas)  # noqa: E731
+            grad = method_core("colide_nv", "grad", W, ds, sigmas)
+            assert rel_err(grad, fd_grad(f, W)) < FD_RTOL
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_grad_ls(self, d):
         for seed in range(20):
             ds = random_dataset(d, 60, seed)
-            cov = sample_cov(ds)
             W = random_in_domain(d, 1.0, stream(5, seed, "w"))
-            f = lambda M: score_ls_baseline(M, ds, 0.0)  # noqa: E731
-            assert rel_err(grad_ls_baseline(W, cov), fd_grad(f, W)) < FD_RTOL
+            f = lambda M: method_core("ls_baseline", "score", M, ds)  # noqa: E731
+            grad = method_core("ls_baseline", "grad", W, ds)
+            assert rel_err(grad, fd_grad(f, W)) < FD_RTOL
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_grad_h_ldet(self, d):
@@ -136,7 +110,7 @@ class TestGradients:
             for s in (0.8, 1.0):
                 W = random_in_domain(d, s, stream(6, seed, f"w{s}"))
                 f = lambda M: h_ldet(M, s)  # noqa: E731
-                assert rel_err(grad_h_ldet(W, s), fd_grad(f, W)) < FD_RTOL
+                assert rel_err(grad_ldet(W, s), fd_grad(f, W)) < FD_RTOL
 
 
 class TestScaleUpdates:
@@ -146,7 +120,7 @@ class TestScaleUpdates:
             ds = random_dataset(5, 40, seed)
             cov = sample_cov(ds)
             W = random_in_domain(5, 1.0, stream(7, seed, "w"))
-            sig = sigma_hat_ev(W, cov, floor=1e-9)
+            sig = method_core("colide_ev", "scale", W, ds, 1e-9)
             I_W = np.eye(5) - W
             rss = np.trace(I_W.T @ cov @ I_W)
             assert abs(rss / sig ** 2 - 5) < 1e-8
@@ -155,42 +129,40 @@ class TestScaleUpdates:
         # grid oracle computed straight from the residuals, step 1e-4
         for seed in range(20):
             ds = random_dataset(4, 30, seed)
-            cov = sample_cov(ds)
             W = random_in_domain(4, 1.0, stream(8, seed, "w"))
             floor = sigma_floor_ev(ds)
-            sig = sigma_hat_ev(W, cov, floor)
+            sig = method_core("colide_ev", "scale", W, ds, floor)
             resid = ds.X - W.T @ ds.X
             rss = (resid ** 2).sum() / ds.n
             grid = np.arange(floor, 10.0, 1e-4)
             vals = rss / (2 * grid) + ds.d * grid / 2
             best_sigma = grid[np.argmin(vals)]
-            assert score_ev(W, sig, ds, 0.1) <= score_ev(W, best_sigma, ds, 0.1) + 1e-8
+            assert (method_core("colide_ev", "score", W, ds, sig, lam=0.1)
+                    <= method_core("colide_ev", "score", W, ds, best_sigma, lam=0.1) + 1e-8)
 
     def test_nv_beats_grid(self):
         # per-coordinate grid oracle from the residuals, step 1e-4
         for seed in range(20):
             ds = random_dataset(4, 30, seed)
-            cov = sample_cov(ds)
             W = random_in_domain(4, 1.0, stream(9, seed, "w"))
             floors = sigma_floor_nv(ds)
-            sigs = sigma_hat_nv(W, cov, floors)
+            sigs = method_core("colide_nv", "scale", W, ds, floors)
             resid = ds.X - W.T @ ds.X
             rss = (resid ** 2).sum(axis=1) / ds.n
-            val = score_nv(W, sigs, ds, 0.1)
+            val = method_core("colide_nv", "score", W, ds, sigs, lam=0.1)
             for i in range(4):
                 grid = np.arange(floors[i], 10.0, 1e-4)
                 vals = 0.5 * rss[i] / grid + 0.5 * grid
                 trial = sigs.copy()
                 trial[i] = grid[np.argmin(vals)]
-                assert score_nv(W, trial, ds, 0.1) >= val - 1e-8
+                assert method_core("colide_nv", "score", W, ds, trial, lam=0.1) >= val - 1e-8
 
     def test_floor_binds(self):
         ds = random_dataset(3, 25, 0)
-        cov = sample_cov(ds)
         W = np.zeros((3, 3))
         big = 100.0
-        assert sigma_hat_ev(W, cov, big) == big
-        assert np.all(sigma_hat_nv(W, cov, np.full(3, big)) == big)
+        assert method_core("colide_ev", "scale", W, ds, big) == big
+        assert np.all(method_core("colide_nv", "scale", W, ds, np.full(3, big)) == big)
 
     def test_floors_from_data(self):
         ds = random_dataset(4, 50, 1)
@@ -221,8 +193,10 @@ class TestConvexity:
             W2, s2 = self._points_ev(5, 2 * seed + 1)
             lam = 0.05
             t = stream(11, seed, "t").random()
-            mid = score_ev(t * W1 + (1 - t) * W2, t * s1 + (1 - t) * s2, ds, lam)
-            bound = t * score_ev(W1, s1, ds, lam) + (1 - t) * score_ev(W2, s2, ds, lam)
+            mid = method_core("colide_ev", "score", t * W1 + (1 - t) * W2, ds,
+                              t * s1 + (1 - t) * s2, lam=lam)
+            bound = (t * method_core("colide_ev", "score", W1, ds, s1, lam=lam)
+                     + (1 - t) * method_core("colide_ev", "score", W2, ds, s2, lam=lam))
             assert mid <= bound + 1e-9
 
     def test_nv_convex_combinations(self):
@@ -235,21 +209,21 @@ class TestConvexity:
             s1, s2 = 0.1 + 2 * rng.random(size=(2, 5))
             lam = 0.05
             t = rng.random()
-            mid = score_nv(t * W1 + (1 - t) * W2, t * s1 + (1 - t) * s2, ds, lam)
-            bound = t * score_nv(W1, s1, ds, lam) + (1 - t) * score_nv(W2, s2, ds, lam)
+            mid = method_core("colide_nv", "score", t * W1 + (1 - t) * W2, ds,
+                              t * s1 + (1 - t) * s2, lam=lam)
+            bound = (t * method_core("colide_nv", "score", W1, ds, s1, lam=lam)
+                     + (1 - t) * method_core("colide_nv", "score", W2, ds, s2, lam=lam))
             assert mid <= bound + 1e-9
 
 
 class TestStageObjective:
     def test_composition(self):
+        # mu * (score + lam * ||W||_1) + h as the solver composes it, against the
+        # EV score ||X - W^T X||_F^2 / (2 n sigma) + d sigma / 2 + lam ||W||_1
         ds = random_dataset(4, 30, 2)
         W = random_in_domain(4, 0.9, stream(13, 0, "w"))
-        val = stage_objective(W, 1.2, ds, lam=0.1, mu=0.01, s=0.9,
-                              method="colide_ev")
-        assert val == pytest.approx(0.01 * score_ev(W, 1.2, ds, 0.1)
+        val = 0.01 * method_core("colide_ev", "score", W, ds, 1.2, lam=0.1) + h_ldet(W, 0.9)
+        score_ev = (((ds.X - W.T @ ds.X) ** 2).sum() / (2 * ds.n * 1.2) + 4 * 1.2 / 2
+                    + 0.1 * np.abs(W).sum())
+        assert val == pytest.approx(0.01 * score_ev
                                     + h_ldet(W, 0.9))
-
-    def test_unknown_method(self):
-        ds = random_dataset(3, 10, 3)
-        with pytest.raises(ValueError):
-            stage_objective(np.zeros((3, 3)), 1.0, ds, 0.1, 1.0, 1.0, "mystery")

@@ -1,12 +1,16 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from colide import solver
 from colide.bench import ExperimentConfig, generate_instance
 from colide.graphs import GraphModelSpec, is_dag
 from colide.rng import stream
-from colide.scores import DomainViolation, h_ldet, sigma_floor_ev, stage_objective
+from colide.scores import DomainViolation, grad_ldet, h_ldet, sigma_floor_ev
 from colide.sem import Dataset, NoiseSpec, sample_cov, sample_noise, simulate_sem
 from colide.solver import (
     METHODS,
@@ -22,6 +26,8 @@ from colide.solver import (
     online_update,
     threshold,
 )
+
+from helpers import method_core
 
 # reduced iteration caps keep small-instance fits fast; early stopping
 # usually kicks in well before them
@@ -82,17 +88,18 @@ class TestDomainGuard:
         W = np.zeros((2, 2))
         up = np.full((2, 2), 0.1)
         np.fill_diagonal(up, 0.0)
-        out, stalled, h = domain_guard(W, up, s=1.0)
+        out, stalled, h, grad_h = domain_guard(W, up, s=1.0)
         assert not stalled
         assert np.array_equal(out, W + up)
-        # the accepted point's log-det comes back with it
+        # the accepted point's log-det and its gradient come back with it
         assert h == h_ldet(out, 1.0)
+        assert np.array_equal(grad_h, grad_ldet(out, 1.0))
 
     def test_halving_on_violation(self):
         W = np.zeros((2, 2))
         up = np.zeros((2, 2))
         up[0, 1] = up[1, 0] = 1.5  # full step leaves the domain at s=1
-        out, stalled, h = domain_guard(W, up, s=1.0)
+        out, stalled, h, _ = domain_guard(W, up, s=1.0)
         assert not stalled
         assert 0 < out[0, 1] < 1.5
         assert h == h_ldet(out, 1.0)
@@ -102,15 +109,28 @@ class TestDomainGuard:
         W[0, 1] = W[1, 0] = 0.999  # right at the domain edge for s=1
         up = np.zeros((2, 2))
         up[0, 1] = 1e9
-        out, stalled, h = domain_guard(W, up, s=1.0, max_halvings=3)
+        out, stalled, h, _ = domain_guard(W, up, s=1.0, max_halvings=3)
         assert stalled
         assert np.array_equal(out, W)
         assert h is None
 
     def test_zero_update(self):
         W = np.zeros((3, 3))
-        out, stalled, _ = domain_guard(W, np.zeros((3, 3)), s=0.7)
+        out, stalled, _, _ = domain_guard(W, np.zeros((3, 3)), s=0.7)
         assert not stalled and np.array_equal(out, W)
+
+    def test_positive_determinant_outside_the_domain_is_halved(self):
+        # two 2-cycles of weight 0.9 stepped to 1.2: W*W has eigenvalues +-1.44
+        # twice, so det(I - W*W) > 0 although rho(W*W) = 1.44 > s = 1
+        W = np.zeros((4, 4))
+        W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 0.9
+        up = 0.3 * (W != 0)
+        assert np.linalg.det(np.eye(4) - (W + up) ** 2) > 0
+        with pytest.raises(DomainViolation):
+            h_ldet(W + up, 1.0)
+        out, stalled, _, _ = domain_guard(W, up, s=1.0)
+        assert stalled or not np.array_equal(out, W + up)
+        assert max(abs(np.linalg.eigvals(out * out))) < 1.0
 
 
 class TestThreshold:
@@ -210,18 +230,38 @@ class TestFit:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_trace_ends_at_stage_objective(self, method):
-        # the solver's objective and the public stage_objective share one score core
+        # the solver's objective is mu * (score + lam * ||W||_1) + h of its method core
         _, _, ds = small_instance(seed=12)
         sched = StageSchedule(stages=((1.0, 1.0, 300), (0.1, 0.9, 300)))
         res = fit(ds, method=method, schedule=sched, lam=0.05, keep_trace=True)
         mu, s, _ = sched.stages[-1]
-        expect = stage_objective(res.W, res.scale, ds, 0.05, mu, s, method)
+        score = method_core(method, "score", res.W, ds, res.scale, lam=0.05)
+        expect = mu * score + h_ldet(res.W, s)
         assert res.objective_trace[-1] == pytest.approx(expect, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hs.sampled_from(METHODS), hs.integers(2, 5), hs.sampled_from([3e-4, 1e-2, 0.3]),
+           hs.sampled_from([1.0, 0.7]), hs.sampled_from([0.0, 3.0]), hs.integers(0, 2 ** 32 - 1))
+    def test_iterates_stay_in_the_domain_property(self, method, d, lr, s, shared, seed):
+        rng = np.random.default_rng(seed)
+        # a shared component correlates all nodes and pulls W towards cycles
+        ds = Dataset(X=rng.standard_normal((d, 50)) + shared * rng.standard_normal(50))
+        accepted = []
+
+        def guard(W, update, s_k, max_halvings=20):
+            out = domain_guard(W, update, s_k, max_halvings)
+            accepted.append(out[0])
+            return out
+
+        with mock.patch.object(solver, "domain_guard", guard):
+            fit(ds, method=method, schedule=StageSchedule(stages=((1.0, s, 40),)), lr=lr)
+        for W in accepted:
+            assert max(abs(np.linalg.eigvals(W * W))) < s
 
     @pytest.mark.parametrize("method", METHODS)
     def test_factorisation_budget(self, method, monkeypatch):
-        # per iteration one inverse (gradient) and one slogdet (guard, which also
-        # gives h); one slogdet per stage start checks the warm start
+        # per iteration one inverse and one slogdet of the guard's accepted
+        # candidate, the same pair per stage start for the warm start
         _, _, ds = small_instance(seed=13)
         sched = StageSchedule(stages=((1.0, 1.0, 200), (0.1, 0.9, 200)))
         calls = {"slogdet": 0, "inv": 0}
@@ -233,7 +273,8 @@ class TestFit:
         res = fit(ds, method=method, schedule=sched)
         iters = sum(res.iters_per_stage)
         assert res.stalls == 0
-        assert calls == {"slogdet": iters + len(sched.stages), "inv": iters}
+        stages = len(sched.stages)
+        assert calls == {"slogdet": iters + stages, "inv": iters + stages}
 
 
 class TestOnline:
@@ -242,7 +283,7 @@ class TestOnline:
         st = init_online(6, method="colide_ev", floor=sigma_floor_ev(ds))
         st = online_update(st, ds.X)
         assert np.allclose(st.cov_running, sample_cov(ds))
-        assert st.t == 1
+        assert st.adam.t == 1
 
     def test_batch_mean_identity(self):
         # running covariance over equal batches equals their plain mean
@@ -279,8 +320,12 @@ class TestOnline:
         st.W = np.array([[0.0, 1.0], [1.0, 0.0]])  # det(0.7 I - W*W) < 0
         with pytest.raises(DomainViolation):
             online_update(st, np.ones((2, 5)), s=0.7)
-        # inside the domain: the first update checks W (slogdet), then each
-        # update makes one inverse (gradient) and one guard slogdet
+        # later updates check st.W too
+        st = online_update(init_online(2, method="colide_ev", floor=0.1), np.ones((2, 5)))
+        with pytest.raises(DomainViolation):
+            online_update(replace(st, W=np.array([[0.0, 1.0], [1.0, 0.0]])), np.ones((2, 5)))
+        # inside the domain each update inverts st.W (domain check and gradient),
+        # and the guard inverts and slogdets the accepted candidate
         _, _, ds = small_instance(seed=8, d=6, n=120)
         st = init_online(6, method="colide_ev", floor=sigma_floor_ev(ds))
         calls = {"slogdet": 0, "inv": 0}
@@ -292,7 +337,7 @@ class TestOnline:
         for i in range(3):
             st = online_update(st, ds.X[:, i * 40:(i + 1) * 40])
         assert st.stalls == 0
-        assert calls == {"slogdet": 4, "inv": 3}
+        assert calls == {"slogdet": 3, "inv": 6}
 
     @settings(max_examples=50, deadline=None)
     @given(hs.sampled_from(["colide_ev", "colide_nv"]), hs.integers(2, 6),
