@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .graphs import (GraphModelSpec, assign_edge_weights, is_dag, load_adjacency_csv,
-                     sample_er_dag, sample_sf_dag)
+                     read_matrix_csv, sample_er_dag, sample_sf_dag, write_matrix_csv)
 from .metrics import evaluate, posthoc_noise
 from .rng import stream
 from .sem import Dataset, NoiseSpec, draw_node_variances, sample_noise, simulate_sem, standardize
@@ -235,14 +235,13 @@ def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = Non
     W_true, true_sigmas, ds = generate_instance(cfg, seed, n=n)
     record = dict(cfg.flat())
     record.update({"seed": seed, "method": method, "n": ds.n})
-    t0 = time.perf_counter()
     try:
         res = fit(ds, method=method, schedule=cfg.schedule, lam=cfg.lam,
                   lr=cfg.lr, tau=cfg.threshold)
     except FitError as exc:
         record["error"] = str(exc)
         return record
-    record["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
+    record["wall_time_ms"] = res.wall_time * 1e3
     record["iterations"] = res.iters_per_stage
     if not is_dag(res.W_thresholded):
         record["error"] = "cyclic estimate: the thresholded W has a directed cycle"
@@ -307,28 +306,11 @@ def aggregate(records, methods):
 
 
 # ---------------------------------------------------------------------------
-# Dataset CSV ingestion (rows = samples, columns = variables).
+# Dataset CSV files (rows = samples, columns = variables).
 # ---------------------------------------------------------------------------
 
 def load_dataset_csv(path, has_header: bool = False) -> Dataset:
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DataError(f"empty dataset file: {path}")
-    names = None
-    if has_header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"dataset file has a header but no samples: {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DataError(f"ragged rows in dataset file: {path}")
-    try:
-        data = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise DataError(f"non-numeric cell in dataset file {path}: {exc}") from None
+    data, names = read_matrix_csv(path, has_header)
     meta = {"path": str(path)}
     if names:
         meta["variables"] = names
@@ -336,13 +318,7 @@ def load_dataset_csv(path, has_header: bool = False) -> Dataset:
 
 
 def save_dataset_csv(ds: Dataset, path, header: bool = False) -> None:
-    names = ds.meta.get("variables")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header and names:
-            writer.writerow(names)
-        for col in ds.X.T:
-            writer.writerow([f"{v:.17g}" for v in col])
+    write_matrix_csv(ds.X.T, path, ds.meta.get("variables") if header else None)
 
 
 def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),
@@ -354,11 +330,10 @@ def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),
         raise DataError("ground-truth node count does not match the dataset")
     records = []
     for method in methods:
-        t0 = time.perf_counter()
         res = fit(ds, method=method, lam=lam, tau=threshold)
         report = evaluate(res.W_thresholded, W_true)
         record = {"dataset": str(data_path), "method": method,
-                  "wall_time_ms": (time.perf_counter() - t0) * 1e3,
+                  "wall_time_ms": res.wall_time * 1e3,
                   "iterations": res.iters_per_stage}
         record.update(asdict(report))
         records.append(record)

@@ -25,6 +25,7 @@ from .solver import (
     METHODS,
     FitError,
     fit,
+    threshold,
 )
 
 EXIT_OK = 0
@@ -108,9 +109,7 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     W_est = load_adjacency_csv(args.est)
     W_true = load_adjacency_csv(args.truth)
-    if args.threshold > 0:
-        from .solver import threshold as thresh
-        W_est = thresh(W_est, args.threshold)
+    W_est = threshold(W_est, args.threshold)
     report = dataclasses.asdict(evaluate(W_est, W_true))
     text = json.dumps(report, indent=2)
     if args.out:

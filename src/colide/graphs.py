@@ -4,6 +4,7 @@ A graph is a dense d x d float matrix W with zero diagonal; W[i, j] is the
 weight of the edge i -> j. Supports are the same matrices with 0/1 entries.
 """
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ __all__ = [
     "sample_sf_dag",
     "assign_edge_weights",
     "cpdag_of",
+    "read_matrix_csv",
+    "write_matrix_csv",
     "save_adjacency_csv",
     "load_adjacency_csv",
 ]
@@ -82,17 +85,13 @@ def check_weights(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _support(W: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    return np.abs(W) > tol
-
-
-def topological_order(W: np.ndarray, tol: float = 0.0):
-    """Kahn's algorithm on the thresholded support.
+def topological_order(W: np.ndarray):
+    """Kahn's algorithm on the support {|W[i,j]| > 0}.
 
     Returns a list of node indices in topological order, or None if the
     support contains a directed cycle.
     """
-    A = _support(np.asarray(W, dtype=float), tol)
+    A = np.abs(np.asarray(W, dtype=float)) > 0
     d = A.shape[0]
     indeg = A.sum(axis=0).astype(int)
     ready = [i for i in range(d) if indeg[i] == 0]
@@ -107,9 +106,9 @@ def topological_order(W: np.ndarray, tol: float = 0.0):
     return order if len(order) == d else None
 
 
-def is_dag(W: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff the support {|W[i,j]| > tol} is acyclic."""
-    return topological_order(W, tol) is not None
+def is_dag(W: np.ndarray) -> bool:
+    """True iff the support {|W[i,j]| > 0} is acyclic; threshold W first to drop small weights."""
+    return topological_order(W) is not None
 
 
 def sample_er_dag(spec: GraphModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -126,16 +125,12 @@ def sample_er_dag(spec: GraphModelSpec, rng: np.random.Generator) -> np.ndarray:
     iu = np.triu_indices(d, k=1)
     present = rng.random(len(iu[0])) < p
     perm = rng.permutation(d)  # perm[i] = position of node i in the order
-    B = np.zeros((d, d))
     pos = np.empty(d, dtype=int)
     pos[perm] = np.arange(d)
-    for i, j, keep in zip(iu[0], iu[1], present):
-        if not keep:
-            continue
-        if pos[i] < pos[j]:
-            B[i, j] = 1.0
-        else:
-            B[j, i] = 1.0
+    i, j = iu[0][present], iu[1][present]
+    forward = pos[i] < pos[j]
+    B = np.zeros((d, d))
+    B[np.where(forward, i, j), np.where(forward, j, i)] = 1.0
     return B
 
 
@@ -214,7 +209,7 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
     V-structure edges and Meek-compelled edges stay directed; the remaining
     skeleton edges become undirected.
     """
-    B = _support(check_weights(W))
+    B = check_weights(W) != 0
     if not is_dag(B):
         raise DataError("input graph is not a DAG")
     adj = B | B.T
@@ -258,14 +253,47 @@ def _meek_closure(D: np.ndarray, U: np.ndarray, adj: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Adjacency CSV: d rows x d columns, row i = outgoing weights of node i.
+# CSV matrix files: one row per line, comma-separated, LF line endings. An
+# adjacency file has row i = outgoing weights of node i; a dataset file has
+# one row per sample and may start with a header row of variable names.
 # ---------------------------------------------------------------------------
 
+def read_matrix_csv(path, has_header: bool = False):
+    """Read a numeric CSV file as (2-D float array, header names or None).
+
+    Blank lines are skipped. An empty, ragged or non-numeric file is a DataError.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise DataError(f"empty CSV file: {path}")
+    names = None
+    if has_header:
+        names = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"CSV file has a header but no rows: {path}")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise DataError(f"ragged rows in CSV file: {path}")
+    try:
+        return np.array(rows, dtype=float), names
+    except ValueError as exc:
+        raise DataError(f"non-numeric cell in CSV file {path}: {exc}") from None
+
+
+def write_matrix_csv(M: np.ndarray, path, header=None) -> None:
+    """Write M row by row with round-trip exact %.17g values, after an optional header row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header:
+            writer.writerow(header)
+        writer.writerows([f"{v:.17g}" for v in row] for row in M)
+
+
 def save_adjacency_csv(W: np.ndarray, path) -> None:
-    W = check_weights(W)
-    np.savetxt(path, W, delimiter=",", fmt="%.17g")
+    write_matrix_csv(check_weights(W), path)
 
 
 def load_adjacency_csv(path) -> np.ndarray:
-    W = np.loadtxt(path, delimiter=",", ndmin=2)
-    return check_weights(W)
+    return check_weights(read_matrix_csv(path)[0])

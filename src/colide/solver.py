@@ -46,6 +46,7 @@ DEFAULT_LAMBDA = 0.05
 DEFAULT_LR = 3e-4
 DEFAULT_THRESHOLD = 0.3
 EARLY_STOP_RTOL = 1e-6
+MAX_HALVINGS = 20
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -96,16 +97,16 @@ def adam_step(st: AdamState, grad: np.ndarray):
     return AdamState(m, v, t, st.lr), update
 
 
-def domain_guard(W: np.ndarray, update: np.ndarray, s: float, max_halvings: int = 20):
+def domain_guard(W: np.ndarray, update: np.ndarray, s: float):
     """Apply W + update, halving the update while it leaves the log-det domain.
 
     Returns (accepted W, stalled flag, h, grad_h), where (h, grad_h) =
     ldet_and_grad(W, s) comes from the inverse that checked the accepted point.
-    A stall keeps W unchanged after all halvings fail, with h = grad_h = None;
+    A stall keeps W unchanged after MAX_HALVINGS halvings fail, with h = grad_h = None;
     W itself is assumed in-domain on entry.
     """
     step = update
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         candidate = W + step
         try:
             return (candidate, False, *ldet_and_grad(candidate, s))
@@ -144,7 +145,6 @@ class FitResult:
     method: str
     sigma: float | None = None
     sigmas: np.ndarray | None = None
-    objective_trace: list = field(default_factory=list)
     iters_per_stage: list = field(default_factory=list)
     stalls: int = 0
     wall_time: float = 0.0
@@ -165,8 +165,7 @@ def fit(ds: Dataset, method: str = "colide_ev",
         schedule: StageSchedule | None = None,
         lam: float = DEFAULT_LAMBDA,
         lr: float = DEFAULT_LR,
-        tau: float = DEFAULT_THRESHOLD,
-        keep_trace: bool = False) -> FitResult:
+        tau: float = DEFAULT_THRESHOLD) -> FitResult:
     """Run the full staged optimization and return raw + thresholded estimates.
 
     Initialization: W = 0 (always in-domain), scale = 100x its floor. Early
@@ -189,7 +188,7 @@ def fit(ds: Dataset, method: str = "colide_ev",
     floor = floor_of(ds) if floor_of else None
     scale = 1.0 if floor is None else floor * 1e2  # ls_baseline: sigma frozen
 
-    trace, iters_per_stage, stalls = [], [], 0
+    iters_per_stage, stalls = [], 0
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
         h, grad_h = _stage_entry(W, s, k)
@@ -209,8 +208,6 @@ def fit(ds: Dataset, method: str = "colide_ev",
             if not np.isfinite(obj):
                 raise FitError(f"objective diverged (stage {k}, iteration {it})",
                                stage=k, iteration=it)
-            if keep_trace:
-                trace.append(obj)
             if prev_obj is not None:
                 rel = abs(obj - prev_obj) / max(abs(prev_obj), 1e-12)
                 if rel < EARLY_STOP_RTOL:
@@ -224,7 +221,6 @@ def fit(ds: Dataset, method: str = "colide_ev",
         method=method,
         sigma=float(scale) if method == "colide_ev" else None,
         sigmas=np.asarray(scale) if method == "colide_nv" else None,
-        objective_trace=trace,
         iters_per_stage=iters_per_stage,
         stalls=stalls,
         wall_time=time.perf_counter() - start,

@@ -235,6 +235,7 @@ class TestDatasetCsv:
         back = load_dataset_csv(path, has_header=True)
         assert np.array_equal(back.X, X)
         assert back.meta["variables"] == list("abcd")
+        assert b"\r" not in path.read_bytes()
 
     def test_rows_are_samples(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -146,6 +146,17 @@ class TestExitCodes:
         assert main(["eval", "--est", str(paths["--est"]),
                      "--truth", str(paths["--truth"])]) == 2
 
+    @pytest.mark.parametrize("reason", ["non-numeric", "ragged", "empty"])
+    @pytest.mark.parametrize("bad", ["--est", "--truth"])
+    def test_eval_malformed_adjacency_file(self, tmp_path, capsys, reason, bad):
+        chain, broken = tmp_path / "chain.csv", tmp_path / "broken.csv"
+        np.savetxt(chain, [[0, 1], [0, 0]], delimiter=",")
+        broken.write_text({"non-numeric": "0,1\n0,x\n", "ragged": "0,1\n0\n", "empty": ""}[reason])
+        paths = {"--est": chain, "--truth": chain, bad: broken}
+        assert main(["eval", "--est", str(paths["--est"]),
+                     "--truth", str(paths["--truth"])]) == 2
+        assert reason in capsys.readouterr().err
+
     def test_eval_edgeless_truth(self, tmp_path, capsys):
         chain, empty = tmp_path / "chain.csv", tmp_path / "empty.csv"
         np.savetxt(chain, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], delimiter=",")

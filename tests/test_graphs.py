@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colide.errors import DataError
 from colide.graphs import (
     Cpdag,
     GraphModelSpec,
@@ -18,6 +19,7 @@ from colide.graphs import (
     topological_order,
 )
 from colide.rng import stream
+from colide.solver import threshold
 
 from helpers import (
     all_dags,
@@ -50,7 +52,7 @@ class TestIsDag:
         W[0, 1] = 1.0
         W[1, 0] = 1e-9  # cycle only below the tolerance
         assert not is_dag(W)
-        assert is_dag(W, tol=1e-6)
+        assert is_dag(threshold(W, 1e-6))
 
     def test_topological_order_respects_edges(self):
         rng = np.random.default_rng(3)
@@ -75,7 +77,28 @@ class TestSpecValidation:
             GraphModelSpec(model="ER", d=10, k=10)
 
 
+def er_dag_by_loop(spec, rng):
+    """Reference for sample_er_dag: the same draws, each kept pair oriented in a Python loop."""
+    d = spec.d
+    iu = np.triu_indices(d, k=1)
+    present = rng.random(len(iu[0])) < spec.k / (d - 1)
+    pos = np.empty(d, dtype=int)
+    pos[rng.permutation(d)] = np.arange(d)
+    B = np.zeros((d, d))
+    for i, j, keep in zip(iu[0], iu[1], present):
+        if keep:
+            B[(i, j) if pos[i] < pos[j] else (j, i)] = 1.0
+    return B
+
+
 class TestErSampling:
+    @pytest.mark.parametrize("d, k", [(2, 1), (5, 2), (20, 4), (50, 1)])
+    def test_matches_the_pairwise_loop(self, d, k):
+        spec = GraphModelSpec(model="ER", d=d, k=k)
+        for seed in range(5):
+            assert np.array_equal(sample_er_dag(spec, stream(3, seed, "graph")),
+                                  er_dag_by_loop(spec, stream(3, seed, "graph")))
+
     def test_always_acyclic(self):
         spec = GraphModelSpec(model="ER", d=30, k=4)
         for i in range(25):
@@ -246,9 +269,18 @@ class TestAdjacencyCsv:
         path = tmp_path / "w.csv"
         save_adjacency_csv(W, path)
         assert np.array_equal(load_adjacency_csv(path), W)
+        assert b"\r" not in path.read_bytes()
 
     def test_nonzero_diagonal_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         np.savetxt(path, np.eye(3), delimiter=",")
         with pytest.raises(ValueError):
+            load_adjacency_csv(path)
+
+    @pytest.mark.parametrize("reason", ["empty", "ragged", "non-numeric"])
+    def test_malformed_file_is_data_error(self, tmp_path, reason):
+        # the same reader and messages as dataset files
+        path = tmp_path / "bad.csv"
+        path.write_text({"empty": "", "ragged": "0,1\n0\n", "non-numeric": "0,1\nx,0\n"}[reason])
+        with pytest.raises(DataError, match=reason):
             load_adjacency_csv(path)
