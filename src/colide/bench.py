@@ -77,28 +77,14 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
 
     def flat(self) -> dict:
-        """Flattened, JSON-ready view of the resolved configuration."""
-        sched = self.schedule or default_schedule()
-        return {
-            "graph.model": self.graph.model,
-            "graph.d": self.graph.d,
-            "graph.k": self.graph.k,
-            "graph.weight_ranges": [list(r) for r in self.graph.weight_ranges],
-            "noise.family": self.noise.family,
-            "noise.profile": self.noise.profile,
-            "noise.variance": self.noise.variance,
-            "noise.variance_range": list(self.noise.variance_range),
-            "data.n": self.n,
-            "data.standardize": self.standardize,
-            "fit.methods": list(self.methods),
-            "fit.lambda": self.lam,
-            "fit.lr": self.lr,
-            "fit.threshold": self.threshold,
-            "fit.schedule": [list(st) for st in sched.stages],
-            "run.seeds": list(self.seeds),
-            "run.master_seed": self.master_seed,
-            "run.n_sweep": list(self.n_sweep),
-        }
+        """The resolved configuration under its config-file keys, less _UNRECORDED."""
+        record = {}
+        for key, (_, target) in _CONFIG_KEYS.items():
+            if key not in _UNRECORDED:
+                group, _, name = target.rpartition(".")
+                value = getattr(getattr(self, group) if group else self, name)
+                record[key] = (value or default_schedule()).stages if name == "schedule" else value
+        return record
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +142,7 @@ _CONFIG_KEYS = {
     "run.jobs": (int, "jobs"),
     "out.path": (str, "out_path"),
 }
+_UNRECORDED = ("run.jobs", "out.path")  # keys that change no result
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -231,35 +218,42 @@ def generate_instance(cfg: ExperimentConfig, seed: int, n: int | None = None):
     return W_true, np.sqrt(variances), ds
 
 
-def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = None):
-    W_true, true_sigmas, ds = generate_instance(cfg, seed, n=n)
-    record = dict(cfg.flat())
-    record.update({"seed": seed, "method": method, "n": ds.n})
+def _fit_and_score(ds, W_true, method: str, profile: str, true_sigmas=None, **fit_kw):
+    """Record fields for one fit of ds scored against W_true; faults become an "error" field.
+
+    A method without a concomitant scale gets the post-hoc estimate under profile.
+    """
     try:
-        res = fit(ds, method=method, schedule=cfg.schedule, lam=cfg.lam,
-                  lr=cfg.lr, tau=cfg.threshold)
+        res = fit(ds, method=method, **fit_kw)
     except FitError as exc:
-        record["error"] = str(exc)
-        return record
-    record["wall_time_ms"] = res.wall_time * 1e3
-    record["iterations"] = res.iters_per_stage
+        return {"error": str(exc)}
+    record = {"wall_time_ms": res.wall_time * 1e3, "iterations": res.iters_per_stage}
     if not is_dag(res.W_thresholded):
         record["error"] = "cyclic estimate: the thresholded W has a directed cycle"
         return record
 
     est_scale, key = res.scale, "sigma_estimate"
     if est_scale is None:  # no concomitant scale: post-hoc residual estimate
-        est_scale, key = posthoc_noise(ds, res.W, profile=cfg.noise.profile), "sigma_posthoc"
+        est_scale, key = posthoc_noise(ds, res.W, profile=profile), "sigma_posthoc"
     record[key] = np.atleast_1d(est_scale).tolist()
-    # compare vector estimates per node, scalar ones to the RMS true sigma
-    true_scale = (true_sigmas if np.ndim(est_scale)
-                  else float(np.sqrt(np.mean(true_sigmas ** 2))))
+    true_scale = None
+    if true_sigmas is not None:  # vector estimates per node, scalar ones to the RMS sigma
+        true_scale = (true_sigmas if np.ndim(est_scale)
+                      else float(np.sqrt(np.mean(true_sigmas ** 2))))
     try:
         record.update(asdict(evaluate(res.W_thresholded, W_true,
                                       est_scale=est_scale, true_scale=true_scale)))
-    except DataError as exc:  # e.g. a truth with no edges has no TPR
+    except DataError as exc:
         record["error"] = str(exc)
     return record
+
+
+def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = None):
+    W_true, true_sigmas, ds = generate_instance(cfg, seed, n=n)
+    return {**cfg.flat(), "seed": seed, "method": method, "n": ds.n,
+            **_fit_and_score(ds, W_true, method, cfg.noise.profile, true_sigmas,
+                             schedule=cfg.schedule, lam=cfg.lam, lr=cfg.lr,
+                             tau=cfg.threshold)}
 
 
 def run_grid(cfg: ExperimentConfig):
@@ -323,21 +317,14 @@ def save_dataset_csv(ds: Dataset, path, header: bool = False) -> None:
 
 def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),
               lam: float = DEFAULT_LAMBDA, threshold: float = DEFAULT_THRESHOLD):
-    """Fit real flow-cytometry data and score against the consensus network."""
+    """Fit real flow-cytometry data and score each method like a grid cell."""
     ds = load_dataset_csv(data_path, has_header=True)
     W_true = load_adjacency_csv(truth_path)
-    if W_true.shape[0] != ds.d:
-        raise DataError("ground-truth node count does not match the dataset")
-    records = []
-    for method in methods:
-        res = fit(ds, method=method, lam=lam, tau=threshold)
-        report = evaluate(res.W_thresholded, W_true)
-        record = {"dataset": str(data_path), "method": method,
-                  "wall_time_ms": res.wall_time * 1e3,
-                  "iterations": res.iters_per_stage}
-        record.update(asdict(report))
-        records.append(record)
-    return records
+    if W_true.shape[0] != ds.d or not is_dag(W_true):
+        raise DataError("ground truth must be a DAG on the dataset's nodes")
+    return [{"dataset": str(data_path), "method": method,
+             **_fit_and_score(ds, W_true, method, "ev", lam=lam, tau=threshold)}
+            for method in methods]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +369,7 @@ def _write_summary_csv(aggregates, path) -> None:
     for r in aggregates:
         groups.setdefault(r.get("n"), []).append(r)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow((["n"] if has_n else []) + ["metric"] + methods)
         for n, rows in groups.items():
             by_method = {r["method"]: r for r in rows}

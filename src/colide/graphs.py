@@ -212,6 +212,11 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
     B = check_weights(W) != 0
     if not is_dag(B):
         raise DataError("input graph is not a DAG")
+    return _cpdag(B)
+
+
+def _cpdag(B: np.ndarray) -> Cpdag:
+    """cpdag_of on a boolean support already known to be a DAG (unchecked)."""
     adj = B | B.T
     D = np.zeros_like(B)  # compelled i -> j
     # v-structures: i -> j <- k with i, k non-adjacent

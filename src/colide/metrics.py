@@ -2,8 +2,8 @@
 
 All structural metrics operate on supports (nonzero patterns); reversed
 edges count once in SHD, and as false positives for FDR / misses for TPR.
-Each metric is a core on two validated supports; the public functions take
-weight matrices, and `evaluate` validates them once for every core. SID
+Each metric is a core on two validated DAG supports; the public functions
+take weight matrices, and `evaluate` validates them once for every core. SID
 (Peters & Buehlmann, Neural Computation 2015) builds each graph's descendant
 closure once per call and has no size ceiling.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .graphs import Cpdag, check_weights, cpdag_of, is_dag
+from .graphs import Cpdag, _cpdag, check_weights, is_dag
 from .sem import Dataset
 
 __all__ = [
@@ -47,6 +47,8 @@ def _supports(est, true):
     B = check_weights(true) != 0
     if A.shape != B.shape:
         raise DataError("graphs must have the same node count")
+    if not (is_dag(A) and is_dag(B)):
+        raise DataError("metrics require two DAGs")
     return A, B
 
 
@@ -87,7 +89,7 @@ def _shd_c(A, B) -> int:
     An undirected edge mismatching a directed one counts 1, like any other
     status difference on a node pair.
     """
-    ca, cb = cpdag_of(A.astype(float)), cpdag_of(B.astype(float))
+    ca, cb = _cpdag(A), _cpdag(B)
     return int(np.count_nonzero(_cpdag_status(ca) != _cpdag_status(cb)))
 
 
@@ -215,8 +217,6 @@ def _sid(est, true) -> int:
     forbidden set plus one O(d + edges) back-door search in true, so no
     graph-wide work repeats per pair.
     """
-    if not is_dag(est) or not is_dag(true):
-        raise DataError("sid requires two DAGs")
     reach, g = _descendant_matrix(est), _Dag(true)
     count = int(np.count_nonzero(g.desc & ~reach))
     for i in range(est.shape[0]):

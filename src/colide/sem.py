@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .graphs import check_weights, is_dag, topological_order
+from .graphs import check_weights, topological_order
 
 __all__ = [
     "NoiseSpec",

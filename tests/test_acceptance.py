@@ -5,7 +5,6 @@ line per criterion. The heavy desk-scale studies (criteria 6-8, 10, 11) run
 real fits and take minutes; everything else finishes in seconds.
 """
 
-import itertools
 import os
 
 import numpy as np
@@ -18,7 +17,7 @@ from colide.bench import (
     run_grid,
     run_sachs,
 )
-from colide.graphs import GraphModelSpec, assign_edge_weights, sample_er_dag
+from colide.graphs import GraphModelSpec
 from colide.metrics import shd, shd_c, sid
 from colide.rng import stream
 from colide.scores import grad_ldet, h_ldet, sigma_floor_ev, sigma_floor_nv

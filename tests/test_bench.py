@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from colide.bench import (
+    _CONFIG_KEYS,
     ExperimentConfig,
     aggregate,
     emit_results,
@@ -155,6 +156,13 @@ class TestRunGrid:
             assert r["data.n"] == 300
             assert "seed" in r and "method" in r
 
+    def test_record_config_keys_are_config_file_keys(self, records):
+        # run.jobs and out.path change no result, so records leave them out
+        recorded = set(_CONFIG_KEYS) - {"run.jobs", "out.path"}
+        for r in records:
+            if not r.get("aggregate"):
+                assert {k for k in r if "." in k} == recorded
+
     def test_metrics_present(self, records):
         for r in records:
             if r.get("aggregate"):
@@ -171,18 +179,12 @@ class TestRunGrid:
 
     def test_deterministic_rerun(self, records):
         again = run_grid(parse_config(SMALL_CFG))
-        a = json.dumps(records, sort_keys=True, default=_drop_time)
-        b = json.dumps(again, sort_keys=True, default=_drop_time)
         assert _strip_times(records) == _strip_times(again)
 
     def test_parallel_matches_serial(self, records):
         cfg = parse_config(SMALL_CFG + "run.jobs = 2\n")
         par = run_grid(cfg)
         assert _strip_times(par) == _strip_times(records)
-
-
-def _drop_time(o):
-    raise TypeError
 
 
 def _strip_times(records):
@@ -289,9 +291,10 @@ class TestEmitResults:
     def test_summary_csv(self, tmp_path):
         path = tmp_path / "out.jsonl"
         emit_results(self._records(), path)
-        summary = (tmp_path / "out.jsonl.summary.csv").read_text()
+        summary = (tmp_path / "out.jsonl.summary.csv").read_bytes().decode("utf-8")
         assert "colide_ev" in summary
         assert "1±0" in summary
+        assert "\r" not in summary
 
 
 class TestFailedCells:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from colide.bench import ExperimentConfig, generate_instance, save_dataset_csv
 from colide.cli import main
-from colide.graphs import load_adjacency_csv
+from colide.graphs import GraphModelSpec, load_adjacency_csv, save_adjacency_csv
+from colide.sem import Dataset, NoiseSpec
 
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
 
@@ -171,3 +173,47 @@ class TestExitCodes:
     def test_sachs_missing_files(self, tmp_path, capsys):
         assert main(["sachs", "--data", str(tmp_path / "no.csv"),
                      "--truth", str(tmp_path / "no2.csv")]) == 2
+
+
+@pytest.fixture(scope="module")
+def sachs_files(tmp_path_factory):
+    """Simulated stand-ins for the flow-cytometry files: ER d=5, n=300, a header row."""
+    cfg = ExperimentConfig(graph=GraphModelSpec(model="ER", d=5, k=2), noise=NoiseSpec(), n=300)
+    W_true, _, ds = generate_instance(cfg, 0)
+    folder = tmp_path_factory.mktemp("sachs")
+    data, truth = folder / "data.csv", folder / "truth.csv"
+    save_dataset_csv(Dataset(X=ds.X, meta={"variables": [f"x{i}" for i in range(5)]}),
+                     data, header=True)
+    save_adjacency_csv(W_true, truth)
+    return str(data), str(truth)
+
+
+class TestSachsCommand:
+    @pytest.mark.slow
+    def test_records_carry_the_scale(self, sachs_files, tmp_path, capsys):
+        data, truth = sachs_files
+        out = tmp_path / "sachs.jsonl"
+        assert main(["sachs", "--data", data, "--truth", truth, "--out", str(out)]) == 0
+        rows = {r["method"]: r for r in map(json.loads, out.read_text().splitlines()[:-1])}
+        nv = rows["colide_nv"]
+        assert "error" not in nv
+        assert len(nv["sigma_estimate"]) == 5
+        assert {"shd", "shd_c", "sid", "tpr", "fdr", "iterations"} <= set(nv)
+        assert len(rows["colide_ev"]["sigma_estimate"]) == 1
+
+    @pytest.mark.slow
+    def test_cyclic_estimates_are_error_rows(self, sachs_files, capsys):
+        data, truth = sachs_files
+        assert main(["sachs", "--data", data, "--truth", truth, "--threshold", "0"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["method"] for r in rows] == ["colide_ev", "colide_nv"]
+        assert all("cyclic estimate" in r["error"] for r in rows)
+
+    @pytest.mark.parametrize("truth", [np.eye(4, k=1), np.eye(5, k=1) + np.eye(5, k=-4)],
+                             ids=["four-nodes", "cyclic"])
+    def test_bad_truth_is_a_data_error(self, sachs_files, tmp_path, capsys, truth):
+        data, _ = sachs_files
+        path = tmp_path / "truth.csv"
+        np.savetxt(path, truth, delimiter=",")
+        assert main(["sachs", "--data", data, "--truth", str(path)]) == 2
+        assert "ground truth must be a DAG" in capsys.readouterr().err

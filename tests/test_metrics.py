@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from colide.errors import DataError
 from colide.graphs import GraphModelSpec, is_dag, sample_er_dag, sample_sf_dag, topological_order
 from colide.metrics import (
     d_separated,
@@ -106,6 +107,16 @@ class TestShd:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             shd(chain(3), chain(4))
+
+
+@pytest.mark.parametrize("metric", [shd, tpr, fdr])
+@pytest.mark.parametrize("cyclic", ["est", "true"])
+def test_cyclic_graph_is_a_data_error(metric, cyclic):
+    loop = chain(3)
+    loop[2, 0] = 1.0
+    graphs = {"est": chain(3), "true": chain(3), cyclic: loop}
+    with pytest.raises(DataError, match="DAG"):
+        metric(graphs["est"], graphs["true"])
 
 
 class TestShdC:

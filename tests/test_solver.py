@@ -103,8 +103,6 @@ class TestAdam:
         assert st.t == 1
 
     def test_constant_gradient_limit(self):
-        st = AdamState.zero(1, lr=0.5)
-        grad = np.array([[0.7]]) * 0  # zero diag only; use off-diag shape 1x1
         st = AdamState.zero(2, lr=0.5)
         grad = np.zeros((2, 2))
         grad[0, 1] = 0.7
