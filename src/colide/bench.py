@@ -30,7 +30,7 @@ from .solver import (
     FitError,
     StageSchedule,
     default_schedule,
-    fit,
+    fit_stack,
 )
 
 __all__ = [
@@ -68,6 +68,8 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"run.jobs must be at least 1, got {self.jobs}")
         if min((self.n, *self.n_sweep)) < 1:
             raise ValueError("n and every n_sweep size must be at least 1")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -218,15 +220,14 @@ def generate_instance(cfg: ExperimentConfig, seed: int, n: int | None = None):
     return W_true, np.sqrt(variances), ds
 
 
-def _fit_and_score(ds, W_true, method: str, profile: str, true_sigmas=None, **fit_kw):
-    """Record fields for one fit of ds scored against W_true; faults become an "error" field.
+def _fit_and_score(ds, W_true, res, profile: str, true_sigmas=None):
+    """Record fields for the fit res (a FitResult or FitError) of ds, scored against W_true.
 
-    A method without a concomitant scale gets the post-hoc estimate under profile.
+    Faults become an "error" field. A method without a concomitant scale gets
+    the post-hoc estimate under profile.
     """
-    try:
-        res = fit(ds, method=method, **fit_kw)
-    except FitError as exc:
-        return {"error": str(exc)}
+    if isinstance(res, FitError):
+        return {"error": str(res)}
     record = {"wall_time_ms": res.wall_time * 1e3, "iterations": res.iters_per_stage}
     if not is_dag(res.W_thresholded):
         record["error"] = "cyclic estimate: the thresholded W has a directed cycle"
@@ -248,12 +249,29 @@ def _fit_and_score(ds, W_true, method: str, profile: str, true_sigmas=None, **fi
     return record
 
 
-def _run_cell(cfg: ExperimentConfig, seed: int, method: str, n: int | None = None):
-    W_true, true_sigmas, ds = generate_instance(cfg, seed, n=n)
-    return {**cfg.flat(), "seed": seed, "method": method, "n": ds.n,
-            **_fit_and_score(ds, W_true, method, cfg.noise.profile, true_sigmas,
-                             schedule=cfg.schedule, lam=cfg.lam, lr=cfg.lr,
-                             tau=cfg.threshold)}
+def _run_stack(cfg: ExperimentConfig, method: str, cells):
+    """Records of the (seed, n) cells of one method, fitted together as one stack."""
+    instances = [generate_instance(cfg, seed, n=n) for seed, n in cells]
+    fits = fit_stack([ds for _, _, ds in instances], method=method, schedule=cfg.schedule,
+                     lam=cfg.lam, lr=cfg.lr, tau=cfg.threshold)
+    return [{**cfg.flat(), "seed": seed, "method": method, "n": ds.n,
+             **_fit_and_score(ds, W_true, res, cfg.noise.profile, true_sigmas)}
+            for (seed, _), (W_true, true_sigmas, ds), res in zip(cells, instances, fits)]
+
+
+def _stacks(cells, jobs: int):
+    """(method, [(seed, n), ...]) stacks: each method's cells, cut evenly until there are min(jobs, cells) stacks.
+
+    Each cut goes to the method whose stacks are largest.
+    """
+    groups = {}
+    for seed, method, n in cells:
+        groups.setdefault(method, []).append((seed, n))
+    pieces = dict.fromkeys(groups, 1)
+    while sum(pieces.values()) < min(jobs, len(cells)):
+        pieces[max(groups, key=lambda m: len(groups[m]) / pieces[m])] += 1
+    return [(method, g[i * len(g) // c:(i + 1) * len(g) // c])
+            for method, g in groups.items() for c in [pieces[method]] for i in range(c)]
 
 
 def run_grid(cfg: ExperimentConfig):
@@ -263,17 +281,24 @@ def run_grid(cfg: ExperimentConfig):
     rows; in a sweep the aggregate rows carry "n". Fit failures, cyclic
     estimates and data faults met while scoring (a truth with no edges) are
     recorded in the affected row, never fatal to the grid.
-    Cells may run in parallel (cfg.jobs); output order is deterministic
-    (by size, then seed, then method order).
+    The cells of one method, over every seed and size, run as one stacked
+    fit (fit_stack), cut into smaller stacks only as far as needed to give
+    the cfg.jobs pool processes one stack each; a record's wall_time_ms is
+    its stack's wall time divided by the stack size. Output order is
+    deterministic (by size, then seed, then method order).
     """
     sizes = cfg.n_sweep or (None,)
     cells = [(seed, method, n) for n in sizes
              for seed in sorted(cfg.seeds) for method in cfg.methods]
+    stacks = _stacks(cells, cfg.jobs)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            done = list(pool.map(_run_cell, [cfg] * len(cells), *zip(*cells)))
+            fitted = list(pool.map(_run_stack, [cfg] * len(stacks), *zip(*stacks)))
     else:
-        done = [_run_cell(cfg, *cell) for cell in cells]
+        fitted = [_run_stack(cfg, *stack) for stack in stacks]
+    by_cell = {(seed, method, n): record for (method, group), records in zip(stacks, fitted)
+               for (seed, n), record in zip(group, records)}
+    done = [by_cell[cell] for cell in cells]
     records, per_size = [], len(done) // len(sizes)
     for k, n in enumerate(sizes):
         batch = done[k * per_size:(k + 1) * per_size]
@@ -323,7 +348,8 @@ def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),
     if W_true.shape[0] != ds.d or not is_dag(W_true):
         raise DataError("ground truth must be a DAG on the dataset's nodes")
     return [{"dataset": str(data_path), "method": method,
-             **_fit_and_score(ds, W_true, method, "ev", lam=lam, tau=threshold)}
+             **_fit_and_score(ds, W_true, fit_stack([ds], method=method, lam=lam, tau=threshold)[0],
+                              "ev")}
             for method in methods]
 
 

@@ -122,7 +122,7 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = bench.read_config(args.config)
     if args.jobs is not None:
-        cfg.jobs = args.jobs
+        cfg = dataclasses.replace(cfg, jobs=args.jobs)
     out = args.out or cfg.out_path
     if out is None:
         print("error: no output path (use --out or out.path)", file=sys.stderr)

@@ -86,12 +86,14 @@ def check_weights(W: np.ndarray) -> np.ndarray:
 
 
 def topological_order(W: np.ndarray):
-    """Kahn's algorithm on the support {|W[i,j]| > 0}.
+    """Kahn's algorithm on the support {|W[i,j]| > 0}; a boolean W is read as the support.
 
     Returns a list of node indices in topological order, or None if the
     support contains a directed cycle.
     """
-    A = np.abs(np.asarray(W, dtype=float)) > 0
+    A = np.asarray(W)
+    if A.dtype != bool:
+        A = np.abs(A.astype(float)) > 0
     d = A.shape[0]
     indeg = A.sum(axis=0).astype(int)
     ready = [i for i in range(d) if indeg[i] == 0]

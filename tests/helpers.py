@@ -21,18 +21,20 @@ def method_core(method, part, W, ds, arg=None, lam=0.0):
 
     part "score" gives the smooth score plus lam * ||W||_1 and "grad" the
     smooth-part gradient, both at scale arg; "scale" gives the closed-form
-    scale with floor arg.
+    scale with floor arg. The cores run on a stack of one, as in fit.
     """
     _, grad, score, scale = METHOD_CORES[method]
-    cov = sample_cov(ds)
-    I_W = np.eye(W.shape[0]) - W
+    cov = sample_cov(ds)[None]
+    W = np.asarray(W)[None]
+    arg = None if arg is None else np.asarray(arg, dtype=float)[None]
+    I_W = np.eye(W.shape[-1]) - W
     if part == "grad":
-        return grad(-cov @ I_W, arg)
+        return grad(-cov @ I_W, arg)[0]
     gram = residual_gram(I_W, cov)
     if part == "scale":
-        return scale(gram, arg)
+        return scale(gram, arg)[0]
     if part == "score":
-        return score(gram, arg) + lam * np.abs(W).sum()
+        return score(gram, arg)[0] + lam * np.abs(W).sum()
     raise ValueError(f"unknown part {part!r}")
 
 

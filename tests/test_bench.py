@@ -6,6 +6,8 @@ import pytest
 from colide.bench import (
     _CONFIG_KEYS,
     ExperimentConfig,
+    _run_stack,
+    _stacks,
     aggregate,
     emit_results,
     generate_instance,
@@ -91,7 +93,7 @@ class TestConfigParsing:
     def test_faults_are_config_errors(self):
         for text in ("graph.shape = torus", "graph.d = 5\ngraph.d = 6", "graph.d: 5",
                      "graph.d = five", "data.standardize = maybe", "graph.d = 1",
-                     "data.n_sweep = 100, 0", "fit.methods = gradient_boosting"):
+                     "data.n_sweep = 100, 0", "fit.methods = gradient_boosting", "run.jobs = 0"):
             with pytest.raises(ConfigError):
                 parse_config(text)
 
@@ -182,9 +184,24 @@ class TestRunGrid:
         assert _strip_times(records) == _strip_times(again)
 
     def test_parallel_matches_serial(self, records):
-        cfg = parse_config(SMALL_CFG + "run.jobs = 2\n")
-        par = run_grid(cfg)
-        assert _strip_times(par) == _strip_times(records)
+        # 2 jobs: one stack per method; 3 jobs: one method's cells cut in two
+        for jobs in (2, 3):
+            par = run_grid(parse_config(SMALL_CFG + f"run.jobs = {jobs}\n"))
+            assert _strip_times(par) == _strip_times(records)
+
+    def test_stacks_cut_only_as_far_as_the_pool_needs(self):
+        cells = [(seed, m, None) for seed in range(4) for m in ("a", "b", "c")]
+
+        def sizes(jobs):
+            return [(m, len(g)) for m, g in _stacks(cells, jobs)]
+
+        assert sizes(1) == sizes(2) == sizes(3) == [("a", 4), ("b", 4), ("c", 4)]
+        assert sizes(4) == [("a", 2), ("a", 2), ("b", 4), ("c", 4)]
+        assert sizes(20) == [(m, 1) for m in "abc" for _ in range(4)]
+        for jobs in (1, 4, 5, 7, 12):
+            stacks = _stacks(cells, jobs)
+            assert sorted((seed, m) for m, g in stacks for seed, _ in g) == sorted(
+                (seed, m) for seed, m, _ in cells)
 
 
 def _strip_times(records):
@@ -224,8 +241,10 @@ class TestNoiseStudy:
         assert all("n" not in r for r in records if r.get("aggregate"))
 
     def test_parallel_sweep_matches_serial(self, sweep_records):
-        par = run_grid(parse_config(SWEEP_CFG + "run.jobs = 2\n"))
-        assert _strip_times(par) == _strip_times(sweep_records)
+        # a stack mixes the sizes of the sweep
+        for jobs in (2, 3):
+            par = run_grid(parse_config(SWEEP_CFG + f"run.jobs = {jobs}\n"))
+            assert _strip_times(par) == _strip_times(sweep_records)
 
 
 class TestDatasetCsv:
@@ -307,6 +326,19 @@ class TestFailedCells:
         cell, agg = run_grid(cfg)
         assert "warm start" in cell["error"]
         assert agg["aggregate"] and agg["runs"] == 0
+
+    def test_one_failed_cell_leaves_its_stack_alone(self):
+        # seed 2's stage-0 estimate is outside stage 1's domain (s = 0.5); the
+        # other cells of its stack get the records they get as stacks of one
+        cfg = parse_config("graph.d = 6\ngraph.k = 3\ndata.n = 200\nfit.lr = 0.03\n"
+                           "fit.methods = colide_ev\nfit.schedule = 1:1:200, 0.1:0.5:50\n"
+                           "run.seeds = 0, 1, 2, 3, 4\n")
+        cells = [r for r in run_grid(cfg) if not r.get("aggregate")]
+        assert ["error" in r for r in cells] == [False, False, True, False, False]
+        assert "warm start" in cells[2]["error"]
+        for r in cells:
+            alone = _run_stack(cfg, "colide_ev", [(r["seed"], None)])
+            assert _strip_times([r]) == _strip_times(alone)
 
     def test_cyclic_estimate_is_an_error_row(self):
         cell, agg = run_grid(parse_config(CYCLIC_CFG))

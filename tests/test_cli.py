@@ -108,6 +108,12 @@ class TestExitCodes:
         p.write_text("graph.shape = torus\n")
         assert main(["bench", "--config", str(p), "--out", "x"]) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, cfg_path, tmp_path, capsys, jobs):
+        assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--jobs", jobs]) == 1
+        assert "run.jobs must be at least 1" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "absent.cfg"), "--out", "x"]) == 1
 

@@ -64,6 +64,13 @@ class TestIsDag:
             for i, j in zip(*np.nonzero(B)):
                 assert pos[i] < pos[j]
 
+    def test_boolean_support_gives_the_order_of_its_weights(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            W = rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.2)
+            np.fill_diagonal(W, 0.0)
+            assert topological_order(W != 0) == topological_order(W)
+
 
 class TestSpecValidation:
     def test_unknown_model(self):

@@ -8,6 +8,7 @@ from colide.scores import (
     _domain_matrix,
     grad_ldet,
     h_ldet,
+    ldet_and_grad,
     sigma_floor_ev,
     sigma_floor_nv,
 )
@@ -57,6 +58,21 @@ class TestHLdet:
         with pytest.raises(ValueError):
             h_ldet(np.zeros((2, 2)), 0.0)
 
+    def test_stack_verdict_per_slice(self):
+        # a singular slice fails the stacked inverse: only it is marked, and the
+        # other slices get what h_ldet and grad_ldet give each alone
+        W = np.zeros((4, 2, 2))
+        W[0, 0, 1] = 0.5  # a DAG
+        W[1, 0, 1] = W[1, 1, 0] = 1.0  # sI - W*W singular at s = 1
+        W[2, 0, 1] = W[2, 1, 0] = 1.5  # outside the domain
+        W[3, 0, 1] = W[3, 1, 0] = 0.5  # a 2-cycle inside it
+        h, G, faults = ldet_and_grad(W, 1.0)
+        assert sorted(faults) == [1, 2]
+        assert "singular" in faults[1] and "spectral radius" in faults[2]
+        for b in (0, 3):
+            assert h[b] == h_ldet(W[b], 1.0)
+            assert np.array_equal(G[b], grad_ldet(W[b], 1.0))
+
     def test_domain_matrix_has_the_bits_of_s_eye_minus_w_squared(self):
         # the solver's iterates depend on every bit of sI - W*W, signed zeros included
         rng = np.random.default_rng(0)
@@ -67,7 +83,7 @@ class TestHLdet:
             for X in (W, W.T, W.astype(np.float32), np.round(3 * W).astype(int)):
                 for s in (0.7, 1.0):
                     expect = s * np.eye(d) - X * X
-                    got = _domain_matrix(X, s)
+                    got = _domain_matrix(X[None], s)[0]
                     assert got.dtype == expect.dtype
                     assert got.tobytes() == expect.tobytes()
                     assert np.array_equal(np.signbit(got), np.signbit(expect))

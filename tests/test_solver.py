@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from colide import solver
@@ -23,6 +23,7 @@ from colide.solver import (
     domain_guard,
     fit,
     fit_online,
+    fit_stack,
     init_online,
     online_update,
     threshold,
@@ -49,7 +50,7 @@ def fit_recording(ds, **kw):
 
     def guard(W, update, s):
         out = domain_guard(W, update, s)
-        accepted.append(out[0])
+        accepted.append(out[0][0])  # fit runs a stack of one
         return out
 
     with mock.patch.object(solver, "domain_guard", guard):
@@ -95,7 +96,7 @@ class TestSchedule:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        st = AdamState.zero(2, lr=0.01)
+        st = AdamState.zero((2, 2), lr=0.01)
         grad = np.array([[0.0, 3.0], [-2.0, 0.0]])
         st, update = adam_step(st, grad)
         # bias correction makes the first step lr * sign(grad) (up to eps)
@@ -103,7 +104,7 @@ class TestAdam:
         assert st.t == 1
 
     def test_constant_gradient_limit(self):
-        st = AdamState.zero(2, lr=0.5)
+        st = AdamState.zero((2, 2), lr=0.5)
         grad = np.zeros((2, 2))
         grad[0, 1] = 0.7
         update = None
@@ -112,8 +113,14 @@ class TestAdam:
         assert update[0, 1] == pytest.approx(-0.5, rel=1e-3)
 
     def test_moments_shape(self):
-        st = AdamState.zero(5)
-        assert st.m.shape == (5, 5) and st.v.shape == (5, 5)
+        st = AdamState.zero((3, 5, 5))
+        assert st.m.shape == (3, 5, 5) and st.v.shape == (3, 5, 5)
+
+
+def guard_one(W, update, s):
+    """domain_guard on a stack of one: (W, stalled, h, grad_h) of the slice."""
+    out, stalled, h, grad_h = domain_guard(W[None], update[None], s)
+    return out[0], stalled.tolist() == [0], h[0], grad_h[0]
 
 
 class TestDomainGuard:
@@ -121,7 +128,7 @@ class TestDomainGuard:
         W = np.zeros((2, 2))
         up = np.full((2, 2), 0.1)
         np.fill_diagonal(up, 0.0)
-        out, stalled, h, grad_h = domain_guard(W, up, s=1.0)
+        out, stalled, h, grad_h = guard_one(W, up, s=1.0)
         assert not stalled
         assert np.array_equal(out, W + up)
         # the accepted point's log-det and its gradient come back with it
@@ -132,7 +139,7 @@ class TestDomainGuard:
         W = np.zeros((2, 2))
         up = np.zeros((2, 2))
         up[0, 1] = up[1, 0] = 1.5  # full step leaves the domain at s=1
-        out, stalled, h, _ = domain_guard(W, up, s=1.0)
+        out, stalled, h, _ = guard_one(W, up, s=1.0)
         assert not stalled
         assert 0 < out[0, 1] < 1.5
         assert h == h_ldet(out, 1.0)
@@ -142,14 +149,14 @@ class TestDomainGuard:
         W[0, 1] = W[1, 0] = 0.999  # right at the domain edge for s=1
         up = np.zeros((2, 2))
         up[0, 1] = 1e9
-        out, stalled, h, _ = domain_guard(W, up, s=1.0)
+        out, stalled, h, grad_h = guard_one(W, up, s=1.0)
         assert stalled
         assert np.array_equal(out, W)
-        assert h is None
+        assert np.isnan(h) and np.isnan(grad_h).all()
 
     def test_zero_update(self):
         W = np.zeros((3, 3))
-        out, stalled, _, _ = domain_guard(W, np.zeros((3, 3)), s=0.7)
+        out, stalled, _, _ = guard_one(W, np.zeros((3, 3)), s=0.7)
         assert not stalled and np.array_equal(out, W)
 
     def test_positive_determinant_outside_the_domain_is_halved(self):
@@ -161,9 +168,26 @@ class TestDomainGuard:
         assert np.linalg.det(np.eye(4) - (W + up) ** 2) > 0
         with pytest.raises(DomainViolation):
             h_ldet(W + up, 1.0)
-        out, stalled, _, _ = domain_guard(W, up, s=1.0)
+        out, stalled, _, _ = guard_one(W, up, s=1.0)
         assert stalled or not np.array_equal(out, W + up)
         assert max(abs(np.linalg.eigvals(out * out))) < 1.0
+
+    def test_each_slice_halves_alone(self):
+        # accepted at once, halved, stalled: each slice as the guard treats it alone
+        edge = np.zeros((3, 3))
+        edge[0, 1] = edge[1, 0] = 0.999
+        W = np.stack([np.zeros((3, 3)), np.zeros((3, 3)), edge])
+        up = np.zeros((3, 3, 3))
+        up[0, 0, 1] = 0.1
+        up[1, 0, 1] = up[1, 1, 0] = 1.5
+        up[2, 0, 1] = 1e9
+        out, stalled, h, grad_h = domain_guard(W, up, s=1.0)
+        assert stalled.tolist() == [2]
+        for b in range(3):
+            one = guard_one(W[b], up[b], s=1.0)
+            assert np.array_equal(out[b], one[0])
+            assert np.array_equal(h[b], one[2], equal_nan=True)
+            assert np.array_equal(grad_h[b], one[3], equal_nan=True)
 
 
 class TestThreshold:
@@ -309,6 +333,86 @@ class TestFit:
         assert res.stalls == 0
         stages = len(sched.stages)
         assert calls == {"slogdet": iters + stages, "inv": iters + stages}
+
+
+def kind_dataset(kind, d, rng, block=4):
+    """A d-node dataset whose fits take different paths in one stack.
+
+    "sparse": rows with disjoint supports, so cov is diagonal, the gradient is
+    0 and W stays 0 (early stop at iteration 2); "pair": the same with row 1
+    following row 0, so W grows one 2-cycle; "dense": every row shares a
+    component, so a huge step leaves the domain at every halving (stall);
+    "random": independent Gaussian rows.
+    """
+    X = np.zeros((d, block * d))
+    for i in range(d):
+        X[i, block * i:block * (i + 1)] = rng.standard_normal(block)
+    if kind == "pair":
+        X[1] = X[0] + 0.1 * X[1]
+    elif kind == "dense":
+        X = rng.standard_normal(X.shape) + 3.0 * rng.standard_normal(X.shape[1])
+    elif kind == "random":
+        X = rng.standard_normal(X.shape)
+    return Dataset(X=X)
+
+
+def fit_or_error(ds, **kw):
+    try:
+        return fit(ds, **kw)
+    except FitError as exc:
+        return exc
+
+
+KINDS = ("sparse", "pair", "dense", "random")
+# d = 3, lr = 1e6, s falling to 0.2: "sparse" stops early in both stages, "pair"
+# leaves stage 1's domain at its warm start, "dense" stalls
+MIXED = dict(method="colide_ev", d=3, kinds=list(KINDS), lr=1e6, stages=[(1.0, 40), (0.2, 40)], seed=0)
+
+
+class TestFitStack:
+    @settings(max_examples=60, deadline=None)
+    @given(method=hs.sampled_from(METHODS), d=hs.integers(2, 8),
+           kinds=hs.lists(hs.sampled_from(KINDS), min_size=1, max_size=5),
+           lr=hs.sampled_from([1e-2, 0.3, 1e6]),
+           stages=hs.lists(hs.tuples(hs.sampled_from([1.0, 0.7, 0.2]), hs.integers(1, 40)),
+                           min_size=1, max_size=3),
+           seed=hs.integers(0, 2 ** 32 - 1))
+    @example(**MIXED)
+    @example(method="colide_nv", d=2, kinds=["sparse", "dense", "random"], lr=1e-2,
+             stages=[(1.0, 40), (0.2, 40)], seed=0)
+    def test_each_slice_is_its_own_fit_property(self, method, d, kinds, lr, stages, seed):
+        rng = np.random.default_rng(seed)
+        datasets = [kind_dataset(kind, d, rng) for kind in kinds]
+        kw = dict(method=method, lr=lr, schedule=StageSchedule(
+            stages=tuple((10.0 ** -k, s, cap) for k, (s, cap) in enumerate(stages))))
+        for got, want in zip(fit_stack(datasets, **kw), [fit_or_error(ds, **kw) for ds in datasets]):
+            if isinstance(want, FitError):
+                assert isinstance(got, FitError)
+                assert (str(got), got.stage, got.iteration) == (str(want), want.stage, want.iteration)
+                continue
+            assert np.array_equal(got.W, want.W)
+            assert np.array_equal(got.W_thresholded, want.W_thresholded)
+            assert np.array_equal(np.asarray(got.scale, dtype=float), np.asarray(want.scale, dtype=float),
+                                  equal_nan=True)
+            assert got.iters_per_stage == want.iters_per_stage
+            assert got.stalls == want.stalls
+
+    def test_mixed_example_covers_stalls_faults_and_early_stops(self):
+        rng = np.random.default_rng(MIXED["seed"])
+        datasets = [kind_dataset(kind, MIXED["d"], rng) for kind in MIXED["kinds"]]
+        sched = StageSchedule(stages=((1.0, 1.0, 40), (0.1, 0.2, 40)))
+        sparse, pair, dense, _ = fit_stack(datasets, MIXED["method"], sched, lr=MIXED["lr"])
+        assert sparse.iters_per_stage == [2, 2] and sparse.stalls == 0
+        assert isinstance(pair, FitError) and (pair.stage, pair.iteration) == (1, 0)
+        assert "warm start" in str(pair)
+        assert dense.stalls > 0
+
+    def test_datasets_must_share_one_size(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            fit_stack([kind_dataset("random", 3, rng), kind_dataset("random", 4, rng)])
+        with pytest.raises(ValueError):
+            fit_stack([])
 
 
 class TestOnline:
