@@ -72,8 +72,9 @@ class ExperimentConfig:
             raise ValueError(f"run.jobs must be at least 1, got {self.jobs}")
         if min((self.n, *self.n_sweep)) < 1:
             raise ValueError("n and every n_sweep size must be at least 1")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be nonempty and distinct")
+        axes = {"run.seeds": self.seeds, "fit.methods": self.methods, "data.n_sweep": self.n_sweep}
+        if not self.seeds or any(len(set(axis)) != len(axis) for axis in axes.values()):
+            raise ValueError(f"run.seeds must be nonempty and every grid axis distinct, got {axes}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -215,8 +216,9 @@ def generate_instance(cfg: ExperimentConfig, seed: int, n: int | None = None):
     Z = sample_noise(cfg.noise.family, variances, n,
                      stream(cfg.master_seed, seed, "noise"))
     ds = simulate_sem(W_true, Z, meta={"seed": seed, "n": n})
-    if cfg.standardize:
-        ds = standardize(ds)
+    if cfg.standardize:  # dividing each row by its sample sd divides its noise sd too
+        raw, ds = ds, standardize(ds)
+        return W_true, np.sqrt(variances) / raw.X.std(axis=1), ds
     return W_true, np.sqrt(variances), ds
 
 
@@ -237,10 +239,9 @@ def _fit_and_score(ds, W_true, res, profile: str, true_sigmas=None):
     if est_scale is None:  # no concomitant scale: post-hoc residual estimate
         est_scale, key = posthoc_noise(ds, res.W, profile=profile), "sigma_posthoc"
     record[key] = np.atleast_1d(est_scale).tolist()
-    true_scale = None
-    if true_sigmas is not None:  # vector estimates per node, scalar ones to the RMS sigma
-        true_scale = (true_sigmas if np.ndim(est_scale)
-                      else float(np.sqrt(np.mean(true_sigmas ** 2))))
+    true_scale = true_sigmas  # vector estimates per node, scalar ones to the RMS sigma
+    if true_sigmas is not None and np.ndim(est_scale) == 0:
+        true_scale = float(np.sqrt(np.mean(true_sigmas ** 2)))
     try:
         record.update(asdict(evaluate(res.W_thresholded, W_true,
                                       est_scale=est_scale, true_scale=true_scale)))

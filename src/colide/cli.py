@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataError, OSError, np.exceptions.AxisError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:  # ConfigError and every other bad setting

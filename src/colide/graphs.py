@@ -61,10 +61,6 @@ class Cpdag:
     directed: np.ndarray
     undirected: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return self.directed.shape[0]
-
     def __eq__(self, other):
         return (
             isinstance(other, Cpdag)

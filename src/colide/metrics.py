@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .graphs import Cpdag, _cpdag, check_weights, is_dag
+from .graphs import _cpdag, check_weights, is_dag
 from .sem import Dataset
 
 __all__ = [
@@ -61,26 +61,23 @@ def _on_weights(core):
     return metric
 
 
+def _pair_status(directed, undirected=None):
+    """Per node pair (i, j): 0 none, 1 i->j, 2 j->i, +3 undirected (a DAG has none).
+
+    (j, i) holds the code of (i, j) with 1 and 2 swapped, so two graphs'
+    codes differ at (i, j) iff at (j, i), and never on the diagonal.
+    """
+    status = directed + 2 * directed.T.astype(int)
+    return status if undirected is None else status + 3 * undirected
+
+
 def _shd(A, B) -> int:
     """Structural Hamming distance between two DAG supports.
 
     Per unordered pair: a reversal counts 1; an edge present in exactly one
     graph counts 1 (addition or deletion).
     """
-    iu = np.triu_indices(A.shape[0], k=1)
-
-    def status(M):
-        # 0 none, 1 i->j, 2 j->i per upper-triangular pair
-        return M[iu].astype(int) + 2 * M.T[iu].astype(int)
-
-    return int(np.count_nonzero(status(A) != status(B)))
-
-
-def _cpdag_status(c: Cpdag):
-    iu = np.triu_indices(c.d, k=1)
-    # 0 none, 1 i->j, 2 j->i, 3 undirected
-    return (c.directed[iu].astype(int) + 2 * c.directed.T[iu].astype(int)
-            + 3 * c.undirected[iu].astype(int))
+    return int(np.count_nonzero(_pair_status(A) != _pair_status(B))) // 2
 
 
 def _shd_c(A, B) -> int:
@@ -90,7 +87,8 @@ def _shd_c(A, B) -> int:
     status difference on a node pair.
     """
     ca, cb = _cpdag(A), _cpdag(B)
-    return int(np.count_nonzero(_cpdag_status(ca) != _cpdag_status(cb)))
+    return int(np.count_nonzero(_pair_status(ca.directed, ca.undirected)
+                                != _pair_status(cb.directed, cb.undirected))) // 2
 
 
 def _tpr(A, B) -> float:

@@ -96,24 +96,13 @@ class AdamState:
 
 
 def adam_step(st: AdamState, grad: np.ndarray):
-    """One bias-corrected ADAM step; returns (new state, additive update).
-
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and the update
-    -lr m_hat / (sqrt(v_hat) + eps), each operation in that order, written
-    into three fresh buffers rather than seven temporaries.
-    """
+    """One bias-corrected ADAM step; returns (new state, additive update)."""
     t = st.t + 1
-    m = ADAM_BETA1 * st.m
-    m += (1 - ADAM_BETA1) * grad
-    v = (1 - ADAM_BETA2) * grad
-    v *= grad
-    v += ADAM_BETA2 * st.v
-    update = m / (1 - ADAM_BETA1 ** t)
-    update *= -st.lr
-    root = np.divide(v, 1 - ADAM_BETA2 ** t)
-    np.sqrt(root, out=root)
-    root += ADAM_EPS
-    update /= root
+    m = ADAM_BETA1 * st.m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * st.v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    update = -st.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return AdamState(m, v, t, st.lr), update
 
 
@@ -172,16 +161,18 @@ def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
 class FitResult:
     W: np.ndarray
     W_thresholded: np.ndarray
-    method: str
-    sigma: float | None = None
-    sigmas: np.ndarray | None = None
+    scale: float | np.ndarray | None = None  # a float (EV), a (d,) array (NV) or None
     iters_per_stage: list = field(default_factory=list)
     stalls: int = 0
     wall_time: float = 0.0
 
     @property
-    def scale(self):
-        return self.sigma if self.method == "colide_ev" else self.sigmas
+    def sigma(self) -> float | None:
+        return self.scale if np.ndim(self.scale) == 0 else None
+
+    @property
+    def sigmas(self) -> np.ndarray | None:
+        return self.scale if np.ndim(self.scale) == 1 else None
 
 
 class FitError(RuntimeError):
@@ -308,9 +299,7 @@ def fit_stack(datasets, method: str = "colide_ev",
     return [errors[b] if b in errors else FitResult(
         W=W_all[b],
         W_thresholded=threshold(W_all[b], tau),
-        method=method,
-        sigma=float(scales[b]) if method == "colide_ev" else None,
-        sigmas=scales[b] if method == "colide_nv" else None,
+        scale=None if scale_of is None else float(scales[b]) if scales.ndim == 1 else scales[b],
         iters_per_stage=iters[b],
         stalls=int(stalls_all[b]),
         wall_time=wall_time,

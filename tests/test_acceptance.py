@@ -197,6 +197,7 @@ def test_criterion_07_heteroscedastic_ordering():
         n=1000,
         methods=("colide_nv", "colide_ev", "ls_baseline"),
         seeds=tuple(range(10)),
+        jobs=2,  # payloads do not depend on jobs (test_parallel_matches_serial)
     )
     records = run_grid(cfg)
     means = {r["method"]: r["shd_mean"] for r in records if r.get("aggregate")}
@@ -219,7 +220,7 @@ def _noise_curves(profile):
         concomitant = "colide_nv"
     cfg = ExperimentConfig(graph=graph, noise=noise,
                            methods=(concomitant, "ls_baseline"),
-                           seeds=(0, 1, 2), n_sweep=(250, 500, 1000, 2000))
+                           seeds=(0, 1, 2), n_sweep=(250, 500, 1000, 2000), jobs=2)
     records = run_grid(cfg)
     curves = {concomitant: [], "ls_baseline": []}
     for n in cfg.n_sweep:

@@ -18,7 +18,7 @@ from colide.bench import (
 )
 from colide.errors import ConfigError
 from colide.graphs import GraphModelSpec, is_dag
-from colide.sem import Dataset, NoiseSpec
+from colide.sem import Dataset, NoiseSpec, standardize
 from colide.solver import StageSchedule
 
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
@@ -93,7 +93,8 @@ class TestConfigParsing:
     def test_faults_are_config_errors(self):
         for text in ("graph.shape = torus", "graph.d = 5\ngraph.d = 6", "graph.d: 5",
                      "graph.d = five", "data.standardize = maybe", "graph.d = 1",
-                     "data.n_sweep = 100, 0", "fit.methods = gradient_boosting", "run.jobs = 0"):
+                     "data.n_sweep = 100, 0", "fit.methods = gradient_boosting", "run.jobs = 0",
+                     "fit.methods = colide_ev, colide_ev", "data.n_sweep = 100, 100"):
             with pytest.raises(ConfigError):
                 parse_config(text)
 
@@ -113,6 +114,16 @@ class TestGenerateInstance:
         assert is_dag(W)
         assert ds.X.shape == (10, 200)
         assert sigmas.shape == (10,)
+
+    def test_standardized_scales_are_the_standardized_rows_noise_sd(self):
+        W_raw, sigmas_raw, raw = generate_instance(self._cfg(n=2000), seed=0)
+        W, sigmas, ds = generate_instance(self._cfg(n=2000, standardize=True), seed=0)
+        assert np.array_equal(W, W_raw)
+        assert np.array_equal(ds.X, standardize(raw).X)
+        assert np.array_equal(sigmas, sigmas_raw / raw.X.std(axis=1))
+        # the raw residuals are the noise draws; each standardized row divides its own by the row's sd
+        noise_sd = (raw.X - W.T @ raw.X).std(axis=1) / raw.X.std(axis=1)
+        assert np.allclose(sigmas, noise_sd, rtol=0.1)
 
     def test_seed_changes_instance(self):
         W0, _, d0 = generate_instance(self._cfg(), 0)

@@ -154,12 +154,13 @@ class TestExitCodes:
         assert main(["eval", "--est", str(paths["--est"]),
                      "--truth", str(paths["--truth"])]) == 2
 
-    @pytest.mark.parametrize("reason", ["non-numeric", "ragged", "empty"])
+    @pytest.mark.parametrize("reason", ["non-numeric", "ragged", "empty", "square"])
     @pytest.mark.parametrize("bad", ["--est", "--truth"])
     def test_eval_malformed_adjacency_file(self, tmp_path, capsys, reason, bad):
         chain, broken = tmp_path / "chain.csv", tmp_path / "broken.csv"
         np.savetxt(chain, [[0, 1], [0, 0]], delimiter=",")
-        broken.write_text({"non-numeric": "0,1\n0,x\n", "ragged": "0,1\n0\n", "empty": ""}[reason])
+        broken.write_text({"non-numeric": "0,1\n0,x\n", "ragged": "0,1\n0\n", "empty": "",
+                           "square": "0,1,0\n0,0,1\n"}[reason])
         paths = {"--est": chain, "--truth": chain, bad: broken}
         assert main(["eval", "--est", str(paths["--est"]),
                      "--truth", str(paths["--truth"])]) == 2
@@ -170,6 +171,19 @@ class TestExitCodes:
         np.savetxt(chain, [[0, 1, 0], [0, 0, 1], [0, 0, 0]], delimiter=",")
         np.savetxt(empty, np.zeros((3, 3)), delimiter=",")
         assert main(["eval", "--est", str(chain), "--truth", str(empty)]) == 2
+
+    def test_fit_standardize(self, tmp_path, capsys):
+        X = generate_instance(ExperimentConfig(graph=GraphModelSpec(model="ER", d=4, k=1),
+                                               noise=NoiseSpec(), n=200), seed=0)[2].X
+        good, flat = tmp_path / "good.csv", tmp_path / "flat.csv"
+        save_dataset_csv(Dataset(X=X), good)
+        save_dataset_csv(Dataset(X=np.vstack([X[:3], np.full((1, 200), 2.5)])), flat)
+        prefix = str(tmp_path / "std")
+        assert main(["fit", "--data", str(good), "--standardize", "--out", prefix]) == 0
+        assert load_adjacency_csv(f"{prefix}.adjacency.csv").shape == (4, 4)
+        assert load_adjacency_csv(f"{prefix}.adjacency_raw.csv").shape == (4, 4)
+        assert main(["fit", "--data", str(flat), "--standardize", "--out", prefix]) == 2
+        assert "cannot standardize a constant row" in capsys.readouterr().err
 
     def test_fit_one_column(self, tmp_path, capsys):
         p = tmp_path / "one.csv"

@@ -233,16 +233,22 @@ class TestFit:
             diff = np.count_nonzero((res.W_thresholded != 0) != (W_true != 0))
             assert diff <= 2
 
+    def test_ev_sigma_float(self):
+        _, _, ds = small_instance(seed=2)
+        res = fit(ds, method="colide_ev", schedule=FAST)
+        assert type(res.scale) is float
+        assert res.sigma is res.scale and res.sigmas is None
+
     def test_nv_sigma_vector(self):
         W_true, sigmas, ds = small_instance(seed=2, profile="nv")
         res = fit(ds, method="colide_nv", schedule=FAST)
         assert res.sigmas.shape == (8,)
-        assert res.scale is res.sigmas
+        assert res.scale is res.sigmas and res.sigma is None
 
     def test_ls_has_no_scale(self):
         _, _, ds = small_instance(seed=3)
         res = fit(ds, method="ls_baseline", schedule=FAST)
-        assert res.sigma is None and res.sigmas is None
+        assert res.scale is None and res.sigma is None and res.sigmas is None
 
     def test_deterministic(self):
         _, _, ds = small_instance(seed=4)
