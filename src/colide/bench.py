@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, CyclicGraphError, DataError
 from .graphs import (GraphModelSpec, assign_edge_weights, is_dag, load_adjacency_csv,
                      read_matrix_csv, sample_er_dag, sample_sf_dag, write_matrix_csv)
 from .metrics import evaluate, posthoc_noise
@@ -231,23 +231,21 @@ def _fit_and_score(ds, W_true, res, profile: str, true_sigmas=None):
     if isinstance(res, FitError):
         return {"error": str(res)}
     record = {"wall_time_ms": res.wall_time * 1e3, "iterations": res.iters_per_stage}
-    if not is_dag(res.W_thresholded):
-        record["error"] = "cyclic estimate: the thresholded W has a directed cycle"
-        return record
-
     est_scale, key = res.scale, "sigma_estimate"
     if est_scale is None:  # no concomitant scale: post-hoc residual estimate
         est_scale, key = posthoc_noise(ds, res.W, profile=profile), "sigma_posthoc"
-    record[key] = np.atleast_1d(est_scale).tolist()
     true_scale = true_sigmas  # vector estimates per node, scalar ones to the RMS sigma
     if true_sigmas is not None and np.ndim(est_scale) == 0:
         true_scale = float(np.sqrt(np.mean(true_sigmas ** 2)))
     try:
-        record.update(asdict(evaluate(res.W_thresholded, W_true,
-                                      est_scale=est_scale, true_scale=true_scale)))
+        scored = asdict(evaluate(res.W_thresholded, W_true,
+                                 est_scale=est_scale, true_scale=true_scale))
     except DataError as exc:
-        record["error"] = str(exc)
-    return record
+        if isinstance(exc, CyclicGraphError) and exc.graph == "estimate":
+            record["error"] = "cyclic estimate: the thresholded W has a directed cycle"
+            return record
+        scored = {"error": str(exc)}
+    return {**record, key: np.atleast_1d(est_scale).tolist(), **scored}
 
 
 def _run_stack(cfg: ExperimentConfig, method: str, cells):

@@ -1,5 +1,8 @@
 """Weighted digraphs, random DAG generation, and CPDAG conversion.
 
+The CPDAG comes from Chickering's compelled-edge labelling (UAI 1995): one
+pass over a topological order, O(d^2) on a dense support.
+
 A graph is a dense d x d float matrix W with zero diagonal; W[i, j] is the
 weight of the edge i -> j. Supports are the same matrices with 0/1 entries.
 """
@@ -198,61 +201,50 @@ def assign_edge_weights(support: np.ndarray, ranges, rng: np.random.Generator) -
 
 
 # ---------------------------------------------------------------------------
-# CPDAG of a DAG: skeleton + v-structures + Meek rules R1-R3.
+# CPDAG of a DAG: Chickering's compelled-edge labelling (UAI 1995).
 # ---------------------------------------------------------------------------
 
 def cpdag_of(W: np.ndarray) -> Cpdag:
     """Return the CPDAG of the Markov equivalence class of the DAG W.
 
-    V-structure edges and Meek-compelled edges stay directed; the remaining
-    skeleton edges become undirected.
+    Compelled edges (those directed alike in every member of the class) stay
+    directed; the remaining skeleton edges become undirected.
     """
     B = check_weights(W) != 0
-    if not is_dag(B):
+    order = topological_order(B)
+    if order is None:
         raise DataError("input graph is not a DAG")
-    return _cpdag(B)
+    return _cpdag(B, order, [np.flatnonzero(col).tolist() for col in B.T])
 
 
-def _cpdag(B: np.ndarray) -> Cpdag:
-    """cpdag_of on a boolean support already known to be a DAG (unchecked)."""
-    adj = B | B.T
-    D = np.zeros_like(B)  # compelled i -> j
-    # v-structures: i -> j <- k with i, k non-adjacent
-    for j in range(B.shape[0]):
-        pa = np.flatnonzero(B[:, j])
-        if len(pa) > 1:
-            apart = ~adj[np.ix_(pa, pa)]
-            np.fill_diagonal(apart, False)
-            D[pa[apart.any(axis=1)], j] = True
-    return Cpdag(*_meek_closure(D, adj & ~(D | D.T), adj))
+def _cpdag(B: np.ndarray, order, parents) -> Cpdag:
+    """cpdag_of on a boolean DAG support, given a topological order and parent lists (unchecked).
 
-
-def _meek_closure(D: np.ndarray, U: np.ndarray, adj: np.ndarray):
-    """Apply Meek rules R1-R3 until no undirected edge can be oriented.
-
-    adj is the skeleton. Starting from a DAG's skeleton and v-structures (no
-    background knowledge), R1-R3 are complete (Meek, UAI 1995); R4 is only
-    needed when extra orientations are imposed. Each sweep visits the
-    undirected edges in row-major order, orienting as it goes.
+    Chickering's Find-Compelled (UAI 1995) labels every edge in one pass over
+    the nodes y in topological order. Let x be y's highest-ranked parent;
+    the edges into x are already labelled. A compelled w -> x with w not a
+    parent of y compels every edge into y. Otherwise y inherits x's
+    compelled parents, and then a parent z of y that is not a parent of x
+    (a v-structure x -> y <- z) compels all of y's edges; without one, the
+    edges into y not yet compelled are reversible. O(d) work per node, so
+    O(d^2) with no fixpoint sweeps.
     """
-    D, U = D.copy(), U.copy()
-    changed = True
-    while changed:
-        changed = False
-        for a, b in np.argwhere(U):
-            if not U[a, b]:  # oriented earlier in this sweep
-                continue
-            # R1: c -> a, a - b, c and b non-adjacent  =>  a -> b
-            # R2: a -> c -> b and a - b  =>  a -> b
-            # R3: a - c, a - e, c -> b, e -> b, c and e non-adjacent  =>  a -> b
-            #     (adj has a False diagonal, so ~adj counts each c once on it)
-            c = np.flatnonzero(U[a] & D[:, b])
-            if ((D[:, a] & ~adj[:, b]).any() or (D[a] & D[:, b]).any()
-                    or np.count_nonzero(~adj[np.ix_(c, c)]) > len(c)):
-                D[a, b] = True
-                U[a, b] = U[b, a] = False
-                changed = True
-    return D, U
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    D = np.zeros_like(B)  # compelled i -> j
+    for y in order:
+        if not parents[y]:
+            continue
+        x = max(parents[y], key=rank.__getitem__)
+        into_y = B[:, y]
+        # a compelled w -> x with w outside pa(y), or a parent of y besides x
+        # outside pa(x) (x itself is one, as B has no self-loops)
+        if (D[:, x] & ~into_y).any() or np.count_nonzero(into_y & ~B[:, x]) > 1:
+            D[:, y] = into_y
+        else:
+            D[:, y] = D[:, x]
+    U = B & ~D
+    return Cpdag(D, U | U.T)
 
 
 # ---------------------------------------------------------------------------

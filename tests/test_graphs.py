@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colide.errors import DataError
@@ -28,6 +28,26 @@ from helpers import (
     equivalence_classes,
     random_dag,
 )
+
+
+@st.composite
+def small_dags(draw):
+    """A DAG support on 2 <= d <= 7 nodes with at most 12 edges.
+
+    At most 12 edges keeps the brute-force oracle's 2^edges orientation scan small.
+    """
+    d = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(d), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
+    rank = draw(st.permutations(range(d)))
+    return _support(d, [(a, b) if rank[a] < rank[b] else (b, a) for a, b in edges])
+
+
+def _support(d, edges):
+    A = np.zeros((d, d), dtype=bool)
+    for a, b in edges:
+        A[a, b] = True
+    return A
 
 
 def chain(d):
@@ -246,17 +266,18 @@ class TestCpdag:
             D, U = equivalence_class_cpdag(A)
             assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
 
+    # One example per branch of the compelled-edge labelling in graphs._cpdag:
+    # 0 -> 2 <- 1, 2 -> 3: the compelled 0 -> 2 has 0 outside pa(3), so 2 -> 3 is compelled
+    @example(_support(4, [(0, 2), (1, 2), (2, 3)]))
+    # 0 -> 1 -> 2 <- 3: a parent of 2 outside the parents of 2's highest parent compels both
+    @example(_support(4, [(0, 1), (1, 2), (3, 2)]))
+    # the complete DAG on 4 nodes: every edge reversible
+    @example(_support(4, [(a, b) for a, b in itertools.combinations(range(4), 2)]))
+    # 3 inherits the compelled 0 -> 2 <- 1 as 0 -> 3 <- 1 and keeps 2 - 3 reversible
+    @example(_support(4, [(0, 2), (1, 2), (2, 3), (0, 3), (1, 3)]))
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_matches_equivalence_class_property(self, data):
-        # at most 12 edges keeps the oracle's 2^edges orientation scan small
-        d = data.draw(st.integers(2, 7))
-        pairs = list(itertools.combinations(range(d), 2))
-        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
-        rank = data.draw(st.permutations(range(d)))
-        A = np.zeros((d, d), dtype=bool)
-        for a, b in edges:
-            A[(a, b) if rank[a] < rank[b] else (b, a)] = True
+    @given(small_dags())
+    def test_matches_equivalence_class_property(self, A):
         D, U = equivalence_class_cpdag(A)
         assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
 

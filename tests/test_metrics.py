@@ -24,6 +24,7 @@ from colide.sem import Dataset
 from helpers import (
     all_dags,
     d_separated_bf,
+    descendants_of,
     random_dag,
     shd_bf,
     sid_bf,
@@ -55,6 +56,64 @@ def dag_pairs(draw, max_d=6):
     if not draw(st.booleans()):
         extra = [e or true[a, b] or true[b, a] for (a, b), e in zip(pairs, extra)]
     return orient(extra, draw(st.permutations(range(d)))), true
+
+
+@st.composite
+def large_dag_pairs(draw, min_d=8, max_d=40):
+    """(est, true) boolean DAG supports on min_d..max_d nodes, past the oracles' reach.
+
+    true has d to 2d edges. est keeps a random share of true's skeleton,
+    adds up to d pairs of its own and orients them along true's node order
+    or its own, so its parent sets range from true's to true descendants.
+    """
+    d = draw(st.integers(min_d, max_d))
+    pair = st.sampled_from(list(itertools.combinations(range(d), 2)))
+
+    def orient(edges, rank):
+        A = np.zeros((d, d), dtype=bool)
+        for a, b in edges:
+            A[(a, b) if rank[a] < rank[b] else (b, a)] = True
+        return A
+
+    rank = draw(st.permutations(range(d)))
+    skeleton = draw(st.lists(pair, min_size=d, max_size=2 * d, unique=True))
+    est_edges = (skeleton[:draw(st.integers(0, len(skeleton)))]
+                 + draw(st.lists(pair, max_size=d, unique=True)))
+    est_rank = draw(st.one_of(st.just(rank), st.permutations(range(d))))
+    return orient(est_edges, est_rank), orient(skeleton, rank)
+
+
+def _hub_pair():
+    """true: 0 -> 1..10, 9 -> 11, 10 -> 12; est: 0 -> 11, 0 -> 12.
+
+    Targets 11 and 12 of source 0 each cut one of 0's ten children, the
+    ninth or the tenth, so their kept-children sets differ only in the
+    second byte of a packed key.
+    """
+    true = np.zeros((13, 13), dtype=bool)
+    true[0, 1:11] = true[9, 11] = true[10, 12] = True
+    est = np.zeros((13, 13), dtype=bool)
+    est[0, [11, 12]] = True
+    return est, true
+
+
+def sid_by_pairs(est, true):
+    """SID summed pair by pair through the public valid_adjustment.
+
+    A pair (i, j) that est connects by a directed path is disrupted unless
+    est's parents of i adjust for it in true; any other pair is disrupted iff
+    true has a directed path i -> ... -> j.
+    """
+    d = est.shape[0]
+    count = 0
+    for i in range(d):
+        est_desc, true_desc = descendants_of(est, i), descendants_of(true, i)
+        for j in range(d):
+            if j in est_desc:
+                count += not valid_adjustment(true, i, j, set(np.flatnonzero(est[:, i])))
+            else:
+                count += j in true_desc
+    return count
 
 
 def chain(d):
@@ -115,8 +174,9 @@ def test_cyclic_graph_is_a_data_error(metric, cyclic):
     loop = chain(3)
     loop[2, 0] = 1.0
     graphs = {"est": chain(3), "true": chain(3), cyclic: loop}
-    with pytest.raises(DataError, match="DAG"):
+    with pytest.raises(DataError, match="DAG") as exc:
         metric(graphs["est"], graphs["true"])
+    assert exc.value.graph == {"est": "estimate", "true": "truth"}[cyclic]
 
 
 class TestShdC:
@@ -276,6 +336,14 @@ class TestSid:
     def test_matches_bruteforce_property(self, pair):
         est, true = pair
         assert sid(est.astype(float), true.astype(float)) == sid_bf(est, true)
+
+    @settings(max_examples=50, deadline=None)
+    @given(large_dag_pairs())
+    @example(_hub_pair())  # targets whose kept children differ only past the eighth child
+    def test_matches_pairwise_adjustment_property(self, pair):
+        # one walk per source group against one adjustment check per pair
+        est, true = pair
+        assert sid(est.astype(float), true.astype(float)) == sid_by_pairs(est, true)
 
     @pytest.mark.parametrize("model, d, k, seed, want_sid, want_shd_c", GOLDEN)
     def test_golden_large_instances(self, model, d, k, seed, want_sid, want_shd_c):
