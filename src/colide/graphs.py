@@ -91,20 +91,27 @@ def topological_order(W: np.ndarray):
     support contains a directed cycle.
     """
     A = np.asarray(W)
-    if A.dtype != bool:
-        A = np.abs(A.astype(float)) > 0
-    d = A.shape[0]
-    indeg = A.sum(axis=0).astype(int)
-    ready = [i for i in range(d) if indeg[i] == 0]
+    return _structure(A if A.dtype == bool else np.abs(A.astype(float)) > 0)[0]
+
+
+def _structure(A: np.ndarray):
+    """(order, parents, children) of a boolean support: ascending lists from one np.nonzero, and
+    Kahn's order over the child lists with a LIFO ready list (None on a directed cycle)."""
+    parents, children = [[] for _ in A], [[] for _ in A]
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(A))):
+        parents[j].append(i)
+        children[i].append(j)
+    indeg = [len(p) for p in parents]
+    ready = [v for v, n in enumerate(indeg) if not n]
     order = []
     while ready:
         u = ready.pop()
         order.append(u)
-        for v in np.flatnonzero(A[u]):
+        for v in children[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(int(v))
-    return order if len(order) == d else None
+            if not indeg[v]:
+                ready.append(v)
+    return order if len(order) == len(A) else None, parents, children
 
 
 def is_dag(W: np.ndarray) -> bool:
@@ -211,10 +218,10 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
     directed; the remaining skeleton edges become undirected.
     """
     B = check_weights(W) != 0
-    order = topological_order(B)
+    order, parents, _ = _structure(B)
     if order is None:
         raise DataError("input graph is not a DAG")
-    return _cpdag(B, order, [np.flatnonzero(col).tolist() for col in B.T])
+    return _cpdag(B, order, parents)
 
 
 def _cpdag(B: np.ndarray, order, parents) -> Cpdag:
@@ -226,25 +233,29 @@ def _cpdag(B: np.ndarray, order, parents) -> Cpdag:
     parent of y compels every edge into y. Otherwise y inherits x's
     compelled parents, and then a parent z of y that is not a parent of x
     (a v-structure x -> y <- z) compels all of y's edges; without one, the
-    edges into y not yet compelled are reversible. O(d) work per node, so
-    O(d^2) with no fixpoint sweeps.
+    edges into y not yet compelled are reversible. Both parent sets are int
+    bitsets (bit i: node i): a node costs a max over its parents and a few
+    d-bit operations, O(d^2 / 64) word operations in all, and one unpack.
     """
-    rank = np.empty(len(order), dtype=int)
-    rank[order] = np.arange(len(order))
-    D = np.zeros_like(B)  # compelled i -> j
+    rank = {v: r for r, v in enumerate(order)}
+    pb = [sum(1 << i for i in p) for p in parents]
+    comp = [0] * len(order)  # comp[y] bit i: i -> y is compelled
     for y in order:
         if not parents[y]:
             continue
         x = max(parents[y], key=rank.__getitem__)
-        into_y = B[:, y]
         # a compelled w -> x with w outside pa(y), or a parent of y besides x
         # outside pa(x) (x itself is one, as B has no self-loops)
-        if (D[:, x] & ~into_y).any() or np.count_nonzero(into_y & ~B[:, x]) > 1:
-            D[:, y] = into_y
-        else:
-            D[:, y] = D[:, x]
+        comp[y] = pb[y] if comp[x] & ~pb[y] or (pb[y] & ~pb[x]).bit_count() > 1 else comp[x]
+    D = _unpack_bits(comp, len(order)).T  # compelled i -> j
     U = B & ~D
     return Cpdag(D, U | U.T)
+
+
+def _unpack_bits(bits, d: int) -> np.ndarray:
+    """Boolean matrix whose row r holds the low d bits of the int bits[r], bit i in column i."""
+    rows = np.frombuffer(b"".join(b.to_bytes((d + 7) // 8, "little") for b in bits), dtype=np.uint8)
+    return np.unpackbits(rows.reshape(len(bits), -1), axis=1, count=d, bitorder="little").view(bool)
 
 
 # ---------------------------------------------------------------------------

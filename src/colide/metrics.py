@@ -2,14 +2,15 @@
 
 All structural metrics operate on supports (nonzero patterns); reversed
 edges count once in SHD, and as false positives for FDR / misses for TPR.
-Each metric is a core on two `_Dag`s: a validated support with its
-topological order, parent and child lists and descendant closure, built once
-per graph in O(d * edges). The public functions take weight matrices, and
-`evaluate` builds the two `_Dag`s once for every core. SID (Peters &
-Buehlmann, Neural Computation 2015) costs one mask per source node plus one
-O(d + edges) Bayes-ball walk per group of targets that keep the same children
-of the source, and has no size ceiling. SHD-C labels compelled edges in one
-topological pass (Chickering, UAI 1995), O(d^2) per graph.
+Each metric is a core on two `_Dag`s: a validated support with its parent
+and child lists (one np.nonzero), topological order and descendant closure
+(int bitsets), built once per graph in O(d + edges * d / 64) word operations.
+The public functions take weight matrices, and `evaluate` builds the two
+`_Dag`s once for every core. SID (Peters & Buehlmann, Neural Computation
+2015) costs one mask per source node plus one O(d + edges) Bayes-ball walk
+per group of targets that keep the same children of the source, and has no
+size ceiling. SHD-C labels compelled edges in one topological pass
+(Chickering, UAI 1995) on int bitsets, O(d^2 / 64) word operations per graph.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CyclicGraphError, DataError
-from .graphs import _cpdag, check_weights, topological_order
+from .graphs import _cpdag, _structure, _unpack_bits, check_weights
 from .sem import Dataset
 
 __all__ = [
@@ -49,38 +50,35 @@ class MetricReport:
 class _Dag:
     """A DAG support with its topological order, parent and child lists and descendant closure.
 
-    Kahn's algorithm runs once; a cycle raises CyclicGraphError naming role.
-    The closure is one reverse-topological pass, desc[v] = A[v] | desc[children(v)],
-    so O(d * edges) bit operations.
+    graphs._structure gives the lists and the order once; a cycle raises
+    CyclicGraphError naming role. The closure is one reverse-topological pass
+    over int bitsets, bits[v] = OR of bits[c] | 1 << c over v's children c:
+    a d-bit OR per edge, O(edges * d / 64) word operations, and one unpack.
     """
 
     def __init__(self, A: np.ndarray, role: str = "graph"):
-        order = topological_order(A)
+        order, self.parents, self.children = _structure(A)
         if order is None:
             raise CyclicGraphError(role)
         self.A, self.order = A, order
-        self.parents, self.children = [[] for _ in order], [[] for _ in order]
-        for i, j in zip(*(idx.tolist() for idx in np.nonzero(A))):
-            self.parents[j].append(i)
-            self.children[i].append(j)
-        self.desc = np.zeros_like(A)  # desc[i, j]: a directed path i -> ... -> j
+        bits = [0] * len(order)
         for v in reversed(order):
-            if self.children[v]:
-                self.desc[v] = A[v] | self.desc[self.children[v]].any(axis=0)
+            for c in self.children[v]:
+                bits[v] |= bits[c] | 1 << c
+        self.desc = _unpack_bits(bits, len(order))  # desc[i, j]: a directed path i -> ... -> j
 
     def ancestors(self, Z: np.ndarray) -> np.ndarray:
         """Mask of the nodes in Z and of every node with a directed path into Z."""
         return Z | self.desc[:, Z].any(axis=1)
 
-    def reached(self, x, Z, anc_z, x_children) -> np.ndarray:
+    def reached(self, x, in_z, in_anc, x_children) -> np.ndarray:
         """Mask of the nodes y with a path x .. y active given Z (not d-separated from x).
 
-        Bayes-ball search over (node, direction) states, where "up" means the
-        node was entered against an arrow; each state is expanded once, so one
-        walk costs O(d + edges) and answers every target. x_children replaces
-        x's children, which cuts x's other outgoing edges from the graph.
+        in_z and in_anc are Z and ancestors(Z) as lists of bools. A Bayes-ball
+        search over (node, direction) states, "up" meaning entered against an
+        arrow, expands each state once: O(d + edges) per walk, answering every
+        target. x_children replaces x's children, cutting x's other out-edges.
         """
-        in_z, in_anc = Z.tolist(), anc_z.tolist()
         seen_up, seen_down = bytearray(len(in_z)), bytearray(len(in_z))
         up, down = [x], []  # nodes to enter against an arrow / along one
         while up or down:
@@ -119,7 +117,7 @@ class _Dag:
         if (Z & forbidden).any():
             return False
         kept = [c for c in self.children[i] if not causal[c]]
-        return not self.reached(i, Z, anc_z, kept)[j]
+        return not self.reached(i, Z.tolist(), anc_z.tolist(), kept)[j]
 
 
 def _supports(est, true):
@@ -193,7 +191,7 @@ def d_separated(A: np.ndarray, x: int, y: int, Z) -> bool:
     if Z[x] or Z[y]:
         raise ValueError("endpoints may not be conditioned on")
     g = _Dag(A)
-    return not g.reached(x, Z, g.ancestors(Z), g.children[x])[y]
+    return not g.reached(x, Z.tolist(), g.ancestors(Z).tolist(), g.children[x])[y]
 
 
 def valid_adjustment(A: np.ndarray, i: int, j: int, Z) -> bool:
@@ -244,8 +242,9 @@ def _sid(est, true) -> int:
         groups = {}  # bytes keys: tuples of many sizes would pile up in CPython's free lists
         for t, key in enumerate(np.packbits(kept, axis=1)):
             groups.setdefault(key.tobytes(), []).append(t)
+        in_z, in_anc = Z.tolist(), anc_z.tolist()
         for rows in groups.values():
-            reached = true.reached(i, Z, anc_z, kids[kept[rows[0]]].tolist())
+            reached = true.reached(i, in_z, in_anc, kids[kept[rows[0]]].tolist())
             count += int(np.count_nonzero(reached[targets[rows]]))
     return count
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .graphs import check_weights, topological_order
+from .graphs import _structure, check_weights
 
 __all__ = [
     "NoiseSpec",
@@ -109,7 +109,7 @@ def simulate_sem(W: np.ndarray, Z: np.ndarray, meta: dict | None = None) -> Data
     forming the inverse.
     """
     W = check_weights(W)
-    order = topological_order(W)
+    order, parents, _ = _structure(W != 0)
     if order is None:
         raise ValueError("weight matrix is not a DAG")
     Z = np.asarray(Z, dtype=float)
@@ -117,9 +117,8 @@ def simulate_sem(W: np.ndarray, Z: np.ndarray, meta: dict | None = None) -> Data
         raise ValueError("Z row count must match graph size")
     X = np.array(Z, copy=True)
     for i in order:
-        parents = np.flatnonzero(W[:, i])
-        if parents.size:
-            X[i] += W[parents, i] @ X[parents]
+        if parents[i]:
+            X[i] += W[parents[i], i] @ X[parents[i]]
     return Dataset(X=X, meta=dict(meta or {}))
 
 

@@ -3,14 +3,19 @@
 Everything here except method_core is deliberately independent of the
 library implementation: finite-difference gradients, DAG enumeration,
 Markov-equivalence grouping, equivalence classes by orientation enumeration,
-path-enumeration d-separation, and the adjustment criterion checked path by
-path. method_core evaluates the library's method table the way the solver
-does, so the tests check the code the solver runs.
+path-enumeration d-separation, the adjustment criterion checked path by
+path, Warshall's transitive closure, and Kahn's algorithm and the
+compelled-edge labelling written with one numpy call per node on boolean
+matrices (the library runs both on adjacency lists and int bitsets).
+method_core evaluates the library's method table the way the solver does,
+so the tests check the code the solver runs. wide_dags is the hypothesis
+strategy for DAGs whose bitsets span several bytes and machine words.
 """
 
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from colide.scores import METHOD_CORES, residual_gram
 from colide.sem import sample_cov
@@ -266,6 +271,77 @@ def random_dag(d, rng, p=0.4):
             if rng.random() < p:
                 A[perm[i], perm[j]] = True
     return A
+
+
+# bitsets of one byte, byte boundaries, 64-bit word boundaries and three words
+WIDE_DAG_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
+
+
+@st.composite
+def wide_dags(draw):
+    """A random DAG support on d in WIDE_DAG_SIZES nodes, sparse to dense."""
+    d = draw(st.sampled_from(WIDE_DAG_SIZES))
+    p = draw(st.sampled_from((0.02, 0.1, 0.5)))
+    return random_dag(d, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), p)
+
+
+def with_cycle(A):
+    """A copy of the DAG support A (d >= 2) plus i <-> j for a path i -> ... -> j in A, or 0 <-> 1."""
+    A = A.copy()
+    paths = np.argwhere(transitive_closure(A))
+    i, j = paths[len(paths) // 2] if len(paths) else (0, 1)
+    A[i, j] = A[j, i] = True
+    return A
+
+
+def transitive_closure(A):
+    """R[i, j]: a directed path i -> ... -> j in A (Warshall's algorithm)."""
+    R = np.array(A, dtype=bool)
+    for k in range(len(R)):
+        R |= np.outer(R[:, k], R[k])
+    return R
+
+
+def topological_order_by_columns(A):
+    """Kahn's algorithm with one np.flatnonzero per node: LIFO ready list, children ascending.
+
+    The order graphs.topological_order must give; None on a cycle.
+    """
+    indeg = A.sum(axis=0).astype(int)
+    ready = [i for i in range(len(A)) if indeg[i] == 0]
+    order = []
+    while ready:
+        u = ready.pop()
+        order.append(u)
+        for v in np.flatnonzero(A[u]):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(int(v))
+    return order if len(order) == len(A) else None
+
+
+def cpdag_by_columns(A):
+    """(directed, undirected) of Chickering's compelled-edge labelling on boolean columns.
+
+    y's edges are compelled when a compelled w -> x (x: y's last parent in a
+    topological order) has w outside pa(y), or when two parents of y lie
+    outside pa(x); otherwise y inherits x's compelled parents.
+    """
+    order = topological_order_by_columns(A)
+    rank = np.empty(len(A), dtype=int)
+    rank[order] = np.arange(len(A))
+    D = np.zeros_like(A)
+    for y in order:
+        parents = np.flatnonzero(A[:, y])
+        if not parents.size:
+            continue
+        x = parents[np.argmax(rank[parents])]
+        if (D[:, x] & ~A[:, y]).any() or np.count_nonzero(A[:, y] & ~A[:, x]) > 1:
+            D[:, y] = A[:, y]
+        else:
+            D[:, y] = D[:, x]
+    U = A & ~D
+    return D, U | U.T
 
 
 def random_in_domain(d, s, rng, scale=0.9):

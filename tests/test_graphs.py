@@ -24,9 +24,13 @@ from colide.solver import threshold
 from helpers import (
     all_dags,
     consensus_cpdag,
+    cpdag_by_columns,
     equivalence_class_cpdag,
     equivalence_classes,
     random_dag,
+    topological_order_by_columns,
+    wide_dags,
+    with_cycle,
 )
 
 
@@ -90,6 +94,21 @@ class TestIsDag:
             W = rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.2)
             np.fill_diagonal(W, 0.0)
             assert topological_order(W != 0) == topological_order(W)
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_dags())
+    def test_order_matches_the_kahn_by_columns_property(self, A):
+        order = topological_order(A)
+        assert order == topological_order_by_columns(A)
+        assert topological_order(np.where(A, -0.5, 0.0)) == order
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_dags().filter(lambda A: len(A) > 1))
+    def test_cycle_has_no_order_property(self, A):
+        A = with_cycle(A)
+        assert topological_order(A) is None and not is_dag(A)
+        with pytest.raises(DataError, match="not a DAG"):
+            cpdag_of(A.astype(float))
 
 
 class TestSpecValidation:
@@ -279,6 +298,12 @@ class TestCpdag:
     @given(small_dags())
     def test_matches_equivalence_class_property(self, A):
         D, U = equivalence_class_cpdag(A)
+        assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_dags())
+    def test_matches_the_labelling_by_columns_property(self, A):
+        D, U = cpdag_by_columns(A)
         assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
 
     def test_equivalence_class_counts(self):

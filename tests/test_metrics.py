@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colide.errors import DataError
+from colide.errors import CyclicGraphError, DataError
 from colide.graphs import GraphModelSpec, is_dag, sample_er_dag, sample_sf_dag, topological_order
 from colide.metrics import (
+    _Dag,
     d_separated,
     evaluate,
     fdr,
@@ -28,7 +29,11 @@ from helpers import (
     random_dag,
     shd_bf,
     sid_bf,
+    topological_order_by_columns,
+    transitive_closure,
     valid_adjustment_bf,
+    wide_dags,
+    with_cycle,
 )
 
 
@@ -130,6 +135,23 @@ GOLDEN = [
     ("SF", 100, 4, 0, 538, 35),
     ("SF", 100, 4, 1, 438, 35),
 ]
+
+
+class TestDagStructure:
+    @settings(max_examples=80, deadline=None)
+    @given(wide_dags())
+    def test_lists_order_and_closure_property(self, A):
+        g = _Dag(A)
+        assert g.order == topological_order_by_columns(A)
+        assert g.parents == [np.flatnonzero(col).tolist() for col in A.T]
+        assert g.children == [np.flatnonzero(row).tolist() for row in A]
+        assert g.desc.dtype == bool and np.array_equal(g.desc, transitive_closure(A))
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_dags().filter(lambda A: len(A) > 1))
+    def test_cycle_is_a_cyclic_graph_error_property(self, A):
+        with pytest.raises(CyclicGraphError):
+            _Dag(with_cycle(A), "estimate")
 
 
 class TestShd:
