@@ -308,11 +308,10 @@ def run_grid(cfg: ExperimentConfig):
 
 
 def aggregate(records, methods):
-    """One mean +/- std row per method over the non-failed records."""
+    """One mean +/- std row per method over the cell records without an error."""
     rows = []
     for method in methods:
-        cells = [r for r in records if r.get("method") == method
-                 and "error" not in r and not r.get("aggregate")]
+        cells = [r for r in records if r.get("method") == method and "error" not in r]
         row = {"aggregate": True, "method": method, "runs": len(cells)}
         for key in METRIC_KEYS:
             vals = [r[key] for r in cells if r.get(key) is not None]

@@ -7,18 +7,18 @@ Stages warm-start W and the scale; ADAM moments reset at stage boundaries.
 
 fit_stack runs B datasets of one size and method as a (B, d, d) stack, each
 slice on exactly the iterates a fit of its own would take; fit is a stack of
-one. Per stack iteration without halvings: two stacked factorisations of
-M = sI - W*W, both of the guard's accepted candidates. The inverse checks the
-domain s > rho(W*W) per slice (positive row sums) and gives the log-det
-gradient for the next step; the slogdet gives h for the objective. Then
-three stacked d x d matmuls (-cov (I - W) for the gradient; the Gram matrix
-(I - W)^T cov (I - W), read by the scale update and the score). Every numpy
-call broadcasts over the slices, so the fixed cost of the ~60 calls of an
-iteration, which dominates at d = 20, is paid once per stack: at d = 20 a
-stack of four took 160 us per iteration against 115 us for a stack of one
-(2-vCPU Xeon VM, one BLAS thread). Each stage start makes one inverse and
-one slogdet of the warm starts, which check them and give h and the
-gradient until the first accepted step; a stall keeps both.
+one. One _Slices object holds each slice's W, covariance, floor, scale and
+stall count; a slice that leaves the stack is stored back to its dataset's
+row. Per stack iteration without halvings: an inverse and a slogdet of the
+guard's accepted M = sI - W*W (the inverse checks the domain s > rho(W*W)
+per slice by positive row sums and gives the next log-det gradient; the
+slogdet gives h for the objective), then three d x d matmuls (cov (I - W)
+for the gradient; the Gram matrix (I - W)^T cov (I - W) for the scale and
+the score). Every numpy call broadcasts over the slices, so the fixed cost
+of the ~60 calls of an iteration, which dominates at d = 20, is paid once
+per stack: at d = 20 an iteration took about 200 us for a stack of four
+and 105 us for a stack of one (2-vCPU Xeon VM, one BLAS thread). A stage
+start makes one inverse and one slogdet of the warm starts.
 """
 
 import math
@@ -69,8 +69,8 @@ class StageSchedule:
         mus = [mu for mu, _, _ in self.stages]
         if any(b >= a for a, b in zip(mus, mus[1:])):
             raise ValueError("mu must be strictly decreasing across stages")
-        if any(s <= 0 or t < 1 for _, s, t in self.stages):
-            raise ValueError("need s > 0 and max_iters >= 1")
+        if any(not (mu > 0 and s > 0) or t < 1 for mu, s, t in self.stages):
+            raise ValueError("need mu > 0, s > 0 and max_iters >= 1")
 
 
 def default_schedule() -> StageSchedule:
@@ -135,9 +135,10 @@ def domain_guard(W: np.ndarray, update: np.ndarray, s: float):
     return candidate, bad, h, grad_h
 
 
-def _guarded_step(grad_w, W, I_W, scale, neg_cov, grad_h, adam, mu, lam, s):
+def _guarded_step(grad_w, W, I_W, scale, cov, grad_h, adam, mu, lam, s):
     """ADAM step on mu * (score + l1) + h of each slice at W (I_W = I - W, grad_h = dh/dW), then the guard."""
-    grad = mu * (grad_w(neg_cov @ I_W, scale) + lam * np.sign(W)) + grad_h
+    # grad_w is linear in -cov (I - W): its sign moves into the l1 sum exactly
+    grad = mu * (lam * np.sign(W) - grad_w(cov @ I_W, scale)) + grad_h
     grad.reshape(len(grad), -1)[:, ::grad.shape[-1] + 1] = 0.0
     adam, update = adam_step(adam, grad)
     return (adam, *domain_guard(W, update, s))
@@ -178,8 +179,7 @@ class FitResult:
 class FitError(RuntimeError):
     def __init__(self, msg, stage=None, iteration=None):
         super().__init__(msg)
-        self.stage = stage
-        self.iteration = iteration
+        self.stage, self.iteration = stage, iteration
 
 
 def fit(ds: Dataset, method: str = "colide_ev",
@@ -200,8 +200,25 @@ def fit(ds: Dataset, method: str = "colide_ev",
     return res
 
 
-def _take(keep, *arrays):
-    return [None if a is None else a[keep] for a in arrays]
+@dataclass
+class _Slices:
+    """A stack's per-slice state, each array indexed first by slice; one instance holds every dataset's."""
+
+    b: np.ndarray  # each slice's dataset index
+    W: np.ndarray
+    cov: np.ndarray
+    floor: np.ndarray | None
+    scale: np.ndarray
+    stalls: np.ndarray
+    iters: np.ndarray  # (slices, stages) iteration counts
+
+    def take(self, keep) -> "_Slices":
+        return _Slices(**{name: None if a is None else a[keep] for name, a in vars(self).items()})
+
+    def store(self, into: "_Slices", k: int, it: int) -> None:
+        """Write W, scale, stalls and it iterations in stage k to each slice's dataset row of into."""
+        into.W[self.b], into.scale[self.b], into.stalls[self.b] = self.W, self.scale, self.stalls
+        into.iters[self.b, k] = it
 
 
 def fit_stack(datasets, method: str = "colide_ev",
@@ -212,16 +229,17 @@ def fit_stack(datasets, method: str = "colide_ev",
     """fit() of B datasets of one size as one (B, d, d) stack; a FitResult or FitError per dataset.
 
     Each slice keeps its own W, scale, ADAM moments, halvings, stall count,
-    previous objective and per-stage iteration count, so it takes exactly
-    the iterates fit() takes on its dataset alone. ADAM's step count is
-    shared: every running slice starts a stage together. A slice that stops
-    early leaves the stack until the next stage start; a slice whose warm
-    start leaves the domain or whose objective is not finite gets fit()'s
-    FitError and leaves for good, while the others run on. Every result's
-    wall_time is the stack's wall time divided by B.
+    previous objective and iteration counts, so it takes exactly the iterates
+    fit() takes on its dataset alone; every running slice starts a stage
+    together, sharing ADAM's step count. A slice whose objective stops
+    changing is stored back and sits out the rest of the stage; one whose
+    warm start leaves the domain or whose objective is not finite gets fit()'s
+    FitError, while the others run on. wall_time is the stack's over B.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not (lr > 0 and lam >= 0 and tau >= 0):
+        raise ValueError(f"need lr > 0, lambda >= 0 and threshold >= 0; got {lr}, {lam}, {tau}")
     if not datasets or len({ds.d for ds in datasets}) != 1:
         raise ValueError("a stack needs one or more datasets of one size")
     d = datasets[0].d
@@ -232,77 +250,58 @@ def fit_stack(datasets, method: str = "colide_ev",
 
     floor_of, grad_w, score_of, scale_of = METHOD_CORES[method]
     B = len(datasets)
-    covs = np.stack([sample_cov(ds) for ds in datasets])
-    eye = np.eye(d)
-    # every slice's state between stages
-    W_all = np.zeros((B, d, d))
     floors = np.array([floor_of(ds) for ds in datasets]) if floor_of else None
-    scales = np.ones(B) if floors is None else floors * 1e2  # ls_baseline: sigma frozen
-    stalls_all = np.zeros(B, dtype=int)
-    iters = [[] for _ in range(B)]
-    errors = {}
+    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), cov=np.stack([sample_cov(ds) for ds in datasets]),
+                   floor=floors, scale=np.ones(B) if floors is None else floors * 1e2,  # fixed for ls_baseline
+                   stalls=np.zeros(B, dtype=int), iters=np.zeros((B, len(schedule.stages)), dtype=int))
+    eye, errors = np.eye(d), {}
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
         live = [b for b in range(B) if b not in errors]
         if not live:
             break
-        h, grad_h, failed = _stage_entry(W_all[live], s, k)
+        h, grad_h, failed = _stage_entry(fits.W[live], s, k)
         errors.update({live[j]: err for j, err in failed.items()})
         keep = [j for j in range(len(live)) if j not in failed]
-        # the slices running this stage, indexed first along every array
-        idx, h, grad_h = np.array(live)[keep], h[keep], grad_h[keep]
         if not keep:
             continue
-        W, cov, floor, scale, stalls = _take(idx, W_all, covs, floors, scales, stalls_all)
-        I_W, neg_cov = eye - W, -cov
-        adam = AdamState.zero(W.shape, lr=lr)
-        prev_obj = None
+        run, h, grad_h = fits.take([live[j] for j in keep]), h[keep], grad_h[keep]
+        I_W = eye - run.W
+        adam, prev_obj = AdamState.zero(run.W.shape, lr=lr), None
         for it in range(1, max_iters + 1):
-            adam, W, stalled, h_new, grad_new = _guarded_step(
-                grad_w, W, I_W, scale, neg_cov, grad_h, adam, mu, lam, s)
+            adam, run.W, stalled, h_new, grad_new = _guarded_step(
+                grad_w, run.W, I_W, run.scale, run.cov, grad_h, adam, mu, lam, s)
             if len(stalled):
-                stalls[stalled] += 1
+                run.stalls[stalled] += 1
                 h_new[stalled], grad_new[stalled] = h[stalled], grad_h[stalled]
-            h, grad_h, I_W = h_new, grad_new, eye - W
-
-            gram = residual_gram(I_W, cov)
+            h, grad_h, I_W = h_new, grad_new, eye - run.W
+            gram = residual_gram(I_W, run.cov)
             if scale_of:
-                scale = scale_of(gram, floor)
+                run.scale = scale_of(gram, run.floor)
             # each slice's objective and early-stop test on Python floats: the same
             # IEEE operations as (B,)-array calls, and cheaper for a grid's B
             obj = [mu * (score + lam * l1) + h_j for score, l1, h_j in zip(
-                score_of(gram, scale).tolist(), np.abs(W).sum(axis=(1, 2)).tolist(), h.tolist())]
+                score_of(gram, run.scale).tolist(), np.abs(run.W).sum(axis=(1, 2)).tolist(), h.tolist())]
             leave = [j for j, o in enumerate(obj) if not math.isfinite(o) or prev_obj and abs(
                 o - prev_obj[j]) / max(abs(prev_obj[j]), 1e-12) < EARLY_STOP_RTOL]
             if leave:
-                done = idx[leave]
-                W_all[done], scales[done], stalls_all[done] = W[leave], scale[leave], stalls[leave]
-                for j, b in zip(leave, done.tolist()):
-                    if math.isfinite(obj[j]):
-                        iters[b].append(it)
-                    else:
-                        errors[b] = FitError(f"objective diverged (stage {k}, iteration {it})",
-                                             stage=k, iteration=it)
-                keep = [j for j in range(len(idx)) if j not in leave]
-                idx, W, I_W, cov, neg_cov, floor, scale, h, grad_h, stalls = _take(
-                    keep, idx, W, I_W, cov, neg_cov, floor, scale, h, grad_h, stalls)
-                adam = AdamState(adam.m[keep], adam.v[keep], adam.t, lr)
-                obj = [obj[j] for j in keep]
+                run.take(leave).store(fits, k, it)
+                for j, b in zip(leave, run.b[leave].tolist()):
+                    if not math.isfinite(obj[j]):
+                        errors[b] = FitError(f"objective diverged (stage {k}, iteration {it})", k, it)
+                keep = [j for j in range(len(obj)) if j not in leave]
+                run, h, grad_h, obj = run.take(keep), h[keep], grad_h[keep], [obj[j] for j in keep]
+                I_W, adam = eye - run.W, AdamState(adam.m[keep], adam.v[keep], adam.t, lr)
                 if not keep:
                     break
             prev_obj = obj
-        W_all[idx], scales[idx], stalls_all[idx] = W, scale, stalls
-        for b in idx.tolist():
-            iters[b].append(max_iters)
+        run.store(fits, k, max_iters)
 
     wall_time = (time.perf_counter() - start) / B
     return [errors[b] if b in errors else FitResult(
-        W=W_all[b],
-        W_thresholded=threshold(W_all[b], tau),
-        scale=None if scale_of is None else float(scales[b]) if scales.ndim == 1 else scales[b],
-        iters_per_stage=iters[b],
-        stalls=int(stalls_all[b]),
-        wall_time=wall_time,
+        W=fits.W[b], W_thresholded=threshold(fits.W[b], tau),
+        scale=None if scale_of is None else float(fits.scale[b]) if fits.scale.ndim == 1 else fits.scale[b],
+        iters_per_stage=fits.iters[b].tolist(), stalls=int(fits.stalls[b]), wall_time=wall_time,
     ) for b in range(B)]
 
 
@@ -360,7 +359,7 @@ def online_update(st: OnlineState, batch: np.ndarray, lam: float = DEFAULT_LAMBD
     cov = (st.cov_running * t + cov_b) / (t + 1)
     I_W = np.eye(d) - st.W
     adam, W, stalled, _, _ = _guarded_step(grad_w, st.W[None], I_W[None], np.asarray(st.scale)[None],
-                                           -cov[None], grad_ldet(st.W, s)[None], st.adam, mu, lam, s)
+                                           cov[None], grad_ldet(st.W, s)[None], st.adam, mu, lam, s)
     gram = (st.gram_running * t + residual_gram(I_W[None], cov_b[None])[0]) / (t + 1)
     scale = scale_of(gram[None], np.asarray(st.floor, dtype=float)[None])[0]
     return replace(st, W=W[0], cov_running=cov, gram_running=gram, adam=adam,

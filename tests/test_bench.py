@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from colide.bench import (
     _CONFIG_KEYS,
+    METRIC_KEYS,
     ExperimentConfig,
     _run_stack,
     _stacks,
@@ -19,7 +22,7 @@ from colide.bench import (
 from colide.errors import ConfigError
 from colide.graphs import GraphModelSpec, is_dag
 from colide.sem import Dataset, NoiseSpec, standardize
-from colide.solver import StageSchedule
+from colide.solver import METHODS, StageSchedule
 
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
 
@@ -363,6 +366,39 @@ class TestFailedCells:
         cell, agg = run_grid(cfg)
         assert "no edges" in cell["error"]
         assert agg["aggregate"] and agg["runs"] == 0
+
+
+class TestGridContract:
+    @settings(max_examples=25, deadline=None)
+    @given(model=hs.sampled_from(["ER", "SF"]), d=hs.integers(2, 6), k=hs.sampled_from([0.0, 0.5, 0.9]),
+           profile=hs.sampled_from(["ev", "nv"]), n=hs.integers(5, 60),
+           methods=hs.lists(hs.sampled_from(METHODS), min_size=1, max_size=3, unique=True),
+           seeds=hs.lists(hs.integers(0, 99), min_size=1, max_size=3, unique=True),
+           n_sweep=hs.lists(hs.integers(5, 60), max_size=2, unique=True),
+           standardize=hs.booleans(), tau=hs.sampled_from([0.05, 0.3, 1.0]),
+           lr=hs.sampled_from([3e-4, 0.05, 1.0, 1e3]), master_seed=hs.integers(0, 2 ** 16))
+    def test_one_record_per_cell_and_aggregates_count_clean_cells_property(
+            self, model, d, k, profile, n, methods, seeds, n_sweep, standardize, tau, lr, master_seed):
+        # stages stop early at lr = 0.05; larger steps stall the domain guard, leave a
+        # later stage's domain at its warm start or leave a cycle in the estimate
+        cfg = ExperimentConfig(graph=GraphModelSpec(model=model, d=d, k=1 + k * (d - 2)),
+                               noise=NoiseSpec(profile=profile), n=n, methods=tuple(methods), lr=lr,
+                               threshold=tau, standardize=standardize,
+                               schedule=StageSchedule(stages=((1.0, 1.0, 100), (0.1, 0.5, 100), (0.01, 0.3, 50))),
+                               seeds=tuple(seeds), n_sweep=tuple(n_sweep), master_seed=master_seed)
+        records = run_grid(cfg)
+        sizes = n_sweep or [n]
+        cells = [r for r in records if not r.get("aggregate")]
+        assert sorted((r["seed"], r["method"], r["n"]) for r in cells) == sorted(
+            (seed, m, size) for seed in seeds for m in methods for size in sizes)
+        for r in cells:
+            assert "error" in r or set(METRIC_KEYS) <= set(r)
+        aggs = [r for r in records if r.get("aggregate")]
+        assert sorted((r["method"], r.get("n", n)) for r in aggs) == sorted(
+            (m, size) for m in methods for size in sizes)
+        for agg in aggs:
+            assert agg["runs"] == sum(1 for r in cells if r["method"] == agg["method"]
+                                      and r["n"] == agg.get("n", n) and "error" not in r)
 
 
 class TestAggregateEdgeCases:

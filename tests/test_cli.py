@@ -185,6 +185,13 @@ class TestExitCodes:
         assert main(["fit", "--data", str(flat), "--standardize", "--out", prefix]) == 2
         assert "cannot standardize a constant row" in capsys.readouterr().err
 
+    def test_fit_negative_lambda(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        p.write_text("1,2\n3,5\n4,4\n")
+        assert main(["fit", "--data", str(p), "--lambda", "-1", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_fit_one_column(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
         p.write_text("1\n2\n3\n")

@@ -90,8 +90,9 @@ class TestSchedule:
             StageSchedule(stages=((0.1, 1.0, 10), (0.1, 0.9, 10)))
 
     def test_positive_s_and_iters(self):
-        with pytest.raises(ValueError):
-            StageSchedule(stages=((1.0, 0.0, 10),))
+        for stage in ((1.0, 0.0, 10), (0.0, 1.0, 10), (-1.0, 1.0, 10)):
+            with pytest.raises(ValueError):
+                StageSchedule(stages=(stage,))
 
 
 class TestAdam:
@@ -211,6 +212,14 @@ class TestFit:
         ds = Dataset(X=np.random.default_rng(0).standard_normal((3, 20)))
         with pytest.raises(ValueError):
             fit(ds, method="pc")
+
+    @pytest.mark.parametrize("setting", [dict(lr=0.0), dict(lr=-0.01), dict(lam=-1.0), dict(tau=-0.5),
+                                         dict(lr=float("nan"))])
+    def test_out_of_range_settings(self, setting):
+        # a negative threshold keeps every entry, a negative lambda rewards dense W
+        ds = Dataset(X=np.random.default_rng(0).standard_normal((3, 20)))
+        with pytest.raises(ValueError, match="need lr > 0"):
+            fit(ds, **setting)
 
     def test_chain_recovery_ev(self):
         # five-node chain with strong weights: exact support recovery
@@ -348,7 +357,8 @@ def kind_dataset(kind, d, rng, block=4):
     0 and W stays 0 (early stop at iteration 2); "pair": the same with row 1
     following row 0, so W grows one 2-cycle; "dense": every row shares a
     component, so a huge step leaves the domain at every halving (stall);
-    "random": independent Gaussian rows.
+    "random": independent Gaussian rows; "huge": random rows whose covariance
+    overflows, so the objective is not finite at the first iteration.
     """
     X = np.zeros((d, block * d))
     for i in range(d):
@@ -359,6 +369,8 @@ def kind_dataset(kind, d, rng, block=4):
         X = rng.standard_normal(X.shape) + 3.0 * rng.standard_normal(X.shape[1])
     elif kind == "random":
         X = rng.standard_normal(X.shape)
+    elif kind == "huge":
+        X = 1e155 * rng.standard_normal(X.shape)
     return Dataset(X=X)
 
 
@@ -376,6 +388,7 @@ MIXED = dict(method="colide_ev", d=3, kinds=list(KINDS), lr=1e6, stages=[(1.0, 4
 
 
 class TestFitStack:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(method=hs.sampled_from(METHODS), d=hs.integers(2, 8),
            kinds=hs.lists(hs.sampled_from(KINDS), min_size=1, max_size=5),
@@ -386,6 +399,14 @@ class TestFitStack:
     @example(**MIXED)
     @example(method="colide_nv", d=2, kinds=["sparse", "dense", "random"], lr=1e-2,
              stages=[(1.0, 40), (0.2, 40)], seed=0)
+    # every slice has failed before the last stage starts
+    @example(method="colide_ev", d=2, kinds=["pair"], lr=1e6, stages=[(1.0, 1), (0.7, 1), (1.0, 1)], seed=0)
+    # slice 0 leaves stage 1's domain at its warm start, slice 1 stage 2's
+    @example(method="colide_ev", d=2, kinds=["dense", "pair"], lr=1e6, stages=[(1.0, 40), (0.7, 40), (0.2, 40)],
+             seed=0)
+    # slice 1's objective is not finite at stage 0, iteration 1
+    @example(method="colide_nv", d=3, kinds=["sparse", "huge", "random"], lr=0.3, stages=[(1.0, 40), (0.7, 40)],
+             seed=0)
     def test_each_slice_is_its_own_fit_property(self, method, d, kinds, lr, stages, seed):
         rng = np.random.default_rng(seed)
         datasets = [kind_dataset(kind, d, rng) for kind in kinds]
