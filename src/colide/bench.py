@@ -26,9 +26,8 @@ from .solver import (
     DEFAULT_LAMBDA,
     DEFAULT_LR,
     DEFAULT_THRESHOLD,
-    METHODS,
-    FitError,
     StageSchedule,
+    _check_settings,
     default_schedule,
     fit_stack,
 )
@@ -75,9 +74,7 @@ class ExperimentConfig:
         axes = {"run.seeds": self.seeds, "fit.methods": self.methods, "data.n_sweep": self.n_sweep}
         if not self.seeds or any(len(set(axis)) != len(axis) for axis in axes.values()):
             raise ValueError(f"run.seeds must be nonempty and every grid axis distinct, got {axes}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
+        _check_settings(self.methods, self.lam, self.lr, self.threshold)
 
     def flat(self) -> dict:
         """The resolved configuration under its config-file keys, less _UNRECORDED."""
@@ -222,30 +219,35 @@ def generate_instance(cfg: ExperimentConfig, seed: int, n: int | None = None):
     return W_true, np.sqrt(variances), ds
 
 
-def _fit_and_score(ds, W_true, res, profile: str, true_sigmas=None):
-    """Record fields for the fit res (a FitResult or FitError) of ds, scored against W_true.
-
-    Faults become an "error" field. A method without a concomitant scale gets
-    the post-hoc estimate under profile.
-    """
-    if isinstance(res, FitError):
+def _fit_record(ds, res, profile: str) -> dict:
+    """Record fields of the fit res of ds: error, or wall_time_ms, iterations and the scale estimate."""
+    if isinstance(res, Exception):  # a FitError, or the DataError of data that overflow
         return {"error": str(res)}
-    record = {"wall_time_ms": res.wall_time * 1e3, "iterations": res.iters_per_stage}
-    est_scale, key = res.scale, "sigma_estimate"
-    if est_scale is None:  # no concomitant scale: post-hoc residual estimate
-        est_scale, key = posthoc_noise(ds, res.W, profile=profile), "sigma_posthoc"
-    true_scale = true_sigmas  # vector estimates per node, scalar ones to the RMS sigma
-    if true_sigmas is not None and np.ndim(est_scale) == 0:
+    key, scale = "sigma_estimate", res.scale
+    if scale is None:  # no concomitant scale: the post-hoc residual estimate under profile
+        key, scale = "sigma_posthoc", posthoc_noise(ds, res.W, profile=profile)
+    return {"wall_time_ms": res.wall_time * 1e3, "iterations": res.iters_per_stage,
+            key: np.atleast_1d(scale).tolist()}
+
+
+def _fit_and_score(ds, W_true, res, profile: str, true_sigmas=None):
+    """The fit fields of res (_fit_record) and its estimate's metrics against W_true; faults become "error"."""
+    record = _fit_record(ds, res, profile)
+    if "error" in record:
+        return record
+    key = "sigma_estimate" if "sigma_estimate" in record else "sigma_posthoc"
+    true_scale = true_sigmas  # per-node estimates against per-node sigmas, one against the RMS sigma
+    if true_sigmas is not None and len(record[key]) == 1:
         true_scale = float(np.sqrt(np.mean(true_sigmas ** 2)))
     try:
-        scored = asdict(evaluate(res.W_thresholded, W_true,
-                                 est_scale=est_scale, true_scale=true_scale))
+        scored = asdict(evaluate(res.W_thresholded, W_true, est_scale=record[key], true_scale=true_scale))
     except DataError as exc:
         if isinstance(exc, CyclicGraphError) and exc.graph == "estimate":
+            del record[key]
             record["error"] = "cyclic estimate: the thresholded W has a directed cycle"
             return record
         scored = {"error": str(exc)}
-    return {**record, key: np.atleast_1d(est_scale).tolist(), **scored}
+    return {**record, **scored}
 
 
 def _run_stack(cfg: ExperimentConfig, method: str, cells):

@@ -12,12 +12,10 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import bench
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graphs import load_adjacency_csv, save_adjacency_csv
-from .metrics import evaluate, posthoc_noise
+from .metrics import evaluate
 from .sem import standardize
 from .solver import (
     DEFAULT_LAMBDA,
@@ -95,13 +93,8 @@ def _cmd_fit(args) -> int:
     res = fit(ds, method=args.method, lam=args.lam, tau=args.threshold)
     save_adjacency_csv(res.W_thresholded, f"{args.out}.adjacency.csv")
     save_adjacency_csv(res.W, f"{args.out}.adjacency_raw.csv")
-    scales = {"method": args.method, "iterations": res.iters_per_stage}
-    if res.scale is None:  # no concomitant scale: post-hoc residual estimate
-        scales["sigma_posthoc"] = posthoc_noise(ds, res.W, profile="ev")
-    else:
-        scales["sigma" if np.ndim(res.scale) == 0 else "sigmas"] = np.asarray(res.scale).tolist()
     with open(f"{args.out}.scales.json", "w") as fh:
-        json.dump(scales, fh, indent=2)
+        json.dump({"method": args.method, **bench._fit_record(ds, res, "ev")}, fh, indent=2)
     print(f"wrote {args.out}.adjacency.csv and {args.out}.scales.json")
     return EXIT_OK
 
@@ -125,8 +118,7 @@ def _cmd_bench(args) -> int:
         cfg = dataclasses.replace(cfg, jobs=args.jobs)
     out = args.out or cfg.out_path
     if out is None:
-        print("error: no output path (use --out or out.path)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no output path (use --out or out.path)")
     records = bench.run_grid(cfg)
     content_hash = bench.emit_results(records, out)
     print(f"wrote {len(records)} records to {out} (hash {content_hash[:12]})")

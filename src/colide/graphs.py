@@ -182,9 +182,11 @@ def _weighted_distinct(candidates, weights, m, rng):
 def assign_edge_weights(support: np.ndarray, ranges, rng: np.random.Generator) -> np.ndarray:
     """Replace each nonzero support entry with a uniform draw over a union of intervals.
 
-    An interval is picked with probability proportional to its length
-    (degenerate [a, a] intervals get equal residual mass), then the weight is
-    drawn uniformly within it. Zeros are preserved exactly.
+    An interval is picked with probability proportional to its length, then
+    the weight is drawn uniformly within it, so a degenerate [a, a] interval
+    is never picked beside one of positive length; when every interval is
+    degenerate, each is picked with equal probability. Zeros are preserved
+    exactly.
     """
     ranges = [tuple(r) for r in ranges]
     if not ranges:

@@ -192,12 +192,27 @@ def fit(ds: Dataset, method: str = "colide_ev",
     Initialization: W = 0 (always in-domain), scale = 100x its floor. Early
     stopping per stage when the relative change of the stage objective
     (evaluated after the scale update) drops below 1e-6. A stack of one
-    (fit_stack); raises its FitError.
+    (fit_stack); raises its FitError or DataError.
+
+    The per-iteration early stop makes the iterates sensitive to the last bit
+    of the arithmetic: summing the residual Gram diagonal elementwise instead
+    of taking it from the matmul moved W by max |dW| 0.012-0.124 on ER d = 50,
+    k = 4, n = 1000 fits (EV and NV, instances 0-1 of master seeds 0-1) and
+    changed the tau = 0.3 support of 7 of the 8. A change to the fit path
+    must keep the iterates bit-identical or re-run acceptance criteria 6-8.
     """
     res = fit_stack([ds], method, schedule, lam, lr, tau)[0]
-    if isinstance(res, FitError):
+    if isinstance(res, Exception):
         raise res
     return res
+
+
+def _check_settings(methods, lam, lr, tau) -> None:
+    """Raise ValueError unless every method is known, lr > 0 and lambda, tau >= 0 (NaN fails)."""
+    if set(methods) - set(METHODS):
+        raise ValueError(f"unknown method in {methods}; expected one of {METHODS}")
+    if not (lr > 0 and lam >= 0 and tau >= 0):
+        raise ValueError(f"need lr > 0, lambda >= 0 and threshold >= 0; got {lr}, {lam}, {tau}")
 
 
 @dataclass
@@ -226,7 +241,7 @@ def fit_stack(datasets, method: str = "colide_ev",
               lam: float = DEFAULT_LAMBDA,
               lr: float = DEFAULT_LR,
               tau: float = DEFAULT_THRESHOLD) -> list:
-    """fit() of B datasets of one size as one (B, d, d) stack; a FitResult or FitError per dataset.
+    """fit() of B datasets of one size as one (B, d, d) stack; a FitResult, FitError or DataError each.
 
     Each slice keeps its own W, scale, ADAM moments, halvings, stall count,
     previous objective and iteration counts, so it takes exactly the iterates
@@ -234,12 +249,10 @@ def fit_stack(datasets, method: str = "colide_ev",
     together, sharing ADAM's step count. A slice whose objective stops
     changing is stored back and sits out the rest of the stage; one whose
     warm start leaves the domain or whose objective is not finite gets fit()'s
-    FitError, while the others run on. wall_time is the stack's over B.
+    FitError, and a dataset whose sample covariance overflows a DataError,
+    while the others run on. wall_time is the stack's over B.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not (lr > 0 and lam >= 0 and tau >= 0):
-        raise ValueError(f"need lr > 0, lambda >= 0 and threshold >= 0; got {lr}, {lam}, {tau}")
+    _check_settings((method,), lam, lr, tau)
     if not datasets or len({ds.d for ds in datasets}) != 1:
         raise ValueError("a stack needs one or more datasets of one size")
     d = datasets[0].d
@@ -250,11 +263,15 @@ def fit_stack(datasets, method: str = "colide_ev",
 
     floor_of, grad_w, score_of, scale_of = METHOD_CORES[method]
     B = len(datasets)
-    floors = np.array([floor_of(ds) for ds in datasets]) if floor_of else None
-    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), cov=np.stack([sample_cov(ds) for ds in datasets]),
-                   floor=floors, scale=np.ones(B) if floors is None else floors * 1e2,  # fixed for ls_baseline
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing dataset is its slice's DataError
+        covs = np.stack([sample_cov(ds) for ds in datasets])
+        floors = np.array([floor_of(ds) for ds in datasets]) if floor_of else None
+    errors = {b: DataError("sample covariance overflows: data values too large")
+              for b in np.flatnonzero(~np.isfinite(covs).all(axis=(1, 2))).tolist()}
+    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), cov=covs, floor=floors,
+                   scale=np.ones(B) if floors is None else floors * 1e2,  # fixed for ls_baseline
                    stalls=np.zeros(B, dtype=int), iters=np.zeros((B, len(schedule.stages)), dtype=int))
-    eye, errors = np.eye(d), {}
+    eye = np.eye(d)
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
         live = [b for b in range(B) if b not in errors]

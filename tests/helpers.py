@@ -10,6 +10,7 @@ matrices (the library runs both on adjacency lists and int bitsets).
 method_core evaluates the library's method table the way the solver does,
 so the tests check the code the solver runs. wide_dags is the hypothesis
 strategy for DAGs whose bitsets span several bytes and machine words.
+BAD_FIT_LINES are config lines whose fit settings are out of range.
 """
 
 import itertools
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from colide.scores import METHOD_CORES, residual_gram
 from colide.sem import sample_cov
+
+BAD_FIT_LINES = ("fit.lr = -0.01", "fit.lambda = -1", "fit.threshold = -0.5", "fit.lr = nan")
 
 
 def method_core(method, part, W, ds, arg=None, lam=0.0):

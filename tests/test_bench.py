@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from colide.bench import (
     generate_instance,
     load_dataset_csv,
     parse_config,
+    payload_bytes,
     run_grid,
     save_dataset_csv,
 )
@@ -23,6 +25,8 @@ from colide.errors import ConfigError
 from colide.graphs import GraphModelSpec, is_dag
 from colide.sem import Dataset, NoiseSpec, standardize
 from colide.solver import METHODS, StageSchedule
+
+from helpers import BAD_FIT_LINES
 
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
 
@@ -97,7 +101,7 @@ class TestConfigParsing:
         for text in ("graph.shape = torus", "graph.d = 5\ngraph.d = 6", "graph.d: 5",
                      "graph.d = five", "data.standardize = maybe", "graph.d = 1",
                      "data.n_sweep = 100, 0", "fit.methods = gradient_boosting", "run.jobs = 0",
-                     "fit.methods = colide_ev, colide_ev", "data.n_sweep = 100, 100"):
+                     "fit.methods = colide_ev, colide_ev", "data.n_sweep = 100, 100", *BAD_FIT_LINES):
             with pytest.raises(ConfigError):
                 parse_config(text)
 
@@ -368,37 +372,49 @@ class TestFailedCells:
         assert agg["aggregate"] and agg["runs"] == 0
 
 
+@hs.composite
+def grid_configs(draw, min_seeds=1):
+    """Small grids over every graph model, noise profile, method set, sweep and step size.
+
+    Stages stop early at lr = 0.05; larger steps stall the domain guard, leave a
+    later stage's domain at its warm start or leave a cycle in the estimate.
+    """
+    d = draw(hs.integers(2, 6))
+    return ExperimentConfig(
+        graph=GraphModelSpec(model=draw(hs.sampled_from(["ER", "SF"])), d=d,
+                             k=1 + draw(hs.sampled_from([0.0, 0.5, 0.9])) * (d - 2)),
+        noise=NoiseSpec(profile=draw(hs.sampled_from(["ev", "nv"]))), n=draw(hs.integers(5, 60)),
+        methods=tuple(draw(hs.lists(hs.sampled_from(METHODS), min_size=1, max_size=3, unique=True))),
+        lr=draw(hs.sampled_from([3e-4, 0.05, 1.0, 1e3])), threshold=draw(hs.sampled_from([0.05, 0.3, 1.0])),
+        standardize=draw(hs.booleans()),
+        schedule=StageSchedule(stages=((1.0, 1.0, 100), (0.1, 0.5, 100), (0.01, 0.3, 50))),
+        seeds=tuple(draw(hs.lists(hs.integers(0, 99), min_size=min_seeds, max_size=3, unique=True))),
+        n_sweep=tuple(draw(hs.lists(hs.integers(5, 60), max_size=2, unique=True))),
+        master_seed=draw(hs.integers(0, 2 ** 16)))
+
+
 class TestGridContract:
     @settings(max_examples=25, deadline=None)
-    @given(model=hs.sampled_from(["ER", "SF"]), d=hs.integers(2, 6), k=hs.sampled_from([0.0, 0.5, 0.9]),
-           profile=hs.sampled_from(["ev", "nv"]), n=hs.integers(5, 60),
-           methods=hs.lists(hs.sampled_from(METHODS), min_size=1, max_size=3, unique=True),
-           seeds=hs.lists(hs.integers(0, 99), min_size=1, max_size=3, unique=True),
-           n_sweep=hs.lists(hs.integers(5, 60), max_size=2, unique=True),
-           standardize=hs.booleans(), tau=hs.sampled_from([0.05, 0.3, 1.0]),
-           lr=hs.sampled_from([3e-4, 0.05, 1.0, 1e3]), master_seed=hs.integers(0, 2 ** 16))
-    def test_one_record_per_cell_and_aggregates_count_clean_cells_property(
-            self, model, d, k, profile, n, methods, seeds, n_sweep, standardize, tau, lr, master_seed):
-        # stages stop early at lr = 0.05; larger steps stall the domain guard, leave a
-        # later stage's domain at its warm start or leave a cycle in the estimate
-        cfg = ExperimentConfig(graph=GraphModelSpec(model=model, d=d, k=1 + k * (d - 2)),
-                               noise=NoiseSpec(profile=profile), n=n, methods=tuple(methods), lr=lr,
-                               threshold=tau, standardize=standardize,
-                               schedule=StageSchedule(stages=((1.0, 1.0, 100), (0.1, 0.5, 100), (0.01, 0.3, 50))),
-                               seeds=tuple(seeds), n_sweep=tuple(n_sweep), master_seed=master_seed)
+    @given(cfg=grid_configs())
+    def test_one_record_per_cell_and_aggregates_count_clean_cells_property(self, cfg):
         records = run_grid(cfg)
-        sizes = n_sweep or [n]
+        sizes = cfg.n_sweep or [cfg.n]
         cells = [r for r in records if not r.get("aggregate")]
         assert sorted((r["seed"], r["method"], r["n"]) for r in cells) == sorted(
-            (seed, m, size) for seed in seeds for m in methods for size in sizes)
+            (seed, m, size) for seed in cfg.seeds for m in cfg.methods for size in sizes)
         for r in cells:
             assert "error" in r or set(METRIC_KEYS) <= set(r)
         aggs = [r for r in records if r.get("aggregate")]
-        assert sorted((r["method"], r.get("n", n)) for r in aggs) == sorted(
-            (m, size) for m in methods for size in sizes)
+        assert sorted((r["method"], r.get("n", cfg.n)) for r in aggs) == sorted(
+            (m, size) for m in cfg.methods for size in sizes)
         for agg in aggs:
             assert agg["runs"] == sum(1 for r in cells if r["method"] == agg["method"]
-                                      and r["n"] == agg.get("n", n) and "error" not in r)
+                                      and r["n"] == agg.get("n", cfg.n) and "error" not in r)
+
+    @settings(max_examples=5, deadline=None)
+    @given(cfg=grid_configs(min_seeds=2))  # two or more cells: one stack at jobs 1, two at jobs 2
+    def test_payload_is_the_same_at_one_and_two_jobs_property(self, cfg):
+        assert payload_bytes(run_grid(cfg)) == payload_bytes(run_grid(replace(cfg, jobs=2)))
 
 
 class TestAggregateEdgeCases:

@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from colide.bench import ExperimentConfig, generate_instance, save_dataset_csv
+from colide import bench
+from colide.bench import ExperimentConfig, generate_instance, parse_config, run_grid, save_dataset_csv
 from colide.cli import main
 from colide.graphs import GraphModelSpec, load_adjacency_csv, save_adjacency_csv
 from colide.sem import Dataset, NoiseSpec
+from colide.solver import METHODS
+
+from helpers import BAD_FIT_LINES
 
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
 
@@ -42,7 +53,7 @@ class TestSimulateFitEval:
         W = load_adjacency_csv(f"{prefix}.adjacency.csv")
         assert W.shape == (6, 6)
         scales = json.loads((tmp_path / "run.scales.json").read_text())
-        assert scales["sigma"] > 0
+        assert scales["sigma_estimate"][0] > 0
 
         assert main(["eval", "--est", f"{prefix}.adjacency.csv",
                      "--truth", f"{prefix}.truth.csv",
@@ -59,6 +70,20 @@ class TestSimulateFitEval:
         report = json.loads(capsys.readouterr().out)
         assert report["shd"] == 0 and report["sid"] == 0
 
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_scales_file_holds_the_grid_record_fit_fields(self, tmp_path, capsys, method):
+        cfg = parse_config(f"graph.d = 5\ndata.n = 200\nfit.methods = {method}\nrun.seeds = 0\n")
+        save_dataset_csv(generate_instance(cfg, 0)[2], tmp_path / "data.csv")
+        assert main(["fit", "--data", str(tmp_path / "data.csv"), "--method", method,
+                     "--out", str(tmp_path / "run")]) == 0
+        scales = json.loads((tmp_path / "run.scales.json").read_text())
+        record = run_grid(cfg)[0]
+        scale_key = "sigma_posthoc" if method == "ls_baseline" else "sigma_estimate"
+        assert set(scales) == {"method", "wall_time_ms", "iterations", scale_key}
+        assert scales["method"] == method
+        fields = ("iterations", scale_key)
+        assert [scales[k] for k in fields] == [record[k] for k in fields]
 
     def test_eval_has_no_size_ceiling(self, tmp_path, capsys):
         d = 201
@@ -81,6 +106,7 @@ class TestBenchCommand:
 
     def test_bench_without_out_is_config_error(self, cfg_path, capsys):
         assert main(["bench", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "config error: no output path (use --out or out.path)\n"
 
     def test_bench_runs_the_sample_size_sweep(self, tmp_path, capsys):
         p = tmp_path / "sweep.cfg"
@@ -192,6 +218,23 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    def test_overflowing_data_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        save_dataset_csv(Dataset(X=1e155 * np.random.default_rng(0).standard_normal((3, 20))), p)
+        assert main(["fit", "--data", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: sample covariance overflows")
+
+    @pytest.mark.parametrize("line", BAD_FIT_LINES)
+    def test_bad_fit_setting_stops_bench_before_any_instance(self, tmp_path, capsys, monkeypatch, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG + line + "\n")
+        monkeypatch.setattr(bench, "generate_instance", mock.Mock())
+        assert main(["bench", "--config", str(p), "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not bench.generate_instance.called
+
     def test_fit_one_column(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
         p.write_text("1\n2\n3\n")
@@ -244,3 +287,92 @@ class TestSachsCommand:
         np.savetxt(path, truth, delimiter=",")
         assert main(["sachs", "--data", data, "--truth", str(path)]) == 2
         assert "ground truth must be a DAG" in capsys.readouterr().err
+
+
+def _csv(rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _names(d):
+    return [f"v{k}" for k in range(d)]
+
+
+@hs.composite
+def _bad_table(draw, rows, cols, header=False):
+    """A numeric CSV file that the codec rejects: empty, header-only, ragged, or with a NaN or text cell."""
+    fault = draw(hs.sampled_from(["empty", "header-only", "ragged", "nan", "text"]))
+    if fault in ("empty", "header-only"):
+        return "" if fault == "empty" else _csv([_names(cols)])
+    cells = [[draw(hs.floats(-2.0, 2.0)) for _ in range(cols)] for _ in range(rows)]
+    i, j = draw(hs.integers(0, rows - 1)), draw(hs.integers(0, cols - 1))
+    if fault == "ragged":
+        cells[i].pop()
+    else:
+        cells[i][j] = {"nan": "nan", "text": "x"}[fault]
+    return _csv([_names(cols)] * header + cells)
+
+
+@hs.composite
+def _dag(draw, d):
+    """A d-node DAG adjacency with the edge 0 -> 1 and random edges i -> j for the other i < j."""
+    return [[int((i, j) == (0, 1) or i < j and draw(hs.booleans())) for j in range(d)] for i in range(d)]
+
+
+@hs.composite
+def _bad_graph(draw, d):
+    """An adjacency file that is a data error against a d-node dataset or graph."""
+    fault = draw(hs.sampled_from(["table", "non-square", "cyclic", "size mismatch"]))
+    if fault == "table":
+        return draw(_bad_table(d, d))
+    A = draw(_dag(d + (fault == "size mismatch")))
+    if fault == "cyclic":
+        i, j = sorted(draw(hs.lists(hs.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
+        A[j][i] = A[i][j] = 1
+    return _csv(A[:-1] if fault == "non-square" else A)
+
+
+@hs.composite
+def _bad_runs(draw):
+    """(argv, {file name: text}) of a CLI run on faulty files or a faulty config."""
+    command, d = draw(hs.sampled_from(["fit", "eval", "sachs", "bench"])), draw(hs.integers(2, 4))
+    if command == "fit":
+        overflowing = _csv([_names(d)] + [["1e155"] * d] * 4)
+        data = draw(hs.one_of(_bad_table(draw(hs.integers(2, 6)), d, header=True), hs.just(overflowing)))
+        return ["fit", "--data", "data", "--header", "--out", "o"], {"data": data}
+    if command == "bench":
+        lines = [f"graph.d = {d + 2}", "data.n = 50", "run.seeds = 0"]
+        fault = draw(hs.sampled_from(["fit.mu = 1", "graph.shape = torus", lines[0], *BAD_FIT_LINES]))
+        lines.insert(draw(hs.integers(0, len(lines))), fault)  # lines[0] again: a duplicate key
+        return ["bench", "--config", "cfg", "--out", "o"], {"cfg": "\n".join(lines) + "\n"}
+    if command == "eval":
+        files = {"est": _csv(draw(_dag(d))), "truth": _csv(draw(_dag(d)))}
+        if draw(hs.booleans()):
+            files["truth"] = _csv([[0] * d] * d)  # edgeless: a fault only in the truth
+        else:
+            files[draw(hs.sampled_from(["est", "truth"]))] = draw(_bad_graph(d))
+        return ["eval", "--est", "est", "--truth", "truth"], files
+    if draw(hs.booleans()):
+        files = {"data": draw(_bad_table(5, d, header=True)), "truth": _csv(draw(_dag(d)))}
+    else:
+        files = {"data": _csv([_names(d)] + [[k + 0.5 * i for k in range(d)] for i in range(20)]),
+                 "truth": draw(_bad_graph(d))}
+    return ["sachs", "--data", "data", "--truth", "truth"], files
+
+
+class TestCliContract:
+    @settings(max_examples=200, deadline=None)
+    @given(run=_bad_runs())
+    def test_faulty_input_is_one_config_or_data_error_line_property(self, run):
+        argv, files = run
+        with tempfile.TemporaryDirectory() as folder:
+            for name, text in files.items():
+                with open(os.path.join(folder, name), "w") as fh:
+                    fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([os.path.join(folder, a) if a in files or a == "o" else a for a in argv])
+        expected = "config error:" if argv[0] == "bench" else "data error:"
+        assert code == (1 if argv[0] == "bench" else 2)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(expected)
+        assert "Traceback" not in out.getvalue() + err.getvalue()

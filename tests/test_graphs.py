@@ -210,6 +210,17 @@ class TestEdgeWeights:
         W = assign_edge_weights(B, [(1.0, 1.0)], np.random.default_rng(0))
         assert np.array_equal(W, B)
 
+    def test_degenerate_interval_beside_a_long_one_is_never_drawn(self):
+        B = np.triu(np.ones((30, 30)), k=1)  # 435 edges
+        vals = assign_edge_weights(B, [(1.0, 1.0), (0.5, 2.0)], np.random.default_rng(0))[B != 0]
+        assert not (vals == 1.0).any() and (vals >= 0.5).all() and (vals <= 2.0).all()
+
+    def test_all_degenerate_intervals_are_equally_likely(self):
+        B = np.triu(np.ones((30, 30)), k=1)
+        vals = assign_edge_weights(B, [(1.0, 1.0), (-1.0, -1.0)], np.random.default_rng(0))[B != 0]
+        assert set(vals.tolist()) == {1.0, -1.0}
+        assert abs((vals == 1.0).mean() - 0.5) < 0.1
+
     def test_both_signs_hit(self):
         rng = np.random.default_rng(1)
         B = np.triu(np.ones((20, 20)), k=1)
