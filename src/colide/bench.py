@@ -69,8 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"run.jobs must be at least 1, got {self.jobs}")
-        if min((self.n, *self.n_sweep)) < 1:
-            raise ValueError("n and every n_sweep size must be at least 1")
+        if min((self.n, *self.n_sweep)) < (2 if self.standardize else 1):  # one sample has no spread
+            raise ValueError("n and every n_sweep size must be at least 1, and 2 with data.standardize")
         axes = {"run.seeds": self.seeds, "fit.methods": self.methods, "data.n_sweep": self.n_sweep}
         if not self.seeds or any(len(set(axis)) != len(axis) for axis in axes.values()):
             raise ValueError(f"run.seeds must be nonempty and every grid axis distinct, got {axes}")

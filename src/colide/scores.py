@@ -58,13 +58,8 @@ def residual_gram(I_W: np.ndarray, cov: np.ndarray) -> np.ndarray:
 # as numpy's, without one ufunc call per operation on a (B,) array.
 def _sigma_ev(gram, floor):
     d = gram.shape[-1]
-    sigma = []
-    for trace, f in zip(gram.trace(axis1=1, axis2=2).tolist(), floor.tolist()):
-        val = trace / d
-        if val < -1e-12:
-            raise ValueError(f"covariance is not PSD: trace term {val}")
-        sigma.append(max(math.sqrt(max(val, 0.0)), f))
-    return np.array(sigma)
+    return np.array([max(math.sqrt(max(trace / d, 0.0)), f)
+                     for trace, f in zip(gram.trace(axis1=1, axis2=2).tolist(), floor.tolist())])
 
 
 def _score_ev(gram, sigma):
@@ -73,19 +68,13 @@ def _score_ev(gram, sigma):
                      for trace, s in zip(gram.trace(axis1=1, axis2=2).tolist(), sigma.tolist())])
 
 
-def _sigma_nv(gram, floors):
-    diag = gram.diagonal(axis1=1, axis2=2)
-    if (diag < -1e-12).any():
-        raise ValueError("covariance is not PSD: negative residual diagonal")
-    return np.maximum(np.sqrt(np.maximum(diag, 0.0)), floors)
-
-
 # method -> (floor, grad, score, scale), cores over a stack of B slices that
 # check nothing; the solver passes them positive scales. A scalar scale (and
 # floor) has shape (B,), a per-node one (B, d). floor(ds) of one dataset and
 # scale(gram, floor) are None for a scale frozen at 1; grad(-cov (I - W), scale)
 # is the smooth-part gradient; score(gram, scale) the smooth score per slice
-# without the l1 term.
+# without the l1 term. A residual Gram matrix of the PSD X X^T / n is PSD up to
+# rounding, so the scale cores clamp a rounded-negative term at 0.
 METHOD_CORES = {
     "colide_ev": (
         sigma_floor_ev, lambda P, sigma: P / sigma[:, None, None],
@@ -94,7 +83,8 @@ METHOD_CORES = {
         sigma_floor_nv, lambda P, sigmas: P / sigmas[:, None, :],
         lambda gram, sigmas: (0.5 * (gram.diagonal(axis1=1, axis2=2) / sigmas).sum(axis=1)
                               + 0.5 * sigmas.sum(axis=1)),
-        _sigma_nv),
+        lambda gram, floors: np.maximum(np.sqrt(np.maximum(gram.diagonal(axis1=1, axis2=2), 0.0)),
+                                        floors)),
     "ls_baseline": (None, lambda P, _: P, lambda gram, _: 0.5 * gram.trace(axis1=1, axis2=2), None),
 }
 

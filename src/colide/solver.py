@@ -222,13 +222,13 @@ class _Slices:
     b: np.ndarray  # each slice's dataset index
     W: np.ndarray
     cov: np.ndarray
-    floor: np.ndarray | None
+    floor: np.ndarray
     scale: np.ndarray
     stalls: np.ndarray
     iters: np.ndarray  # (slices, stages) iteration counts
 
     def take(self, keep) -> "_Slices":
-        return _Slices(**{name: None if a is None else a[keep] for name, a in vars(self).items()})
+        return _Slices(**{name: a[keep] for name, a in vars(self).items()})
 
     def store(self, into: "_Slices", k: int, it: int) -> None:
         """Write W, scale, stalls and it iterations in stage k to each slice's dataset row of into."""
@@ -247,10 +247,11 @@ def fit_stack(datasets, method: str = "colide_ev",
     previous objective and iteration counts, so it takes exactly the iterates
     fit() takes on its dataset alone; every running slice starts a stage
     together, sharing ADAM's step count. A slice whose objective stops
-    changing is stored back and sits out the rest of the stage; one whose
-    warm start leaves the domain or whose objective is not finite gets fit()'s
-    FitError, and a dataset whose sample covariance overflows a DataError,
-    while the others run on. wall_time is the stack's over B.
+    changing is stored back and sits out the rest of the stage. Each fault is
+    its own slice's error while the others run on: data without a usable
+    noise floor or whose covariance overflows give a DataError, and a warm
+    start outside the domain or a non-finite objective fit()'s FitError.
+    wall_time is the stack's over B.
     """
     _check_settings((method,), lam, lr, tau)
     if not datasets or len({ds.d for ds in datasets}) != 1:
@@ -263,13 +264,19 @@ def fit_stack(datasets, method: str = "colide_ev",
 
     floor_of, grad_w, score_of, scale_of = METHOD_CORES[method]
     B = len(datasets)
+    covs, floors, errors = [], [np.nan] * B, {}
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing dataset is its slice's DataError
-        covs = np.stack([sample_cov(ds) for ds in datasets])
-        floors = np.array([floor_of(ds) for ds in datasets]) if floor_of else None
-    errors = {b: DataError("sample covariance overflows: data values too large")
-              for b in np.flatnonzero(~np.isfinite(covs).all(axis=(1, 2))).tolist()}
-    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), cov=covs, floor=floors,
-                   scale=np.ones(B) if floors is None else floors * 1e2,  # fixed for ls_baseline
+        for b, ds in enumerate(datasets):
+            covs.append(sample_cov(ds))
+            try:
+                floors[b] = floor_of(ds) if floor_of else np.nan
+            except DataError as exc:  # no usable noise floor
+                errors[b] = exc
+            if not np.isfinite(covs[b]).all():
+                errors.setdefault(b, DataError("sample covariance overflows: data values too large"))
+    floors = np.array(np.broadcast_arrays(*floors))  # a NaN (no floor) takes the others' shape
+    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), cov=np.stack(covs), floor=floors,
+                   scale=floors * 1e2 if scale_of else np.ones(B),  # fixed for ls_baseline
                    stalls=np.zeros(B, dtype=int), iters=np.zeros((B, len(schedule.stages)), dtype=int))
     eye = np.eye(d)
 

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,16 +19,19 @@ from colide.bench import (
     load_dataset_csv,
     parse_config,
     payload_bytes,
+    read_config,
     run_grid,
     save_dataset_csv,
 )
 from colide.errors import ConfigError
 from colide.graphs import GraphModelSpec, is_dag
+from colide.metrics import noise_error
 from colide.sem import Dataset, NoiseSpec, standardize
 from colide.solver import METHODS, StageSchedule
 
 from helpers import BAD_FIT_LINES
 
+ROOT = Path(__file__).resolve().parent.parent
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
 
 SMALL_CFG = f"""
@@ -100,8 +104,10 @@ class TestConfigParsing:
     def test_faults_are_config_errors(self):
         for text in ("graph.shape = torus", "graph.d = 5\ngraph.d = 6", "graph.d: 5",
                      "graph.d = five", "data.standardize = maybe", "graph.d = 1",
-                     "data.n_sweep = 100, 0", "fit.methods = gradient_boosting", "run.jobs = 0",
-                     "fit.methods = colide_ev, colide_ev", "data.n_sweep = 100, 100", *BAD_FIT_LINES):
+                     "data.n_sweep = 100, 0", "data.n = 1\ndata.standardize = true",
+                     "data.n_sweep = 40, 1\ndata.standardize = true", "fit.methods = gradient_boosting",
+                     "run.jobs = 0", "fit.methods = colide_ev, colide_ev", "data.n_sweep = 100, 100",
+                     *BAD_FIT_LINES):
             with pytest.raises(ConfigError):
                 parse_config(text)
 
@@ -109,6 +115,12 @@ class TestConfigParsing:
         cfg = parse_config("")
         assert cfg == ExperimentConfig(graph=GraphModelSpec(model="ER", d=20, k=2.0),
                                        noise=NoiseSpec())
+
+    # a renamed or retired config key must not leave a shipped preset unreadable
+    @pytest.mark.parametrize("path", [*sorted((ROOT / "configs").glob("*.cfg")),
+                                      ROOT / "perfbench" / "grid_d20.cfg"], ids=lambda p: str(p.relative_to(ROOT)))
+    def test_shipped_configs_parse(self, path):
+        assert read_config(path).methods
 
 
 class TestGenerateInstance:
@@ -410,6 +422,19 @@ class TestGridContract:
         for agg in aggs:
             assert agg["runs"] == sum(1 for r in cells if r["method"] == agg["method"]
                                       and r["n"] == agg.get("n", cfg.n) and "error" not in r)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=grid_configs())
+    def test_noise_error_is_against_the_instances_own_sigma_property(self, cfg):
+        # a one-value scale is scored against the RMS sigma, a per-node one node by node
+        for r in run_grid(cfg):
+            if r.get("aggregate") or "error" in r:
+                continue
+            sigma = generate_instance(cfg, r["seed"], r["n"])[1]
+            scale = r.get("sigma_estimate", r.get("sigma_posthoc"))
+            if len(scale) == 1:
+                sigma = np.sqrt(np.mean(sigma ** 2))
+            assert r["noise_rel_error"] == pytest.approx(noise_error(scale, sigma), rel=1e-12)
 
     @settings(max_examples=5, deadline=None)
     @given(cfg=grid_configs(min_seeds=2))  # two or more cells: one stack at jobs 1, two at jobs 2

@@ -279,6 +279,19 @@ class TestSachsCommand:
         assert [r["method"] for r in rows] == ["colide_ev", "colide_nv"]
         assert all("cyclic estimate" in r["error"] for r in rows)
 
+    @pytest.mark.slow
+    def test_zero_column_is_the_nv_records_error(self, sachs_files, tmp_path, capsys):
+        # colide_nv has no usable floor for an all-zero variable; colide_ev fits the data
+        data, truth = sachs_files
+        ds = bench.load_dataset_csv(data, has_header=True)
+        ds.X[0] = 0.0
+        path = tmp_path / "zero.csv"
+        save_dataset_csv(ds, path, header=True)
+        assert main(["sachs", "--data", str(path), "--truth", truth]) == 0
+        ev, nv = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert "error" not in ev and {"shd", "sid", "sigma_estimate"} <= set(ev)
+        assert nv["error"] == "identically-zero variable has no usable noise floor"
+
     @pytest.mark.parametrize("truth", [np.eye(4, k=1), np.eye(5, k=1) + np.eye(5, k=-4)],
                              ids=["four-nodes", "cyclic"])
     def test_bad_truth_is_a_data_error(self, sachs_files, tmp_path, capsys, truth):
@@ -341,7 +354,8 @@ def _bad_runs(draw):
         return ["fit", "--data", "data", "--header", "--out", "o"], {"data": data}
     if command == "bench":
         lines = [f"graph.d = {d + 2}", "data.n = 50", "run.seeds = 0"]
-        fault = draw(hs.sampled_from(["fit.mu = 1", "graph.shape = torus", lines[0], *BAD_FIT_LINES]))
+        fault = draw(hs.sampled_from(["fit.mu = 1", "graph.shape = torus", lines[0], *BAD_FIT_LINES,
+                                      "data.standardize = true\ndata.n_sweep = 40, 1"]))
         lines.insert(draw(hs.integers(0, len(lines))), fault)  # lines[0] again: a duplicate key
         return ["bench", "--config", "cfg", "--out", "o"], {"cfg": "\n".join(lines) + "\n"}
     if command == "eval":

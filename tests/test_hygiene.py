@@ -1,13 +1,16 @@
 """Source hygiene: every name a module imports is read somewhere in that
-module, and every private top-level name of the package is read somewhere in it.
+module, every private top-level name of the package is read somewhere in it,
+and every name a demo script imports from the package exists.
 
 A stdlib `ast` scan of the package and test modules. The package's
 `__init__.py` is left out of the import check: its imports are the public
 re-exports. A private function, class or constant that no package module
-reads is dead code, even when a test still calls it.
+reads is dead code, even when a test still calls it. The demos are scanned,
+not run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,12 @@ def test_scan_flags_only_unread_private_names():
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports_exist(path):
+    imports = [(node.module, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "colide"
+               for alias in node.names]
+    assert imports
+    assert [f"{m}.{name}" for m, name in imports if not hasattr(importlib.import_module(m), name)] == []

@@ -4,11 +4,13 @@ import pytest
 from colide.graphs import GraphModelSpec, assign_edge_weights, sample_er_dag
 from colide.rng import stream
 from colide.scores import (
+    METHOD_CORES,
     DomainViolation,
     _domain_matrix,
     grad_ldet,
     h_ldet,
     ldet_and_grad,
+    residual_gram,
     sigma_floor_ev,
     sigma_floor_nv,
 )
@@ -179,6 +181,21 @@ class TestScaleUpdates:
         big = 100.0
         assert method_core("colide_ev", "scale", W, ds, big) == big
         assert np.all(method_core("colide_nv", "scale", W, ds, np.full(3, big)) == big)
+
+    def test_rounded_negative_residual_gives_the_floor(self):
+        # x1 = a * x0 fitted by the exact coefficient: node 1's residual variance
+        # is 0, but the Gram matrix rounds it below -1e-12; the cores clamp it
+        rng = np.random.default_rng(0)
+        scale, a = 10 ** rng.uniform(0, 4), rng.uniform(-2, 2)
+        x0 = scale * rng.standard_normal(50)
+        ds = Dataset(X=np.stack([x0, a * x0]))
+        gram = residual_gram((np.eye(2) - np.array([[0.0, a], [0.0, 0.0]]))[None], sample_cov(ds)[None])
+        assert gram[0, 1, 1] < -1e-12
+        floors = sigma_floor_nv(ds)
+        assert METHOD_CORES["colide_nv"][3](gram, floors[None]).tolist() == [
+            [np.sqrt(gram[0, 0, 0]), floors[1]]]
+        # node 1 alone: the EV trace term is the same rounded value
+        assert METHOD_CORES["colide_ev"][3](gram[:, 1:, 1:], np.array([0.5])).tolist() == [0.5]
 
     def test_floors_from_data(self):
         ds = random_dataset(4, 50, 1)

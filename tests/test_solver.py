@@ -359,7 +359,9 @@ def kind_dataset(kind, d, rng, block=4):
     following row 0, so W grows one 2-cycle; "dense": every row shares a
     component, so a huge step leaves the domain at every halving (stall);
     "random": independent Gaussian rows; "huge": random rows whose covariance
-    overflows, so the slice is a DataError from the start.
+    overflows, and "zero-row" (random rows but the last, all zero) and "zeros"
+    (all zero), which have no usable colide_nv floor (and "zeros" no
+    colide_ev one), so the slice is a DataError from the start.
     """
     X = np.zeros((d, block * d))
     for i in range(d):
@@ -372,6 +374,11 @@ def kind_dataset(kind, d, rng, block=4):
         X = rng.standard_normal(X.shape)
     elif kind == "huge":
         X = 1e155 * rng.standard_normal(X.shape)
+    elif kind == "zero-row":
+        X = rng.standard_normal(X.shape)
+        X[-1] = 0.0
+    elif kind == "zeros":
+        X = np.zeros(X.shape)
     return Dataset(X=X)
 
 
@@ -387,9 +394,10 @@ def error_key(exc):
     return type(exc), str(exc), getattr(exc, "stage", None), getattr(exc, "iteration", None)
 
 
-KINDS = ("sparse", "pair", "dense", "random")
+KINDS = ("sparse", "pair", "dense", "random", "zero-row", "zeros")
 # d = 3, lr = 1e6, s falling to 0.2: "sparse" stops early in both stages, "pair"
-# leaves stage 1's domain at its warm start, "dense" stalls
+# leaves stage 1's domain at its warm start, "dense" stalls, "zeros" has no
+# colide_ev floor
 MIXED = dict(method="colide_ev", d=3, kinds=list(KINDS), lr=1e6, stages=[(1.0, 40), (0.2, 40)], seed=0)
 
 
@@ -412,6 +420,9 @@ class TestFitStack:
     # slice 1's covariance overflows: a DataError of its own, without RuntimeWarnings, while the others run on
     @example(method="colide_nv", d=3, kinds=["sparse", "huge", "random"], lr=0.3, stages=[(1.0, 40), (0.7, 40)],
              seed=0)
+    # slices 1 and 2 have no usable floor, while the others run on
+    @example(method="colide_nv", d=3, kinds=["random", "zero-row", "zeros", "sparse"], lr=0.3,
+             stages=[(1.0, 40), (0.7, 40)], seed=0)
     def test_each_slice_is_its_own_fit_property(self, method, d, kinds, lr, stages, seed):
         rng = np.random.default_rng(seed)
         datasets = [kind_dataset(kind, d, rng) for kind in kinds]
@@ -443,11 +454,12 @@ class TestFitStack:
         rng = np.random.default_rng(MIXED["seed"])
         datasets = [kind_dataset(kind, MIXED["d"], rng) for kind in MIXED["kinds"]]
         sched = StageSchedule(stages=((1.0, 1.0, 40), (0.1, 0.2, 40)))
-        sparse, pair, dense, _ = fit_stack(datasets, MIXED["method"], sched, lr=MIXED["lr"])
+        sparse, pair, dense, _, _, zeros = fit_stack(datasets, MIXED["method"], sched, lr=MIXED["lr"])
         assert sparse.iters_per_stage == [2, 2] and sparse.stalls == 0
         assert isinstance(pair, FitError) and (pair.stage, pair.iteration) == (1, 0)
         assert "warm start" in str(pair)
         assert dense.stalls > 0
+        assert isinstance(zeros, DataError) and "no usable noise floor" in str(zeros)
 
     def test_datasets_must_share_one_size(self):
         rng = np.random.default_rng(0)
