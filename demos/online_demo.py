@@ -23,7 +23,7 @@ _, _, ds = generate_instance(cfg, seed=0)
 
 print("full-batch fit...")
 batch = fit(ds, method="colide_ev")
-print(f"  sigma* = {batch.sigma:.4f}")
+print(f"  sigma* = {batch.scale:.4f}")
 
 print("streaming fit, batches of 100...")
 st, snaps = fit_online(ds, batch_size=100, method="colide_ev",
@@ -36,7 +36,7 @@ for stage, epoch, W, sigma in snaps:
     if stage != last_stage:
         continue
     werr = np.linalg.norm(W - batch.W) / np.linalg.norm(batch.W)
-    serr = abs(sigma - batch.sigma) / batch.sigma
+    serr = abs(sigma - batch.scale) / batch.scale
     print(f"{epoch + 1:>6} {werr:>16.4f} {serr:>22.4f}")
 
 print("\nboth relative errors shrink as the stream revisits the data; the "

@@ -101,24 +101,6 @@ class _Dag:
                     up.extend(self.parents[v])
         return np.frombuffer(seen_up, dtype=bool) | np.frombuffer(seen_down, dtype=bool)
 
-    def adjusts(self, i, j, Z, anc_z) -> bool:
-        """Adjustment criterion for the effect of i on j, with i, j outside Z.
-
-        Z must avoid the causal nodes (on directed paths i -> ... -> j, j
-        included) and their descendants, and d-separate i and j once i's
-        edges into causal nodes are removed. Removing them changes no
-        ancestor of Z when that first test passes, since an edge i -> c only
-        leads to descendants of c, all forbidden; so the ancestors of Z in
-        this graph (anc_z) serve the reduced graph as well.
-        """
-        causal = self.desc[i] & self.desc[:, j]
-        causal[j] = self.desc[i, j]
-        forbidden = causal | self.desc[causal].any(axis=0)
-        if (Z & forbidden).any():
-            return False
-        kept = [c for c in self.children[i] if not causal[c]]
-        return not self.reached(i, Z.tolist(), anc_z.tolist(), kept)[j]
-
 
 def _supports(est, true):
     A = check_weights(est) != 0
@@ -184,29 +166,6 @@ def _fdr(est, true) -> float:
 # ---------------------------------------------------------------------------
 # Structural intervention distance via the parent-adjustment criterion.
 # ---------------------------------------------------------------------------
-
-def d_separated(A: np.ndarray, x: int, y: int, Z) -> bool:
-    """d-separation of x and y given Z in the DAG with adjacency A (bool)."""
-    Z = np.isin(np.arange(A.shape[0]), list(Z))
-    if Z[x] or Z[y]:
-        raise ValueError("endpoints may not be conditioned on")
-    g = _Dag(A)
-    return not g.reached(x, Z.tolist(), g.ancestors(Z).tolist(), g.children[x])[y]
-
-
-def valid_adjustment(A: np.ndarray, i: int, j: int, Z) -> bool:
-    """Adjustment criterion for estimating the effect of i on j in DAG A.
-
-    Z must avoid descendants of nodes on proper causal paths i -> ... -> j and
-    block every proper non-causal path (d-separation in the graph with the
-    first causal edges out of i removed).
-    """
-    Z = np.isin(np.arange(A.shape[0]), list(Z))
-    if Z[i] or Z[j]:
-        return False
-    g = _Dag(A)
-    return g.adjusts(i, j, Z, g.ancestors(Z))
-
 
 def _sid(est, true) -> int:
     """Structural intervention distance (Peters & Buehlmann, Neural Computation 2015).

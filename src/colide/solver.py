@@ -151,8 +151,16 @@ def _stage_entry(W, s, k):
                        for j, msg in faults.items()}
 
 
+def _gradient_overflows(v, rows, k, it) -> dict:
+    """A FitError for each dataset row whose slice's ADAM second moment v is non-finite."""
+    bad = ~np.isfinite(v).all(axis=(1, 2))
+    return {b: FitError(f"gradient overflow (stage {k}, iteration {it})", k, it) for b in rows[bad].tolist()}
+
+
 def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Zero out entries with absolute weight strictly below tau."""
+    """Zero out entries with absolute weight strictly below tau; ValueError unless tau >= 0 (NaN fails)."""
+    if not tau >= 0:
+        raise ValueError(f"need threshold >= 0; got {tau}")
     out = np.array(W, copy=True)
     out[np.abs(out) < tau] = 0.0
     return out
@@ -160,6 +168,11 @@ def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
 
 @dataclass
 class FitResult:
+    """Raw and thresholded W, the noise scale and per-stage counts of one fit.
+
+    The sigma and sigmas views of scale remain only for perfbench/workloads.py.
+    """
+
     W: np.ndarray
     W_thresholded: np.ndarray
     scale: float | np.ndarray | None = None  # a float (EV), a (d,) array (NV) or None
@@ -236,6 +249,7 @@ class _Slices:
         into.iters[self.b, k] = it
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing dataset is its slice's error
 def fit_stack(datasets, method: str = "colide_ev",
               schedule: StageSchedule | None = None,
               lam: float = DEFAULT_LAMBDA,
@@ -250,7 +264,9 @@ def fit_stack(datasets, method: str = "colide_ev",
     changing is stored back and sits out the rest of the stage. Each fault is
     its own slice's error while the others run on: data without a usable
     noise floor or whose covariance overflows give a DataError, and a warm
-    start outside the domain or a non-finite objective fit()'s FitError.
+    start outside the domain, a non-finite objective or an overflowing ADAM
+    second moment fit()'s FitError. The moment is checked when a slice leaves
+    a stage: once non-finite it stays so, and its updates are 0 or NaN.
     wall_time is the stack's over B.
     """
     _check_settings((method,), lam, lr, tau)
@@ -265,15 +281,14 @@ def fit_stack(datasets, method: str = "colide_ev",
     floor_of, grad_w, score_of, scale_of = METHOD_CORES[method]
     B = len(datasets)
     covs, floors, errors = [], [np.nan] * B, {}
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing dataset is its slice's DataError
-        for b, ds in enumerate(datasets):
-            covs.append(sample_cov(ds))
-            try:
-                floors[b] = floor_of(ds) if floor_of else np.nan
-            except DataError as exc:  # no usable noise floor
-                errors[b] = exc
-            if not np.isfinite(covs[b]).all():
-                errors.setdefault(b, DataError("sample covariance overflows: data values too large"))
+    for b, ds in enumerate(datasets):
+        covs.append(sample_cov(ds))
+        try:
+            floors[b] = floor_of(ds) if floor_of else np.nan
+        except DataError as exc:  # no usable noise floor
+            errors[b] = exc
+        if not np.isfinite(covs[b]).all():
+            errors.setdefault(b, DataError("sample covariance overflows: data values too large"))
     floors = np.array(np.broadcast_arrays(*floors))  # a NaN (no floor) takes the others' shape
     fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), cov=np.stack(covs), floor=floors,
                    scale=floors * 1e2 if scale_of else np.ones(B),  # fixed for ls_baseline
@@ -310,6 +325,7 @@ def fit_stack(datasets, method: str = "colide_ev",
                 o - prev_obj[j]) / max(abs(prev_obj[j]), 1e-12) < EARLY_STOP_RTOL]
             if leave:
                 run.take(leave).store(fits, k, it)
+                errors.update(_gradient_overflows(adam.v[leave], run.b[leave], k, it))
                 for j, b in zip(leave, run.b[leave].tolist()):
                     if not math.isfinite(obj[j]):
                         errors[b] = FitError(f"objective diverged (stage {k}, iteration {it})", k, it)
@@ -320,6 +336,7 @@ def fit_stack(datasets, method: str = "colide_ev",
                     break
             prev_obj = obj
         run.store(fits, k, max_iters)
+        errors.update(_gradient_overflows(adam.v, run.b, k, max_iters))
 
     wall_time = (time.perf_counter() - start) / B
     return [errors[b] if b in errors else FitResult(
@@ -405,6 +422,8 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     """
     if batch_size < 1 or batch_size > ds.n:
         raise ValueError("batch_size must be in [1, n]")
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be at least 1")
     schedule = schedule or default_schedule()
     batches = [ds.X[:, i:i + batch_size] for i in range(0, ds.n, batch_size)]
     if epochs_per_stage is None:

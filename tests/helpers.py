@@ -4,7 +4,10 @@ Everything here except method_core is deliberately independent of the
 library implementation: finite-difference gradients, DAG enumeration,
 Markov-equivalence grouping, equivalence classes by orientation enumeration,
 path-enumeration d-separation, the adjustment criterion checked path by
-path, Warshall's transitive closure, and Kahn's algorithm and the
+path, d-separation on the moral ancestral graph and the adjustment criterion
+on the proper back-door graph (sid_by_pairs: SID without the library's
+Bayes-ball walk, for graphs too large for path enumeration), Warshall's
+transitive closure, and Kahn's algorithm and the
 compelled-edge labelling written with one numpy call per node on boolean
 matrices (the library runs both on adjacency lists and int bitsets).
 method_core evaluates the library's method table the way the solver does,
@@ -249,6 +252,71 @@ def sid_bf(est, true):
                     count += 1
             elif true_has_effect:
                 count += 1
+    return count
+
+
+def d_separated_moral(A, x, y, Z):
+    """d-separation by the moral ancestral graph (Lauritzen, Dawid, Larsen & Leimer, Networks 1990).
+
+    x and y are d-separated given Z iff Z separates them in the moral graph of
+    the subgraph on the ancestors of {x, y} | Z: keep those nodes, join the
+    parents of each, drop directions, and search x's component outside Z.
+    """
+    Z = sorted(set(Z))
+    keep = transitive_closure(A)[:, [x, y, *Z]].any(axis=1)
+    keep[[x, y, *Z]] = True
+    G = A & keep[:, None] & keep[None, :]
+    M = G | G.T
+    for v in range(len(A)):
+        parents = np.flatnonzero(G[:, v])
+        M[np.ix_(parents, parents)] = True
+    seen, stack = {x, *Z}, [x]
+    while stack:
+        for w in np.flatnonzero(M[stack.pop()]).tolist():
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return y not in seen
+
+
+def valid_adjustment_pbd(A, i, j, Z):
+    """Adjustment criterion (Shpitser, VanderWeele & Robins, UAI 2010) through the proper back-door graph.
+
+    The causal nodes are the nodes after i on directed paths i -> ... -> j.
+    Z is valid iff it holds neither i nor j, avoids the causal nodes and their
+    descendants, and d-separates i and j once i's edges into causal nodes are
+    removed (d_separated_moral).
+    """
+    Z = set(Z)
+    if i in Z or j in Z:
+        return False
+    R = transitive_closure(A)
+    causal = R[i] & (R[:, j] | (np.arange(len(A)) == j))
+    forbidden = causal | R[causal].any(axis=0)
+    if forbidden[sorted(Z)].any():
+        return False
+    backdoor = A.copy()
+    backdoor[i, causal] = False
+    return d_separated_moral(backdoor, i, j, Z)
+
+
+def sid_by_pairs(est, true):
+    """SID summed pair by pair through valid_adjustment_pbd.
+
+    A pair (i, j) that est connects by a directed path is disrupted unless
+    est's parents of i adjust for it in true; any other pair is disrupted iff
+    true has a directed path i -> ... -> j. Polynomial per pair, so it reaches
+    graphs far past sid_bf's path enumeration.
+    """
+    d = est.shape[0]
+    count = 0
+    for i in range(d):
+        est_desc, true_desc = descendants_of(est, i), descendants_of(true, i)
+        for j in range(d):
+            if j in est_desc:
+                count += not valid_adjustment_pbd(true, i, j, set(np.flatnonzero(est[:, i]).tolist()))
+            else:
+                count += j in true_desc
     return count
 
 

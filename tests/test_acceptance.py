@@ -279,7 +279,7 @@ def test_criterion_10_online_tracking():
     for k, _, W, scale in snaps:
         if k == last_stage:
             werr.append(np.linalg.norm(W - batch.W) / np.linalg.norm(batch.W))
-            serr.append(abs(scale - batch.sigma) / batch.sigma)
+            serr.append(abs(scale - batch.scale) / batch.scale)
     head = slice(0, max(1, len(werr) // 10))
     tail = slice(-max(1, len(werr) // 10), None)
     assert np.mean(werr[tail]) < np.mean(werr[head])

@@ -218,6 +218,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("tau", ["-1", "nan"])
+    def test_eval_bad_threshold(self, tmp_path, capsys, tau):
+        # the estimate is thresholded by the one solver function, which rejects tau < 0 and NaN
+        chain = tmp_path / "chain.csv"
+        np.savetxt(chain, [[0, 1], [0, 0]], delimiter=",")
+        assert main(["eval", "--est", str(chain), "--truth", str(chain), "--threshold", tau]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: need threshold >= 0")
+
+    def test_overflowing_gradient_is_a_fit_divergence(self, tmp_path, capsys):
+        p = tmp_path / "large.csv"
+        save_dataset_csv(Dataset(X=1e80 * np.random.default_rng(0).standard_normal((3, 20))), p)
+        assert main(["fit", "--data", str(p), "--method", "ls_baseline", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fit diverged: gradient overflow (stage 0, iteration 2)"]
+
     def test_overflowing_data_is_a_data_error(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
         save_dataset_csv(Dataset(X=1e155 * np.random.default_rng(0).standard_normal((3, 20))), p)

@@ -1,11 +1,15 @@
 """Source hygiene: every name a module imports is read somewhere in that
 module, every private top-level name of the package is read somewhere in it,
-and every name a demo script imports from the package exists.
+every public name outside its module's `__all__` and every method of the
+package is read by the package or by perfbench, and every name a demo script
+imports from the package exists.
 
-A stdlib `ast` scan of the package and test modules. The package's
-`__init__.py` is left out of the import check: its imports are the public
-re-exports. A private function, class or constant that no package module
-reads is dead code, even when a test still calls it. The demos are scanned,
+A stdlib `ast` scan of the package and test modules, with perfbench's
+modules read as callers of the package. The package's `__init__.py` is left
+out of the import check: its imports are the public re-exports. A private
+function, class or constant that no package module reads is dead code, even
+when a test still calls it; so are a public one outside `__all__` and a
+method that neither the package nor perfbench reads. The demos are scanned,
 not run.
 """
 
@@ -45,18 +49,17 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(sources: dict) -> list:
-    """'module: name' for each private top-level function, class or constant that no source reads.
+def read_names(sources: dict) -> set:
+    """(module, name) for each top-level name of a module that one of sources reads.
 
     sources maps a module name to its text. A module reads its own names where
     it loads them, and module m's names where it imports them from m or takes
     them as attributes of m, so a name read in one module does not hide an
     unread one of the same name in another.
     """
-    trees = {module: ast.parse(text) for module, text in sources.items()}
     read = set()
-    for module, tree in trees.items():
-        nodes = list(ast.walk(tree))
+    for module, text in sources.items():
+        nodes = list(ast.walk(ast.parse(text)))
         owner = {}
         for node in nodes:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -69,18 +72,51 @@ def unread_private_names(sources: dict) -> list:
             elif isinstance(node, ast.Attribute):
                 base = getattr(node.value, "id", getattr(node.value, "attr", None))
                 read.add((owner.get(base, base), node.attr))
+    return read
+
+
+def top_level_names(tree) -> list:
+    """The functions, classes and assigned names (tuple targets included) a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names += [t.id for t in getattr(target, "elts", [target]) if isinstance(t, ast.Name)]
+    return names
+
+
+def unread_private_names(sources: dict) -> list:
+    """'module: name' for each private top-level function, class or constant that no source reads."""
+    read = read_names(sources)
+    return [f"{module}: {name}" for module, text in sources.items() for name in top_level_names(ast.parse(text))
+            if name.startswith("_") and not name.startswith("__") and (module, name) not in read]
+
+
+def unread_api(package: dict, readers: dict) -> list:
+    """'module: name' and 'module: Class.method' for the package's names that nothing reads.
+
+    A public top-level name of a package module outside that module's
+    __all__ must be read by a package or reader module, and so must every
+    method or property of a package class (dunders aside). The scan does not
+    know an object's type, so a method counts as read where any module takes
+    an attribute of its name.
+    """
+    sources = {**package, **readers}
+    read = read_names(sources)
+    attributes = {node.attr for text in sources.values() for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Attribute)}
     unread = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            unread += [f"{module}: {name}" for name in names
-                       if name.startswith("_") and not name.startswith("__") and (module, name) not in read]
+    for module, text in package.items():
+        tree = ast.parse(text)
+        exported = next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                         and [getattr(t, "id", None) for t in node.targets] == ["__all__"]), [])
+        unread += [f"{module}: {name}" for name in top_level_names(tree) if not name.startswith("_")
+                   and name not in exported and (module, name) not in read]
+        unread += [f"{module}: {cls.name}.{item.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)
+                   and not item.name.startswith("__") and item.name not in attributes]
     return unread
 
 
@@ -97,6 +133,24 @@ def test_scan_flags_only_unread_private_names():
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_scan_flags_only_unread_public_names_and_methods():
+    package = {
+        "a": "__all__ = ['pub']\ndef pub(): pass\ndef helper(): pass\ndef used(): pass\ndef traced(): pass\n"
+             "K, L = 1, 2\nclass C:\n    def m(self): pass\n    def n(self): pass\n"
+             "    @property\n    def p(self): pass\n    def __init__(self): pass\nprint(used(), K)\n",
+        # b reads a's C and C.n; a reader module reads a.traced and the property p
+        "b": "from a import C\nC().n()\n",
+    }
+    readers = {"perfbench/w": "import a\na.traced()\nprint(obj.p)\n"}
+    assert unread_api(package, readers) == ["a: helper", "a: L", "a: C.m"]
+
+
+def test_every_public_name_and_method_is_read():
+    # perfbench's modules are readers: they are not part of the package, but they call it
+    readers = {f"perfbench/{p.stem}": p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert unread_api({p.stem: p.read_text() for p in PACKAGE}, readers) == []
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

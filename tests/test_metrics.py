@@ -9,7 +9,6 @@ from colide.errors import CyclicGraphError, DataError
 from colide.graphs import GraphModelSpec, is_dag, sample_er_dag, sample_sf_dag, topological_order
 from colide.metrics import (
     _Dag,
-    d_separated,
     evaluate,
     fdr,
     noise_error,
@@ -18,20 +17,21 @@ from colide.metrics import (
     shd_c,
     sid,
     tpr,
-    valid_adjustment,
 )
 from colide.sem import Dataset
 
 from helpers import (
     all_dags,
     d_separated_bf,
-    descendants_of,
+    d_separated_moral,
     random_dag,
     shd_bf,
     sid_bf,
+    sid_by_pairs,
     topological_order_by_columns,
     transitive_closure,
     valid_adjustment_bf,
+    valid_adjustment_pbd,
     wide_dags,
     with_cycle,
 )
@@ -102,23 +102,15 @@ def _hub_pair():
     return est, true
 
 
-def sid_by_pairs(est, true):
-    """SID summed pair by pair through the public valid_adjustment.
+def walk_separated(A, x, y, Z):
+    """d-separation of x and y given Z read from the library's Bayes-ball walk, _Dag.reached."""
+    g = _Dag(A)
+    Z = np.isin(np.arange(len(A)), list(Z))
+    return not g.reached(x, Z.tolist(), g.ancestors(Z).tolist(), g.children[x])[y]
 
-    A pair (i, j) that est connects by a directed path is disrupted unless
-    est's parents of i adjust for it in true; any other pair is disrupted iff
-    true has a directed path i -> ... -> j.
-    """
-    d = est.shape[0]
-    count = 0
-    for i in range(d):
-        est_desc, true_desc = descendants_of(est, i), descendants_of(true, i)
-        for j in range(d):
-            if j in est_desc:
-                count += not valid_adjustment(true, i, j, set(np.flatnonzero(est[:, i])))
-            else:
-                count += j in true_desc
-    return count
+
+# the library's walk and the moral-ancestral oracle that sid_by_pairs rests on
+SEPARATIONS = (walk_separated, d_separated_moral)
 
 
 def chain(d):
@@ -269,19 +261,22 @@ class TestTprFdr:
 class TestDSeparation:
     def test_chain_blocked_by_middle(self):
         A = chain(3) != 0
-        assert not d_separated(A, 0, 2, set())
-        assert d_separated(A, 0, 2, {1})
+        for d_separated in SEPARATIONS:
+            assert not d_separated(A, 0, 2, set())
+            assert d_separated(A, 0, 2, {1})
 
     def test_collider_opens_when_conditioned(self):
         A = np.zeros((3, 3), dtype=bool)
         A[0, 2] = A[1, 2] = True
-        assert d_separated(A, 0, 1, set())
-        assert not d_separated(A, 0, 1, {2})
+        for d_separated in SEPARATIONS:
+            assert d_separated(A, 0, 1, set())
+            assert not d_separated(A, 0, 1, {2})
 
     def test_descendant_of_collider_opens(self):
         A = np.zeros((4, 4), dtype=bool)
         A[0, 2] = A[1, 2] = A[2, 3] = True
-        assert not d_separated(A, 0, 1, {3})
+        for d_separated in SEPARATIONS:
+            assert not d_separated(A, 0, 1, {3})
 
     def test_matches_bruteforce_everywhere(self):
         rng = np.random.default_rng(2)
@@ -292,22 +287,24 @@ class TestDSeparation:
                 others = [v for v in nodes if v not in (x, y)]
                 for r in range(len(others) + 1):
                     for Z in itertools.combinations(others, r):
-                        assert d_separated(A, x, y, set(Z)) == \
-                            d_separated_bf(A, x, y, set(Z))
+                        want = d_separated_bf(A, x, y, set(Z))
+                        for d_separated in SEPARATIONS:
+                            assert d_separated(A, x, y, set(Z)) == want
 
 
 class TestValidAdjustment:
+    # the adjustment oracle of sid_by_pairs against path-by-path enumeration
     def test_backdoor_confounder(self):
         # 2 -> 0, 2 -> 1, 0 -> 1: adjusting for the confounder 2 is valid
         A = np.zeros((3, 3), dtype=bool)
         A[2, 0] = A[2, 1] = A[0, 1] = True
-        assert valid_adjustment(A, 0, 1, {2})
-        assert not valid_adjustment(A, 0, 1, set())
+        assert valid_adjustment_pbd(A, 0, 1, {2})
+        assert not valid_adjustment_pbd(A, 0, 1, set())
 
     def test_mediator_forbidden(self):
         A = chain(3) != 0
-        assert not valid_adjustment(A, 0, 2, {1})
-        assert valid_adjustment(A, 0, 2, set())
+        assert not valid_adjustment_pbd(A, 0, 2, {1})
+        assert valid_adjustment_pbd(A, 0, 2, set())
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(3)
@@ -317,7 +314,7 @@ class TestValidAdjustment:
                 others = [v for v in range(5) if v not in (i, j)]
                 for r in range(len(others) + 1):
                     for Z in itertools.combinations(others, r):
-                        assert valid_adjustment(A, i, j, set(Z)) == \
+                        assert valid_adjustment_pbd(A, i, j, set(Z)) == \
                             valid_adjustment_bf(A, i, j, set(Z))
 
 
@@ -363,7 +360,7 @@ class TestSid:
     @given(large_dag_pairs())
     @example(_hub_pair())  # targets whose kept children differ only past the eighth child
     def test_matches_pairwise_adjustment_property(self, pair):
-        # one walk per source group against one adjustment check per pair
+        # one walk per source group against a moral-graph adjustment check per pair
         est, true = pair
         assert sid(est.astype(float), true.astype(float)) == sid_by_pairs(est, true)
 

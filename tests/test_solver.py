@@ -202,6 +202,12 @@ class TestThreshold:
         W = np.array([[0.0, 0.3], [0.0, 0.0]])
         assert threshold(W, 0.3)[0, 1] == 0.3
 
+    @pytest.mark.parametrize("tau", [-1.0, float("nan")])
+    def test_negative_or_nan_tau_rejected(self, tau):
+        # a negative threshold keeps every entry, NaN keeps every entry too
+        with pytest.raises(ValueError, match="need threshold >= 0"):
+            threshold(np.zeros((2, 2)), tau)
+
     def test_input_unmodified(self):
         W = np.array([[0.0, 0.1], [0.0, 0.0]])
         threshold(W, 0.3)
@@ -232,7 +238,7 @@ class TestFit:
         res = fit(ds, method="colide_ev", schedule=FAST)
         assert np.array_equal(res.W_thresholded != 0, W_true != 0)
         assert is_dag(res.W_thresholded)
-        assert res.sigma == pytest.approx(1.0, abs=0.15)
+        assert res.scale == pytest.approx(1.0, abs=0.15)
 
     def test_er_recovery_all_methods(self):
         W_true, sigmas, ds = small_instance(seed=1)
@@ -265,7 +271,7 @@ class TestFit:
         r1 = fit(ds, method="colide_ev", schedule=FAST)
         r2 = fit(ds, method="colide_ev", schedule=FAST)
         assert np.array_equal(r1.W, r2.W)
-        assert r1.sigma == r2.sigma
+        assert r1.scale == r2.scale
         assert r1.iters_per_stage == r2.iters_per_stage
 
     @pytest.mark.slow
@@ -286,7 +292,7 @@ class TestFit:
     def test_sigma_floor_respected(self):
         _, _, ds = small_instance(seed=7)
         res = fit(ds, method="colide_ev", schedule=FAST)
-        assert res.sigma >= sigma_floor_ev(ds)
+        assert res.scale >= sigma_floor_ev(ds)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
@@ -361,7 +367,9 @@ def kind_dataset(kind, d, rng, block=4):
     "random": independent Gaussian rows; "huge": random rows whose covariance
     overflows, and "zero-row" (random rows but the last, all zero) and "zeros"
     (all zero), which have no usable colide_nv floor (and "zeros" no
-    colide_ev one), so the slice is a DataError from the start.
+    colide_ev one), so the slice is a DataError from the start; "large":
+    random rows at 1e80, whose covariance is finite but whose ls_baseline
+    gradient (the covariance) overflows ADAM's second moment, a FitError.
     """
     X = np.zeros((d, block * d))
     for i in range(d):
@@ -379,6 +387,8 @@ def kind_dataset(kind, d, rng, block=4):
         X[-1] = 0.0
     elif kind == "zeros":
         X = np.zeros(X.shape)
+    elif kind == "large":
+        X = 1e80 * rng.standard_normal(X.shape)
     return Dataset(X=X)
 
 
@@ -394,7 +404,7 @@ def error_key(exc):
     return type(exc), str(exc), getattr(exc, "stage", None), getattr(exc, "iteration", None)
 
 
-KINDS = ("sparse", "pair", "dense", "random", "zero-row", "zeros")
+KINDS = ("sparse", "pair", "dense", "random", "zero-row", "zeros", "large")
 # d = 3, lr = 1e6, s falling to 0.2: "sparse" stops early in both stages, "pair"
 # leaves stage 1's domain at its warm start, "dense" stalls, "zeros" has no
 # colide_ev floor
@@ -423,6 +433,9 @@ class TestFitStack:
     # slices 1 and 2 have no usable floor, while the others run on
     @example(method="colide_nv", d=3, kinds=["random", "zero-row", "zeros", "sparse"], lr=0.3,
              stages=[(1.0, 40), (0.7, 40)], seed=0)
+    # slice 1's ADAM second moment overflows in stage 0, while the others run on
+    @example(method="ls_baseline", d=3, kinds=["random", "large", "sparse"], lr=0.3,
+             stages=[(1.0, 40), (0.7, 40)], seed=0)
     def test_each_slice_is_its_own_fit_property(self, method, d, kinds, lr, stages, seed):
         rng = np.random.default_rng(seed)
         datasets = [kind_dataset(kind, d, rng) for kind in kinds]
@@ -439,8 +452,8 @@ class TestFitStack:
             assert got.iters_per_stage == want.iters_per_stage
             assert got.stalls == want.stalls
 
-    # just below the covariance check: the score overflows at the first step, and numpy warns
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # just below the covariance check: the score overflows at the first step, with no
+    # RuntimeWarning, and the divergence is reported over the moment's overflow
     def test_objective_that_overflows_is_its_slices_fit_error(self):
         rng = np.random.default_rng(0)
         datasets = [kind_dataset("random", 3, rng), Dataset(X=1e153 * kind_dataset("dense", 3, rng).X)]
@@ -450,11 +463,28 @@ class TestFitStack:
             "objective diverged (stage 0, iteration 1)", 0, 1)
         assert np.array_equal(got.W, fit(datasets[0], **kw).W)
 
+    def test_gradient_that_overflows_is_its_slices_fit_error(self):
+        # at 1e80 the ls_baseline gradient, the covariance itself, squares past the float range:
+        # ADAM's steps are 0 and the stage would stop early on an unchanged W = 0
+        rng = np.random.default_rng(0)
+        datasets = [kind_dataset(kind, 3, rng) for kind in ("random", "large", "sparse")]
+        kw = dict(lr=0.3, schedule=StageSchedule(stages=((1.0, 1.0, 40), (0.1, 0.7, 40))))
+        good, overflow, _ = fit_stack(datasets, "ls_baseline", **kw)
+        assert (str(overflow), overflow.stage, overflow.iteration) == (
+            "gradient overflow (stage 0, iteration 2)", 0, 2)
+        assert np.array_equal(good.W, fit(datasets[0], "ls_baseline", **kw).W)
+        # a slice still running at the stage cap is checked too
+        capped = fit_stack(datasets[1:2], "ls_baseline", schedule=StageSchedule(stages=((1.0, 1.0, 1),)))[0]
+        assert (str(capped), capped.stage, capped.iteration) == ("gradient overflow (stage 0, iteration 1)", 0, 1)
+        # the colide methods divide the covariance by the squared scale and fit the same data
+        for method in ("colide_ev", "colide_nv"):
+            assert not np.array_equal(fit(datasets[1], method, **kw).W, np.zeros((3, 3)))
+
     def test_mixed_example_covers_stalls_faults_and_early_stops(self):
         rng = np.random.default_rng(MIXED["seed"])
         datasets = [kind_dataset(kind, MIXED["d"], rng) for kind in MIXED["kinds"]]
         sched = StageSchedule(stages=((1.0, 1.0, 40), (0.1, 0.2, 40)))
-        sparse, pair, dense, _, _, zeros = fit_stack(datasets, MIXED["method"], sched, lr=MIXED["lr"])
+        sparse, pair, dense, _, _, zeros, _ = fit_stack(datasets, MIXED["method"], sched, lr=MIXED["lr"])
         assert sparse.iters_per_stage == [2, 2] and sparse.stalls == 0
         assert isinstance(pair, FitError) and (pair.stage, pair.iteration) == (1, 0)
         assert "warm start" in str(pair)
@@ -561,8 +591,13 @@ class TestOnline:
                                snapshot_every=50)
         rel = np.linalg.norm(st.W - res.W) / np.linalg.norm(res.W)
         assert rel < 0.35
-        assert abs(st.scale - res.sigma) / res.sigma < 0.1
+        assert abs(st.scale - res.scale) / res.scale < 0.1
         assert snaps  # per-epoch history recorded
+
+    def test_fit_online_bad_snapshot_every(self):
+        _, _, ds = small_instance(seed=12, d=6, n=100)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            fit_online(ds, 50, snapshot_every=0)
 
     def test_fit_online_bad_batch_size(self):
         _, _, ds = small_instance(seed=12, d=6, n=100)
