@@ -74,6 +74,8 @@ class ExperimentConfig:
         axes = {"run.seeds": self.seeds, "fit.methods": self.methods, "data.n_sweep": self.n_sweep}
         if not self.seeds or any(len(set(axis)) != len(axis) for axis in axes.values()):
             raise ValueError(f"run.seeds must be nonempty and every grid axis distinct, got {axes}")
+        if min((*self.seeds, self.master_seed)) < 0:  # a SeedSequence key
+            raise ValueError(f"run.seeds and run.master_seed must be >= 0, got {self.seeds}, {self.master_seed}")
         _check_settings(self.methods, self.lam, self.lr, self.threshold)
 
     def flat(self) -> dict:
@@ -91,12 +93,9 @@ class ExperimentConfig:
 # Config file: line-oriented "dotted.key = value" text, unknown keys rejected.
 # ---------------------------------------------------------------------------
 
-def _parse_intervals(text: str):
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.strip().partition(":")
-        out.append((float(lo), float(hi)))
-    return tuple(out)
+def _parse_interval(text: str):
+    lo, _, hi = text.strip().partition(":")  # a second interval makes hi unparseable
+    return float(lo), float(hi)
 
 
 def _parse_stages(text: str):
@@ -124,11 +123,11 @@ _CONFIG_KEYS = {
     "graph.model": (str, "graph.model"),
     "graph.d": (int, "graph.d"),
     "graph.k": (float, "graph.k"),
-    "graph.weight_ranges": (_parse_intervals, "graph.weight_ranges"),
+    "graph.weight_ranges": (lambda t: tuple(map(_parse_interval, t.split(","))), "graph.weight_ranges"),
     "noise.family": (str, "noise.family"),
     "noise.profile": (str, "noise.profile"),
     "noise.variance": (float, "noise.variance"),
-    "noise.variance_range": (lambda t: _parse_intervals(t)[0], "noise.variance_range"),
+    "noise.variance_range": (_parse_interval, "noise.variance_range"),
     "data.n": (int, "n"),
     "data.standardize": (_parse_bool, "standardize"),
     "data.n_sweep": (_parse_ints, "n_sweep"),
@@ -343,6 +342,8 @@ def save_dataset_csv(ds: Dataset, path, header: bool = False) -> None:
 def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),
               lam: float = DEFAULT_LAMBDA, threshold: float = DEFAULT_THRESHOLD):
     """Fit real flow-cytometry data and score each method like a grid cell."""
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"each method at most once, got {methods}")
     ds = load_dataset_csv(data_path, has_header=True)
     W_true = load_adjacency_csv(truth_path)
     if W_true.shape[0] != ds.d or not is_dag(W_true):

@@ -151,12 +151,6 @@ def _stage_entry(W, s, k):
                        for j, msg in faults.items()}
 
 
-def _gradient_overflows(v, rows, k, it) -> dict:
-    """A FitError for each dataset row whose slice's ADAM second moment v is non-finite."""
-    bad = ~np.isfinite(v).all(axis=(1, 2))
-    return {b: FitError(f"gradient overflow (stage {k}, iteration {it})", k, it) for b in rows[bad].tolist()}
-
-
 def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Zero out entries with absolute weight strictly below tau; ValueError unless tau >= 0 (NaN fails)."""
     if not tau >= 0:
@@ -266,7 +260,8 @@ def fit_stack(datasets, method: str = "colide_ev",
     noise floor or whose covariance overflows give a DataError, and a warm
     start outside the domain, a non-finite objective or an overflowing ADAM
     second moment fit()'s FitError. The moment is checked when a slice leaves
-    a stage: once non-finite it stays so, and its updates are 0 or NaN.
+    a stage (early stop, divergence or cap): once non-finite it stays so, and
+    its updates are 0 or NaN.
     wall_time is the stack's over B.
     """
     _check_settings((method,), lam, lr, tau)
@@ -306,7 +301,7 @@ def fit_stack(datasets, method: str = "colide_ev",
             continue
         run, h, grad_h = fits.take([live[j] for j in keep]), h[keep], grad_h[keep]
         I_W = eye - run.W
-        adam, prev_obj = AdamState.zero(run.W.shape, lr=lr), None
+        adam, prev_obj = AdamState.zero(run.W.shape, lr=lr), [math.nan] * len(run.b)  # NaN never settles
         for it in range(1, max_iters + 1):
             adam, run.W, stalled, h_new, grad_new = _guarded_step(
                 grad_w, run.W, I_W, run.scale, run.cov, grad_h, adam, mu, lam, s)
@@ -321,22 +316,21 @@ def fit_stack(datasets, method: str = "colide_ev",
             # IEEE operations as (B,)-array calls, and cheaper for a grid's B
             obj = [mu * (score + lam * l1) + h_j for score, l1, h_j in zip(
                 score_of(gram, run.scale).tolist(), np.abs(run.W).sum(axis=(1, 2)).tolist(), h.tolist())]
-            leave = [j for j, o in enumerate(obj) if not math.isfinite(o) or prev_obj and abs(
+            leave = [j for j, o in enumerate(obj) if it == max_iters or not math.isfinite(o) or abs(
                 o - prev_obj[j]) / max(abs(prev_obj[j]), 1e-12) < EARLY_STOP_RTOL]
             if leave:
                 run.take(leave).store(fits, k, it)
-                errors.update(_gradient_overflows(adam.v[leave], run.b[leave], k, it))
                 for j, b in zip(leave, run.b[leave].tolist()):
-                    if not math.isfinite(obj[j]):
-                        errors[b] = FitError(f"objective diverged (stage {k}, iteration {it})", k, it)
+                    fault = ("objective diverged" if not math.isfinite(obj[j]) else
+                             "gradient overflow" if not np.isfinite(adam.v[j]).all() else None)
+                    if fault:
+                        errors[b] = FitError(f"{fault} (stage {k}, iteration {it})", k, it)
                 keep = [j for j in range(len(obj)) if j not in leave]
-                run, h, grad_h, obj = run.take(keep), h[keep], grad_h[keep], [obj[j] for j in keep]
-                I_W, adam = eye - run.W, AdamState(adam.m[keep], adam.v[keep], adam.t, lr)
                 if not keep:
                     break
+                run, h, grad_h, obj = run.take(keep), h[keep], grad_h[keep], [obj[j] for j in keep]
+                I_W, adam = eye - run.W, AdamState(adam.m[keep], adam.v[keep], adam.t, lr)
             prev_obj = obj
-        run.store(fits, k, max_iters)
-        errors.update(_gradient_overflows(adam.v, run.b, k, max_iters))
 
     wall_time = (time.perf_counter() - start) / B
     return [errors[b] if b in errors else FitResult(
@@ -389,14 +383,18 @@ def online_update(st: OnlineState, batch: np.ndarray, lam: float = DEFAULT_LAMBD
     the batch fit's closed form of its running mean. Raises DomainViolation
     when st.W is outside the log-det domain at s; the inverse that checks it
     gives the log-det gradient. The step is the batch fit's, on a stack of one.
+    A batch not d x n_b is a ValueError; one whose covariance is NaN or overflows, a DataError.
     """
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[1] < 1:
-        raise ValueError("batch must be d x n_b with n_b >= 1")
+    if batch.ndim != 2 or batch.shape[0] != len(st.W) or batch.shape[1] < 1:
+        raise ValueError(f"batch must be d x n_b with d = {len(st.W)} and n_b >= 1; got {batch.shape}")
     d, n_b = batch.shape
     _, grad_w, _, scale_of = METHOD_CORES[st.method]
     t = st.adam.t
-    cov_b = batch @ batch.T / n_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_b = batch @ batch.T / n_b
+    if not np.isfinite(cov_b).all():
+        raise DataError("batch covariance is not finite: data values NaN or too large")
     cov = (st.cov_running * t + cov_b) / (t + 1)
     I_W = np.eye(d) - st.W
     adam, W, stalled, _, _ = _guarded_step(grad_w, st.W[None], I_W[None], np.asarray(st.scale)[None],
@@ -427,10 +425,9 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     schedule = schedule or default_schedule()
     batches = [ds.X[:, i:i + batch_size] for i in range(0, ds.n, batch_size)]
     if epochs_per_stage is None:
-        epochs_per_stage = [max(1, int(np.ceil(t / len(batches))))
-                            for _, _, t in schedule.stages]
-    if len(epochs_per_stage) != len(schedule.stages):
-        raise ValueError("epochs_per_stage must match the stage count")
+        epochs_per_stage = [math.ceil(t / len(batches)) for _, _, t in schedule.stages]
+    if len(epochs_per_stage) != len(schedule.stages) or any(e < 1 for e in epochs_per_stage):
+        raise ValueError(f"epochs_per_stage needs one entry >= 1 per stage; got {epochs_per_stage}")
 
     floor_of = METHOD_CORES.get(method, (None,))[0]
     st = init_online(ds.d, method, floor_of(ds) if floor_of else None, lr)

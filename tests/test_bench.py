@@ -107,6 +107,7 @@ class TestConfigParsing:
                      "data.n_sweep = 100, 0", "data.n = 1\ndata.standardize = true",
                      "data.n_sweep = 40, 1\ndata.standardize = true", "fit.methods = gradient_boosting",
                      "run.jobs = 0", "fit.methods = colide_ev, colide_ev", "data.n_sweep = 100, 100",
+                     "noise.variance_range = 0.5:10, 20:30", "run.seeds = 0, -1", "run.master_seed = -3",
                      *BAD_FIT_LINES):
             with pytest.raises(ConfigError):
                 parse_config(text)

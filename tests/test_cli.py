@@ -260,6 +260,13 @@ class TestExitCodes:
         assert main(["sachs", "--data", str(tmp_path / "no.csv"),
                      "--truth", str(tmp_path / "no2.csv")]) == 2
 
+    def test_sachs_repeated_method(self, tmp_path, capsys):
+        # a repeated --method is a config error before any file is read, as a repeated fit.methods entry is
+        assert main(["sachs", "--data", str(tmp_path / "no.csv"), "--truth", str(tmp_path / "no2.csv"),
+                     "--method", "colide_ev", "--method", "colide_ev"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: each method at most once")
+
 
 @pytest.fixture(scope="module")
 def sachs_files(tmp_path_factory):

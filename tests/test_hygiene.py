@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is read somewhere in that
 module, every private top-level name of the package is read somewhere in it,
 every public name outside its module's `__all__` and every method of the
-package is read by the package or by perfbench, and every name a demo script
-imports from the package exists.
+package is read by the package or by perfbench, every name a demo script
+imports from the package exists, and every python block of the README runs.
 
 A stdlib `ast` scan of the package and test modules, with perfbench's
 modules read as callers of the package. The package's `__init__.py` is left
@@ -10,11 +10,12 @@ out of the import check: its imports are the public re-exports. A private
 function, class or constant that no package module reads is dead code, even
 when a test still calls it; so are a public one outside `__all__` and a
 method that neither the package nor perfbench reads. The demos are scanned,
-not run.
+not run; the README's python blocks run in turn, as a reader would paste them.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -160,3 +161,11 @@ def test_demo_imports_exist(path):
                for alias in node.names]
     assert imports
     assert [f"{m}.{name}" for m, name in imports if not hasattr(importlib.import_module(m), name)] == []
+
+
+@pytest.mark.slow
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -453,15 +453,24 @@ class TestFitStack:
             assert got.stalls == want.stalls
 
     # just below the covariance check: the score overflows at the first step, with no
-    # RuntimeWarning, and the divergence is reported over the moment's overflow
+    # RuntimeWarning, also when the first step is the stage cap
     def test_objective_that_overflows_is_its_slices_fit_error(self):
         rng = np.random.default_rng(0)
         datasets = [kind_dataset("random", 3, rng), Dataset(X=1e153 * kind_dataset("dense", 3, rng).X)]
-        kw = dict(method="colide_ev", lr=1e-2, schedule=StageSchedule(stages=((1.0, 1.0, 40),)))
-        got, diverged = fit_stack(datasets, **kw)
-        assert (str(diverged), diverged.stage, diverged.iteration) == (
-            "objective diverged (stage 0, iteration 1)", 0, 1)
-        assert np.array_equal(got.W, fit(datasets[0], **kw).W)
+        for cap in (1, 40):
+            kw = dict(method="colide_ev", lr=1e-2, schedule=StageSchedule(stages=((1.0, 1.0, cap),)))
+            got, diverged = fit_stack(datasets, **kw)
+            assert (str(diverged), diverged.stage, diverged.iteration) == (
+                "objective diverged (stage 0, iteration 1)", 0, 1)
+            assert np.array_equal(got.W, fit(datasets[0], **kw).W)
+
+    def test_divergence_is_reported_over_a_gradient_overflow(self):
+        # one sample at 1e154: the covariance (1e308) is finite, but at the first step both the
+        # ls_baseline objective and ADAM's second moment of its gradient overflow
+        ds = Dataset(X=np.full((3, 1), 1e154))
+        for cap in (1, 40):
+            err = fit_stack([ds], "ls_baseline", schedule=StageSchedule(stages=((1.0, 1.0, cap),)))[0]
+            assert (str(err), err.stage, err.iteration) == ("objective diverged (stage 0, iteration 1)", 0, 1)
 
     def test_gradient_that_overflows_is_its_slices_fit_error(self):
         # at 1e80 the ls_baseline gradient, the covariance itself, squares past the float range:
@@ -537,6 +546,16 @@ class TestOnline:
         with pytest.raises(ValueError):
             online_update(st, np.zeros((3, 0)))
 
+    @pytest.mark.parametrize("batch, error", [
+        (np.full((3, 5), np.nan), DataError),
+        (np.full((3, 5), 1e200), DataError),  # finite values whose covariance overflows
+        (np.ones((4, 5)), ValueError),  # a row too many
+    ], ids=["nan", "overflow", "rows"])
+    def test_unusable_batch_rejected(self, batch, error):
+        st = online_update(init_online(3, method="colide_ev", floor=0.1), np.ones((3, 5)))
+        with pytest.raises(error, match="batch"):
+            online_update(st, batch)
+
     def test_first_update_checks_the_domain(self, monkeypatch):
         st = init_online(2, method="colide_ev", floor=0.1)
         st.W = np.array([[0.0, 1.0], [1.0, 0.0]])  # det(0.7 I - W*W) < 0
@@ -598,6 +617,12 @@ class TestOnline:
         _, _, ds = small_instance(seed=12, d=6, n=100)
         with pytest.raises(ValueError, match="snapshot_every"):
             fit_online(ds, 50, snapshot_every=0)
+
+    @pytest.mark.parametrize("epochs", [[0, 0, 0, 0], [-3, 1, 1, 1], [1, 1, 1]])
+    def test_fit_online_bad_epochs_per_stage(self, epochs):
+        _, _, ds = small_instance(seed=12, d=6, n=100)
+        with pytest.raises(ValueError, match="epochs_per_stage"):
+            fit_online(ds, 50, epochs_per_stage=epochs)
 
     def test_fit_online_bad_batch_size(self):
         _, _, ds = small_instance(seed=12, d=6, n=100)
