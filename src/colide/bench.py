@@ -211,7 +211,7 @@ def generate_instance(cfg: ExperimentConfig, seed: int, n: int | None = None):
         variances = np.full(cfg.graph.d, cfg.noise.variance)
     Z = sample_noise(cfg.noise.family, variances, n,
                      stream(cfg.master_seed, seed, "noise"))
-    ds = simulate_sem(W_true, Z, meta={"seed": seed, "n": n})
+    ds = simulate_sem(W_true, Z)
     if cfg.standardize:  # dividing each row by its sample sd divides its noise sd too
         raw, ds = ds, standardize(ds)
         return W_true, np.sqrt(variances) / raw.X.std(axis=1), ds
@@ -328,15 +328,11 @@ def aggregate(records, methods):
 # ---------------------------------------------------------------------------
 
 def load_dataset_csv(path, has_header: bool = False) -> Dataset:
-    data, names = read_matrix_csv(path, has_header)
-    meta = {"path": str(path)}
-    if names:
-        meta["variables"] = names
-    return Dataset(X=data.T, meta=meta)
+    return Dataset(X=read_matrix_csv(path, has_header).T)
 
 
-def save_dataset_csv(ds: Dataset, path, header: bool = False) -> None:
-    write_matrix_csv(ds.X.T, path, ds.meta.get("variables") if header else None)
+def save_dataset_csv(ds: Dataset, path) -> None:
+    write_matrix_csv(ds.X.T, path)
 
 
 def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),

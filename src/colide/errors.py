@@ -13,8 +13,8 @@ class DataError(ValueError):
 
 
 class CyclicGraphError(DataError):
-    """A graph that must be a DAG has a directed cycle; graph names which ("estimate", "truth")."""
+    """A graph that must be a DAG has a directed cycle; graph names which (e.g. "estimate", "truth")."""
 
     def __init__(self, graph: str):
-        super().__init__(f"metrics require DAGs: the {graph} has a directed cycle")
+        super().__init__(f"the {graph} is not a DAG: it has a directed cycle")
         self.graph = graph

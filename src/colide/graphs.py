@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import CyclicGraphError, DataError
 
 __all__ = [
     "GraphModelSpec",
@@ -222,7 +222,7 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
     B = check_weights(W) != 0
     order, parents, _ = _structure(B)
     if order is None:
-        raise DataError("input graph is not a DAG")
+        raise CyclicGraphError("input graph")
     return _cpdag(B, order, parents)
 
 
@@ -266,36 +266,28 @@ def _unpack_bits(bits, d: int) -> np.ndarray:
 # one row per sample and may start with a header row of variable names.
 # ---------------------------------------------------------------------------
 
-def read_matrix_csv(path, has_header: bool = False):
-    """Read a numeric CSV file as (2-D float array, header names or None).
+def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
+    """Read a numeric CSV file as a 2-D float array, skipping its header row if it has one.
 
     Blank lines are skipped. An empty, ragged or non-numeric file is a DataError.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = [row for row in csv.reader(fh) if row][has_header:]
     if not rows:
         raise DataError(f"empty CSV file: {path}")
-    names = None
-    if has_header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"CSV file has a header but no rows: {path}")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DataError(f"ragged rows in CSV file: {path}")
     try:
-        return np.array(rows, dtype=float), names
+        return np.array(rows, dtype=float)
     except ValueError as exc:
         raise DataError(f"non-numeric cell in CSV file {path}: {exc}") from None
 
 
-def write_matrix_csv(M: np.ndarray, path, header=None) -> None:
-    """Write M row by row with round-trip exact %.17g values, after an optional header row."""
+def write_matrix_csv(M: np.ndarray, path) -> None:
+    """Write M row by row with round-trip exact %.17g values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow(header)
         writer.writerows([f"{v:.17g}" for v in row] for row in M)
 
 
@@ -304,4 +296,4 @@ def save_adjacency_csv(W: np.ndarray, path) -> None:
 
 
 def load_adjacency_csv(path) -> np.ndarray:
-    return check_weights(read_matrix_csv(path)[0])
+    return check_weights(read_matrix_csv(path))

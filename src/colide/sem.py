@@ -5,11 +5,11 @@ x_i = w_i^T x + z_i, or in matrix form X = W^T X + Z for a d x n sample
 matrix X (columns are samples).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import CyclicGraphError, DataError
 from .graphs import _structure, check_weights
 
 __all__ = [
@@ -53,10 +53,9 @@ class NoiseSpec:
 
 @dataclass
 class Dataset:
-    """d x n sample matrix (column = one joint sample) plus provenance."""
+    """d x n sample matrix (column = one joint sample)."""
 
     X: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -102,7 +101,7 @@ def sample_noise(family: str, variances, n: int, rng: np.random.Generator) -> np
     raise ValueError(f"unknown noise family {family!r}")
 
 
-def simulate_sem(W: np.ndarray, Z: np.ndarray, meta: dict | None = None) -> Dataset:
+def simulate_sem(W: np.ndarray, Z: np.ndarray) -> Dataset:
     """Propagate noise Z through the DAG W: X = (I - W^T)^{-1} Z.
 
     Evaluates node by node in topological order, which is exact and avoids
@@ -111,7 +110,7 @@ def simulate_sem(W: np.ndarray, Z: np.ndarray, meta: dict | None = None) -> Data
     W = check_weights(W)
     order, parents, _ = _structure(W != 0)
     if order is None:
-        raise ValueError("weight matrix is not a DAG")
+        raise CyclicGraphError("weight matrix")
     Z = np.asarray(Z, dtype=float)
     if Z.shape[0] != W.shape[0]:
         raise ValueError("Z row count must match graph size")
@@ -119,7 +118,7 @@ def simulate_sem(W: np.ndarray, Z: np.ndarray, meta: dict | None = None) -> Data
     for i in order:
         if parents[i]:
             X[i] += W[parents[i], i] @ X[parents[i]]
-    return Dataset(X=X, meta=dict(meta or {}))
+    return Dataset(X=X)
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -128,9 +127,7 @@ def standardize(ds: Dataset) -> Dataset:
     sd = ds.X.std(axis=1, keepdims=True)
     if np.any(sd == 0):
         raise DataError("cannot standardize a constant row")
-    meta = dict(ds.meta)
-    meta["standardized"] = True
-    return Dataset(X=(ds.X - mean) / sd, meta=meta)
+    return Dataset(X=(ds.X - mean) / sd)
 
 
 def sample_cov(ds: Dataset) -> np.ndarray:

@@ -366,7 +366,8 @@ class OnlineState:
 
 def init_online(d: int, method: str, floor=None, lr: float = DEFAULT_LR) -> OnlineState:
     """Zero state with the scale at 100x its floor, like the batch initializer."""
-    if METHOD_CORES.get(method, (None,) * 4)[3] is None or floor is None:
+    _check_settings((method,), 0.0, lr, 0.0)
+    if METHOD_CORES[method][3] is None or floor is None:
         raise ValueError(f"online updates need a scale core and floor; got {method!r}, {floor!r}")
     return OnlineState(W=np.zeros((d, d)), cov_running=np.zeros((d, d)),
                        gram_running=np.zeros((d, d)),
@@ -378,12 +379,12 @@ def online_update(st: OnlineState, batch: np.ndarray, lam: float = DEFAULT_LAMBD
                   mu: float = 0.001, s: float = 0.7) -> OnlineState:
     """Consume one d x n_b mini-batch: update covariance, W, and the scale.
 
-    W takes one guarded step against the running covariance at the previous
-    scale. The residual Gram matrix uses the pre-update W; the new scale is
-    the batch fit's closed form of its running mean. Raises DomainViolation
-    when st.W is outside the log-det domain at s; the inverse that checks it
-    gives the log-det gradient. The step is the batch fit's, on a stack of one.
-    A batch not d x n_b is a ValueError; one whose covariance is NaN or overflows, a DataError.
+    W takes the batch fit's guarded step, on a stack of one, against the running
+    covariance at the previous scale; the residual Gram matrix uses the pre-update W,
+    and the new scale is the batch fit's closed form of its running mean. st.W outside
+    the log-det domain at s is a DomainViolation (the inverse that checks it gives the
+    log-det gradient); a batch not d x n_b, a ValueError; a batch covariance NaN or
+    overflowing, a DataError; a gradient that overflows ADAM's second moment, a FitError.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] != len(st.W) or batch.shape[1] < 1:
@@ -393,12 +394,14 @@ def online_update(st: OnlineState, batch: np.ndarray, lam: float = DEFAULT_LAMBD
     t = st.adam.t
     with np.errstate(over="ignore", invalid="ignore"):
         cov_b = batch @ batch.T / n_b
-    if not np.isfinite(cov_b).all():
-        raise DataError("batch covariance is not finite: data values NaN or too large")
-    cov = (st.cov_running * t + cov_b) / (t + 1)
-    I_W = np.eye(d) - st.W
-    adam, W, stalled, _, _ = _guarded_step(grad_w, st.W[None], I_W[None], np.asarray(st.scale)[None],
-                                           cov[None], grad_ldet(st.W, s)[None], st.adam, mu, lam, s)
+        if not np.isfinite(cov_b).all():
+            raise DataError("batch covariance is not finite: data values NaN or too large")
+        cov = (st.cov_running * t + cov_b) / (t + 1)
+        I_W = np.eye(d) - st.W
+        adam, W, stalled, _, _ = _guarded_step(grad_w, st.W[None], I_W[None], np.asarray(st.scale)[None],
+                                               cov[None], grad_ldet(st.W, s)[None], st.adam, mu, lam, s)
+    if not np.isfinite(adam.v).all():
+        raise FitError(f"gradient overflow (update {adam.t})")
     gram = (st.gram_running * t + residual_gram(I_W[None], cov_b[None])[0]) / (t + 1)
     scale = scale_of(gram[None], np.asarray(st.floor, dtype=float)[None])[0]
     return replace(st, W=W[0], cov_running=cov, gram_running=gram, adam=adam,
@@ -418,6 +421,7 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     driver's warm start. Returns (final state, snapshots), where snapshots
     records (stage, epoch, W copy, scale) at epoch ends.
     """
+    _check_settings((method,), lam, lr, 0.0)
     if batch_size < 1 or batch_size > ds.n:
         raise ValueError("batch_size must be in [1, n]")
     if snapshot_every < 1:
@@ -429,7 +433,7 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     if len(epochs_per_stage) != len(schedule.stages) or any(e < 1 for e in epochs_per_stage):
         raise ValueError(f"epochs_per_stage needs one entry >= 1 per stage; got {epochs_per_stage}")
 
-    floor_of = METHOD_CORES.get(method, (None,))[0]
+    floor_of = METHOD_CORES[method][0]
     st = init_online(ds.d, method, floor_of(ds) if floor_of else None, lr)
     snapshots = []
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):

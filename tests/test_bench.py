@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from colide.bench import (
     _CONFIG_KEYS,
@@ -278,15 +279,25 @@ class TestNoiseStudy:
             assert _strip_times(par) == _strip_times(sweep_records)
 
 
+# signed zeros, the smallest subnormal, the smallest normal and the largest finite float64
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_CELLS = hs.one_of(hs.sampled_from(_EDGE_FLOATS), hs.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestDatasetCsv:
-    def test_roundtrip(self, tmp_path):
-        X = np.random.default_rng(0).standard_normal((4, 30))
-        ds = Dataset(X=X, meta={"variables": list("abcd")})
-        path = tmp_path / "d.csv"
-        save_dataset_csv(ds, path, header=True)
-        back = load_dataset_csv(path, has_header=True)
+    # the file holds X^T, so its rows are the n >= 2 samples
+    @given(X=hnp.arrays(np.float64, hs.tuples(hs.integers(1, 4), hs.integers(2, 6)), elements=_CELLS),
+           header=hs.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip(self, tmp_path_factory, X, header):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        save_dataset_csv(Dataset(X=X), path)
+        if header:
+            path.write_text(",".join(f"x{i}" for i in range(len(X))) + "\n" + path.read_text())
+        back = load_dataset_csv(path, has_header=header)
         assert np.array_equal(back.X, X)
-        assert back.meta["variables"] == list("abcd")
+        assert np.array_equal(np.signbit(back.X), np.signbit(X))
         assert b"\r" not in path.read_bytes()
 
     def test_rows_are_samples(self, tmp_path):

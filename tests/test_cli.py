@@ -275,8 +275,8 @@ def sachs_files(tmp_path_factory):
     W_true, _, ds = generate_instance(cfg, 0)
     folder = tmp_path_factory.mktemp("sachs")
     data, truth = folder / "data.csv", folder / "truth.csv"
-    save_dataset_csv(Dataset(X=ds.X, meta={"variables": [f"x{i}" for i in range(5)]}),
-                     data, header=True)
+    save_dataset_csv(ds, data)
+    data.write_text("x0,x1,x2,x3,x4\n" + data.read_text())
     save_adjacency_csv(W_true, truth)
     return str(data), str(truth)
 
@@ -309,7 +309,8 @@ class TestSachsCommand:
         ds = bench.load_dataset_csv(data, has_header=True)
         ds.X[0] = 0.0
         path = tmp_path / "zero.csv"
-        save_dataset_csv(ds, path, header=True)
+        save_dataset_csv(ds, path)
+        path.write_text("x0,x1,x2,x3,x4\n" + path.read_text())
         assert main(["sachs", "--data", str(path), "--truth", truth]) == 0
         ev, nv = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert "error" not in ev and {"shd", "sid", "sigma_estimate"} <= set(ev)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colide.graphs import GraphModelSpec, assign_edge_weights, sample_er_dag
+from colide.errors import CyclicGraphError
+from colide.graphs import GraphModelSpec, assign_edge_weights, cpdag_of, sample_er_dag
 from colide.rng import stream
 from colide.sem import (
     Dataset,
@@ -149,6 +150,13 @@ class TestSimulateSem:
         with pytest.raises(ValueError):
             simulate_sem(W, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("build", [lambda W: simulate_sem(W, np.ones((2, 3))), cpdag_of],
+                             ids=["simulate_sem", "cpdag_of"])
+    def test_cycle_is_a_cyclic_graph_error(self, build):
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(CyclicGraphError, match="is not a DAG: it has a directed cycle"):
+            build(W)
+
 
 class TestStandardize:
     def test_rows_become_unit(self):
@@ -156,7 +164,6 @@ class TestStandardize:
         out = standardize(ds)
         assert np.allclose(out.X.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(out.X.std(axis=1), 1.0, atol=1e-12)
-        assert out.meta["standardized"] is True
 
     def test_constant_row_rejected(self):
         with pytest.raises(ValueError):

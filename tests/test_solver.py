@@ -556,6 +556,13 @@ class TestOnline:
         with pytest.raises(error, match="batch"):
             online_update(st, batch)
 
+    def test_gradient_overflow_is_a_fit_error(self):
+        # the covariance of 1e100 data (1e200) is finite; its squared gradient in ADAM's second moment is not
+        st = init_online(3, method="colide_ev", floor=0.1)
+        batch = 1e100 * np.random.default_rng(0).standard_normal((3, 5))
+        with pytest.raises(FitError, match=r"gradient overflow \(update 1\)"):
+            online_update(st, batch)
+
     def test_first_update_checks_the_domain(self, monkeypatch):
         st = init_online(2, method="colide_ev", floor=0.1)
         st.W = np.array([[0.0, 1.0], [1.0, 0.0]])  # det(0.7 I - W*W) < 0
@@ -630,6 +637,17 @@ class TestOnline:
             fit_online(ds, 0)
         with pytest.raises(ValueError):
             fit_online(ds, 101)
+
+    @pytest.mark.parametrize("setting", [{"lr": -1.0}, {"lr": 0.0}, {"lr": np.nan}, {"lam": -1.0}, {"lam": np.nan}],
+                             ids=["lr-negative", "lr-zero", "lr-nan", "lam-negative", "lam-nan"])
+    def test_online_drivers_check_their_settings(self, setting):
+        # the batch driver's check, made before any batch streams: lr > 0 and lambda >= 0, NaN failing
+        _, _, ds = small_instance(seed=12, d=6, n=100)
+        with pytest.raises(ValueError, match="need lr > 0"):
+            fit_online(ds, 50, schedule=StageSchedule(((0.001, 0.7, 50),)), **setting)
+        if "lr" in setting:
+            with pytest.raises(ValueError, match="need lr > 0"):
+                init_online(6, method="colide_ev", floor=0.1, **setting)
 
     @pytest.mark.parametrize("method", ["ls_baseline", "no_such_method"])
     def test_fit_online_needs_a_scale_method(self, method):
