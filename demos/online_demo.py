@@ -26,9 +26,9 @@ batch = fit(ds, method="colide_ev")
 print(f"  sigma* = {batch.scale:.4f}")
 
 print("streaming fit, batches of 100...")
-st, snaps = fit_online(ds, batch_size=100, method="colide_ev",
-                       epochs_per_stage=[300, 300, 300, 700],
-                       snapshot_every=100)
+snaps = fit_online(ds, batch_size=100, method="colide_ev",
+                   epochs_per_stage=[300, 300, 300, 700],
+                   snapshot_every=100)
 
 last_stage = max(s[0] for s in snaps)
 print(f"\n{'epoch':>6} {'||W-W*||/||W*||':>16} {'|sigma-sigma*|/sigma*':>22}")

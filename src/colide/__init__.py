@@ -35,13 +35,10 @@ from .sem import (
 from .solver import (
     FitError,
     FitResult,
-    OnlineState,
     StageSchedule,
     default_schedule,
     fit,
     fit_online,
-    init_online,
-    online_update,
     threshold,
 )
 

@@ -51,6 +51,7 @@ class GraphModelSpec:
             raise ValueError("d must be at least 2")
         if not (1 <= self.k < self.d):
             raise ValueError("need 1 <= k < d")
+        _check_ranges(self.weight_ranges)
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,17 @@ def _weighted_distinct(candidates, weights, m, rng):
     return np.array(chosen)
 
 
+def _check_ranges(ranges) -> list:
+    """ranges as a list of (lo, hi) tuples; ValueError unless it is nonempty and each lo <= hi is finite."""
+    ranges = [tuple(r) for r in ranges]
+    if not ranges:
+        raise ValueError("empty range list")
+    for lo, hi in ranges:
+        if not -np.inf < lo <= hi < np.inf:  # NaN fails
+            raise ValueError(f"bad interval [{lo}, {hi}]: need finite lo <= hi")
+    return ranges
+
+
 def assign_edge_weights(support: np.ndarray, ranges, rng: np.random.Generator) -> np.ndarray:
     """Replace each nonzero support entry with a uniform draw over a union of intervals.
 
@@ -188,12 +200,7 @@ def assign_edge_weights(support: np.ndarray, ranges, rng: np.random.Generator) -
     degenerate, each is picked with equal probability. Zeros are preserved
     exactly.
     """
-    ranges = [tuple(r) for r in ranges]
-    if not ranges:
-        raise ValueError("empty range list")
-    for lo, hi in ranges:
-        if hi < lo:
-            raise ValueError(f"bad interval [{lo}, {hi}]")
+    ranges = _check_ranges(ranges)
     support = np.asarray(support, dtype=float)
     mask = support != 0
     n_edges = int(mask.sum())

@@ -44,6 +44,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise family {self.family!r}")
         if self.profile not in ("ev", "nv"):
             raise ValueError(f"unknown noise profile {self.profile!r}")
+        if not np.isfinite([self.variance, *self.variance_range]).all():
+            raise ValueError("variance and variance_range must be finite")
         if self.profile == "ev" and self.variance <= 0:
             raise ValueError("variance must be positive")
         lo, hi = self.variance_range

@@ -23,19 +23,18 @@ start makes one inverse and one slogdet of the warm starts.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .scores import METHOD_CORES, grad_ldet, ldet_and_grad, residual_gram
+from .scores import METHOD_CORES, ldet_and_grad, residual_gram
 from .sem import Dataset, sample_cov
 
 __all__ = [
     "StageSchedule",
     "AdamState",
     "FitResult",
-    "OnlineState",
     "FitError",
     "default_schedule",
     "adam_step",
@@ -43,8 +42,6 @@ __all__ = [
     "threshold",
     "fit",
     "fit_stack",
-    "init_online",
-    "online_update",
     "fit_online",
 ]
 
@@ -69,8 +66,8 @@ class StageSchedule:
         mus = [mu for mu, _, _ in self.stages]
         if any(b >= a for a, b in zip(mus, mus[1:])):
             raise ValueError("mu must be strictly decreasing across stages")
-        if any(not (mu > 0 and s > 0) or t < 1 for mu, s, t in self.stages):
-            raise ValueError("need mu > 0, s > 0 and max_iters >= 1")
+        if any(not (0 < mu < math.inf and 0 < s < math.inf) or t < 1 for mu, s, t in self.stages):
+            raise ValueError("need finite mu > 0 and s > 0 and max_iters >= 1")
 
 
 def default_schedule() -> StageSchedule:
@@ -215,11 +212,11 @@ def fit(ds: Dataset, method: str = "colide_ev",
 
 
 def _check_settings(methods, lam, lr, tau) -> None:
-    """Raise ValueError unless every method is known, lr > 0 and lambda, tau >= 0 (NaN fails)."""
+    """Raise ValueError unless every method is known, lr in (0, inf), lambda in [0, inf) and tau >= 0 (NaN fails)."""
     if set(methods) - set(METHODS):
         raise ValueError(f"unknown method in {methods}; expected one of {METHODS}")
-    if not (lr > 0 and lam >= 0 and tau >= 0):
-        raise ValueError(f"need lr > 0, lambda >= 0 and threshold >= 0; got {lr}, {lam}, {tau}")
+    if not (0 < lr < math.inf and 0 <= lam < math.inf and tau >= 0):
+        raise ValueError(f"need lr > 0 and lambda >= 0, both finite, and threshold >= 0; got {lr}, {lam}, {tau}")
 
 
 @dataclass
@@ -344,84 +341,30 @@ def fit_stack(datasets, method: str = "colide_ev",
 # Online / mini-batch variant with running covariance and residual Gram matrix.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OnlineState:
-    """Running state for the mini-batch variant of a method with a scale core.
-
-    cov_running and gram_running average C_b and residual_gram(I - W_prev, C_b)
-    over the adam.t batches since the last reset; scale is the method's closed
-    form of gram_running. The ADAM moments are a stack of one, the shape of
-    the solver's step.
-    """
-
-    W: np.ndarray
-    cov_running: np.ndarray
-    gram_running: np.ndarray
-    adam: AdamState
-    method: str
-    floor: float | np.ndarray
-    scale: float | np.ndarray
-    stalls: int = 0
-
-
-def init_online(d: int, method: str, floor=None, lr: float = DEFAULT_LR) -> OnlineState:
-    """Zero state with the scale at 100x its floor, like the batch initializer."""
-    _check_settings((method,), 0.0, lr, 0.0)
-    if METHOD_CORES[method][3] is None or floor is None:
-        raise ValueError(f"online updates need a scale core and floor; got {method!r}, {floor!r}")
-    return OnlineState(W=np.zeros((d, d)), cov_running=np.zeros((d, d)),
-                       gram_running=np.zeros((d, d)),
-                       adam=AdamState.zero((1, d, d), lr=lr), method=method, floor=floor,
-                       scale=floor * 1e2)
-
-
-def online_update(st: OnlineState, batch: np.ndarray, lam: float = DEFAULT_LAMBDA,
-                  mu: float = 0.001, s: float = 0.7) -> OnlineState:
-    """Consume one d x n_b mini-batch: update covariance, W, and the scale.
-
-    W takes the batch fit's guarded step, on a stack of one, against the running
-    covariance at the previous scale; the residual Gram matrix uses the pre-update W,
-    and the new scale is the batch fit's closed form of its running mean. st.W outside
-    the log-det domain at s is a DomainViolation (the inverse that checks it gives the
-    log-det gradient); a batch not d x n_b, a ValueError; a batch covariance NaN or
-    overflowing, a DataError; a gradient that overflows ADAM's second moment, a FitError.
-    """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[0] != len(st.W) or batch.shape[1] < 1:
-        raise ValueError(f"batch must be d x n_b with d = {len(st.W)} and n_b >= 1; got {batch.shape}")
-    d, n_b = batch.shape
-    _, grad_w, _, scale_of = METHOD_CORES[st.method]
-    t = st.adam.t
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov_b = batch @ batch.T / n_b
-        if not np.isfinite(cov_b).all():
-            raise DataError("batch covariance is not finite: data values NaN or too large")
-        cov = (st.cov_running * t + cov_b) / (t + 1)
-        I_W = np.eye(d) - st.W
-        adam, W, stalled, _, _ = _guarded_step(grad_w, st.W[None], I_W[None], np.asarray(st.scale)[None],
-                                               cov[None], grad_ldet(st.W, s)[None], st.adam, mu, lam, s)
-    if not np.isfinite(adam.v).all():
-        raise FitError(f"gradient overflow (update {adam.t})")
-    gram = (st.gram_running * t + residual_gram(I_W[None], cov_b[None])[0]) / (t + 1)
-    scale = scale_of(gram[None], np.asarray(st.floor, dtype=float)[None])[0]
-    return replace(st, W=W[0], cov_running=cov, gram_running=gram, adam=adam,
-                   stalls=st.stalls + len(stalled), scale=scale)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing gradient is a FitError
 def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
                schedule: StageSchedule | None = None,
                epochs_per_stage=None,
                lam: float = DEFAULT_LAMBDA,
                lr: float = DEFAULT_LR,
-               snapshot_every: int = 1):
+               snapshot_every: int = 1) -> list:
     """Mini-batch driver: re-stream the dataset in fixed batch order per epoch.
 
-    Each stage restarts the ADAM moments and both running means (covariance
-    and residual Gram matrix), carrying W and the scale forward like the batch
-    driver's warm start. Returns (final state, snapshots), where snapshots
-    records (stage, epoch, W copy, scale) at epoch ends.
+    Each update takes the batch fit's guarded step, on a stack of one, against
+    the running mean of the stage's batch covariances at the previous scale;
+    the new scale is the method's closed form of the running mean of each
+    batch's residual Gram matrix at the pre-update W. Each stage restarts the
+    ADAM moments and both running means, carrying W and the scale forward like
+    the batch driver's warm start. Returns the snapshots (stage, epoch, W copy,
+    scale) taken at epoch ends; the last is the final state. Data without a
+    usable noise floor or whose covariance overflows is a DataError; a warm
+    start outside the domain or a gradient that overflows ADAM's second moment,
+    a FitError.
     """
     _check_settings((method,), lam, lr, 0.0)
+    floor_of, grad_w, _, scale_of = METHOD_CORES[method]
+    if scale_of is None:
+        raise ValueError(f"online fits need a method with a scale core; got {method!r}")
     if batch_size < 1 or batch_size > ds.n:
         raise ValueError("batch_size must be in [1, n]")
     if snapshot_every < 1:
@@ -432,18 +375,31 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
         epochs_per_stage = [math.ceil(t / len(batches)) for _, _, t in schedule.stages]
     if len(epochs_per_stage) != len(schedule.stages) or any(e < 1 for e in epochs_per_stage):
         raise ValueError(f"epochs_per_stage needs one entry >= 1 per stage; got {epochs_per_stage}")
+    # a batch's X_b X_b^T is bounded entrywise by X X^T's diagonal, so one check covers every batch
+    if not np.isfinite(sample_cov(ds)).all():
+        raise DataError("sample covariance overflows: data values too large")
 
-    floor_of = METHOD_CORES[method][0]
-    st = init_online(ds.d, method, floor_of(ds) if floor_of else None, lr)
+    floor = np.asarray(floor_of(ds))[None]
+    W, scale, eye = np.zeros((1, ds.d, ds.d)), floor * 1e2, np.eye(ds.d)
     snapshots = []
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
-        failed = _stage_entry(st.W[None], s, k)[2]
+        _, grad_h, failed = _stage_entry(W, s, k)
         if failed:
             raise failed[0]
-        st = replace(st, adam=AdamState.zero((1, ds.d, ds.d), lr=lr))
+        adam, cov, gram = AdamState.zero(W.shape, lr=lr), np.zeros_like(W), np.zeros_like(W)
         for epoch in range(epochs):
             for batch in batches:
-                st = online_update(st, batch, lam=lam, mu=mu, s=s)
+                t, I_W = adam.t, eye - W
+                cov_b = batch @ batch.T / batch.shape[1]
+                cov = (cov * t + cov_b) / (t + 1)
+                adam, W, stalled, _, grad_new = _guarded_step(
+                    grad_w, W, I_W, scale, cov, grad_h, adam, mu, lam, s)
+                if not np.isfinite(adam.v).all():
+                    raise FitError(f"gradient overflow (update {adam.t})", k, adam.t)
+                if not len(stalled):  # a stalled W keeps its gradient
+                    grad_h = grad_new
+                gram = (gram * t + residual_gram(I_W, cov_b[None])) / (t + 1)
+                scale = scale_of(gram, floor)
             if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:
-                snapshots.append((k, epoch, st.W.copy(), st.scale))
-    return st, snapshots
+                snapshots.append((k, epoch, W[0].copy(), scale[0]))
+    return snapshots

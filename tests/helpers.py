@@ -13,7 +13,8 @@ matrices (the library runs both on adjacency lists and int bitsets).
 method_core evaluates the library's method table the way the solver does,
 so the tests check the code the solver runs. wide_dags is the hypothesis
 strategy for DAGs whose bitsets span several bytes and machine words.
-BAD_FIT_LINES are config lines whose fit settings are out of range.
+BAD_FIT_LINES are config lines whose fit settings are out of range, and
+NON_FINITE_LINES config lines with a non-finite graph, noise or schedule value.
 """
 
 import itertools
@@ -24,7 +25,11 @@ from hypothesis import strategies as st
 from colide.scores import METHOD_CORES, residual_gram
 from colide.sem import sample_cov
 
-BAD_FIT_LINES = ("fit.lr = -0.01", "fit.lambda = -1", "fit.threshold = -0.5", "fit.lr = nan")
+BAD_FIT_LINES = ("fit.lr = -0.01", "fit.lambda = -1", "fit.threshold = -0.5", "fit.lr = nan",
+                 "fit.lr = inf", "fit.lambda = inf")
+NON_FINITE_LINES = ("graph.weight_ranges = nan:1", "graph.weight_ranges = 0.5:inf",
+                    "noise.profile = nv\nnoise.variance_range = 1:inf", "noise.variance = nan",
+                    "noise.variance = inf", "fit.schedule = 1:inf:50", "fit.schedule = inf:1:50, 1:1:50")
 
 
 def method_core(method, part, W, ds, arg=None, lam=0.0):

@@ -271,9 +271,9 @@ def test_criterion_10_online_tracking():
     )
     _, _, ds = generate_instance(cfg, 0)
     batch = fit(ds, method="colide_ev")
-    _, snaps = fit_online(ds, 100, method="colide_ev",
-                          epochs_per_stage=[300, 300, 300, 700],
-                          snapshot_every=10)
+    snaps = fit_online(ds, 100, method="colide_ev",
+                       epochs_per_stage=[300, 300, 300, 700],
+                       snapshot_every=10)
     last_stage = max(s[0] for s in snaps)
     werr, serr = [], []
     for k, _, W, scale in snaps:

@@ -30,7 +30,7 @@ from colide.metrics import noise_error
 from colide.sem import Dataset, NoiseSpec, standardize
 from colide.solver import METHODS, StageSchedule
 
-from helpers import BAD_FIT_LINES
+from helpers import BAD_FIT_LINES, NON_FINITE_LINES
 
 ROOT = Path(__file__).resolve().parent.parent
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
@@ -109,7 +109,7 @@ class TestConfigParsing:
                      "data.n_sweep = 40, 1\ndata.standardize = true", "fit.methods = gradient_boosting",
                      "run.jobs = 0", "fit.methods = colide_ev, colide_ev", "data.n_sweep = 100, 100",
                      "noise.variance_range = 0.5:10, 20:30", "run.seeds = 0, -1", "run.master_seed = -3",
-                     *BAD_FIT_LINES):
+                     *BAD_FIT_LINES, *NON_FINITE_LINES):
             with pytest.raises(ConfigError):
                 parse_config(text)
 

@@ -17,7 +17,7 @@ from colide.graphs import GraphModelSpec, load_adjacency_csv, save_adjacency_csv
 from colide.sem import Dataset, NoiseSpec
 from colide.solver import METHODS
 
-from helpers import BAD_FIT_LINES
+from helpers import BAD_FIT_LINES, NON_FINITE_LINES
 
 FAST_SCHED = "1:1:4000, 0.1:0.9:4000, 0.01:0.8:4000, 0.001:0.7:8000"
 
@@ -250,6 +250,18 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not bench.generate_instance.called
+
+    @pytest.mark.parametrize("lines", NON_FINITE_LINES)
+    def test_non_finite_config_value(self, tmp_path, capsys, lines):
+        # rejected when the config is read, not by a traceback or an error row in every cell;
+        # CFG's own line for a key the fault sets goes, so the fault is not a duplicate key
+        keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+        kept = [line for line in CFG.splitlines() if line.partition("=")[0].strip() not in keys]
+        p = tmp_path / "bad.cfg"
+        p.write_text("\n".join(kept + [lines]) + "\n")
+        assert main(["bench", "--config", str(p), "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_fit_one_column(self, tmp_path, capsys):
         p = tmp_path / "one.csv"

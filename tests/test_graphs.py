@@ -221,6 +221,13 @@ class TestEdgeWeights:
         assert set(vals.tolist()) == {1.0, -1.0}
         assert abs((vals == 1.0).mean() - 0.5) < 0.1
 
+    @pytest.mark.parametrize("ranges", [[(np.nan, 1.0)], [(0.5, np.inf)], [(-np.inf, -0.5)], [(2.0, 1.0)], []])
+    def test_bad_ranges_rejected(self, ranges):
+        with pytest.raises(ValueError):
+            assign_edge_weights(chain(3), ranges, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            GraphModelSpec(model="ER", d=5, k=2, weight_ranges=tuple(ranges))
+
     def test_both_signs_hit(self):
         rng = np.random.default_rng(1)
         B = np.triu(np.ones((20, 20)), k=1)

@@ -39,6 +39,13 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(profile="nv", variance_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("kw", [dict(variance=np.nan), dict(variance=np.inf),
+                                    dict(profile="nv", variance_range=(1.0, np.inf)),
+                                    dict(profile="nv", variance_range=(np.nan, 1.0))])
+    def test_non_finite_variance(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**kw)
+
 
 class TestDataset:
     def test_shape_properties(self):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ from colide.bench import ExperimentConfig, generate_instance
 from colide.errors import DataError
 from colide.graphs import GraphModelSpec, is_dag
 from colide.rng import stream
-from colide.scores import METHOD_CORES, DomainViolation, grad_ldet, h_ldet, sigma_floor_ev
+from colide.scores import METHOD_CORES, DomainViolation, grad_ldet, h_ldet, sigma_floor_ev, sigma_floor_nv
 from colide.sem import Dataset, NoiseSpec, sample_cov, sample_noise, simulate_sem
 from colide.solver import (
     EARLY_STOP_RTOL,
@@ -25,8 +24,6 @@ from colide.solver import (
     fit,
     fit_online,
     fit_stack,
-    init_online,
-    online_update,
     threshold,
 )
 
@@ -91,7 +88,8 @@ class TestSchedule:
             StageSchedule(stages=((0.1, 1.0, 10), (0.1, 0.9, 10)))
 
     def test_positive_s_and_iters(self):
-        for stage in ((1.0, 0.0, 10), (0.0, 1.0, 10), (-1.0, 1.0, 10)):
+        for stage in ((1.0, 0.0, 10), (0.0, 1.0, 10), (-1.0, 1.0, 10), (np.inf, 1.0, 10), (1.0, np.inf, 10),
+                      (np.nan, 1.0, 10), (1.0, np.nan, 10)):
             with pytest.raises(ValueError):
                 StageSchedule(stages=(stage,))
 
@@ -221,7 +219,7 @@ class TestFit:
             fit(ds, method="pc")
 
     @pytest.mark.parametrize("setting", [dict(lr=0.0), dict(lr=-0.01), dict(lam=-1.0), dict(tau=-0.5),
-                                         dict(lr=float("nan"))])
+                                         dict(lr=float("nan")), dict(lr=float("inf")), dict(lam=float("inf"))])
     def test_out_of_range_settings(self, setting):
         # a negative threshold keeps every entry, a negative lambda rewards dense W
         ds = Dataset(X=np.random.default_rng(0).standard_normal((3, 20)))
@@ -509,116 +507,140 @@ class TestFitStack:
 
 
 class TestOnline:
-    def test_single_batch_cov_is_sample_cov(self):
+    def test_single_batch_cov_is_sample_cov(self, monkeypatch):
         _, _, ds = small_instance(seed=8, d=6, n=120)
-        st = init_online(6, method="colide_ev", floor=sigma_floor_ev(ds))
-        st = online_update(st, ds.X)
-        assert np.allclose(st.cov_running, sample_cov(ds))
-        assert st.adam.t == 1
+        seen, guarded = [], solver._guarded_step
 
-    def test_batch_mean_identity(self):
-        # running covariance over equal batches equals their plain mean
-        _, _, ds = small_instance(seed=9, d=6, n=120)
-        st = init_online(6, method="colide_ev", floor=sigma_floor_ev(ds))
-        covs = []
-        for i in range(4):
-            batch = ds.X[:, i * 30:(i + 1) * 30]
-            covs.append(batch @ batch.T / 30)
-            st = online_update(st, batch)
-        assert np.allclose(st.cov_running, np.mean(covs, axis=0))
+        def recording(grad_w, W, I_W, scale, cov, *rest):
+            seen.append(cov[0].copy())
+            return guarded(grad_w, W, I_W, scale, cov, *rest)
+
+        monkeypatch.setattr(solver, "_guarded_step", recording)
+        fit_online(ds, ds.n, schedule=StageSchedule(((1.0, 1.0, 1),)), epochs_per_stage=[1])
+        assert len(seen) == 1 and np.allclose(seen[0], sample_cov(ds))
+
+    def test_batch_mean_identity(self, monkeypatch):
+        # update u of a stage steps against the mean of that stage's first u + 1 batch covariances,
+        # and each stage's scale is the closed form of the mean of its batches' residual Gram
+        # matrices at the pre-update W: both running means restart with the stage
+        _, _, ds = small_instance(seed=9, d=6, n=120, profile="nv")
+        covs = [ds.X[:, i:i + 30] @ ds.X[:, i:i + 30].T / 30 for i in range(0, 120, 30)]
+        seen, guarded = [], solver._guarded_step
+
+        def recording(grad_w, W, I_W, scale, cov, *rest):
+            seen.append((I_W[0].copy(), cov[0].copy()))
+            return guarded(grad_w, W, I_W, scale, cov, *rest)
+
+        monkeypatch.setattr(solver, "_guarded_step", recording)
+        snaps = fit_online(ds, 30, method="colide_nv", schedule=StageSchedule(((1.0, 1.0, 4), (0.1, 0.9, 4))),
+                           epochs_per_stage=[1, 1])
+        assert len(seen) == 8 and len(snaps) == 2
+        for k, (_, _, _, scale) in enumerate(snaps):
+            stage = seen[4 * k:4 * (k + 1)]
+            for u, (_, cov) in enumerate(stage):
+                assert np.allclose(cov, np.mean(covs[:u + 1], axis=0))
+            gram = np.mean([I_W.T @ c @ I_W for (I_W, _), c in zip(stage, covs)], axis=0)
+            assert np.allclose(scale, np.maximum(np.sqrt(np.diag(gram)), sigma_floor_nv(ds)))
 
     def test_scale_floor(self):
-        st = init_online(3, method="colide_ev", floor=5.0)
-        st = online_update(st, np.zeros((3, 10)) + 1e-9)
-        assert st.scale == 5.0
+        # node 1 is twice node 0, so its residual vanishes once W[0, 1] = 2 and the scale stops at the floor
+        x = np.random.default_rng(0).standard_normal(40)
+        ds = Dataset(X=np.stack([x, 2 * x]))
+        snaps = fit_online(ds, 10, method="colide_nv", epochs_per_stage=[50] * 4, lr=1e-2)
+        assert snaps[-1][3][1] == sigma_floor_nv(ds)[1]
+        assert snaps[-1][3][0] > sigma_floor_nv(ds)[0]
 
     def test_nv_statistic_per_node(self):
         _, _, ds = small_instance(seed=10, d=6, n=120, profile="nv")
-        from colide.scores import sigma_floor_nv
-        st = init_online(6, method="colide_nv", floor=sigma_floor_nv(ds))
-        st = online_update(st, ds.X)
-        # with W = 0 the statistic is the per-node mean square
+        snaps = fit_online(ds, ds.n, method="colide_nv", schedule=StageSchedule(((1.0, 1.0, 1),)),
+                           epochs_per_stage=[1])
+        # one batch of all n samples at W = 0: the statistic is the per-node mean square
         expect = (ds.X ** 2).sum(axis=1) / ds.n
-        assert np.allclose(st.scale, np.sqrt(expect))
+        assert np.allclose(snaps[-1][3], np.sqrt(expect))
 
-    def test_empty_batch_rejected(self):
-        st = init_online(3, method="colide_ev", floor=0.1)
-        with pytest.raises(ValueError):
-            online_update(st, np.zeros((3, 0)))
-
-    @pytest.mark.parametrize("batch, error", [
-        (np.full((3, 5), np.nan), DataError),
-        (np.full((3, 5), 1e200), DataError),  # finite values whose covariance overflows
-        (np.ones((4, 5)), ValueError),  # a row too many
-    ], ids=["nan", "overflow", "rows"])
-    def test_unusable_batch_rejected(self, batch, error):
-        st = online_update(init_online(3, method="colide_ev", floor=0.1), np.ones((3, 5)))
-        with pytest.raises(error, match="batch"):
-            online_update(st, batch)
+    @pytest.mark.parametrize("method", ["colide_ev", "colide_nv"])
+    @pytest.mark.parametrize("scale", [1e153, 1e200])
+    def test_overflowing_data_is_a_data_error(self, method, scale):
+        # fit_stack's error for the same data, raised before any batch streams
+        X = scale * np.where(np.random.default_rng(0).random((2, 1000)) < 0.5, -1.0, 1.0)
+        expect = fit_stack([Dataset(X=X)], method)[0]
+        assert isinstance(expect, DataError)
+        with pytest.raises(DataError, match=f"^{expect}$"):
+            fit_online(Dataset(X=X), 100, method=method)
 
     def test_gradient_overflow_is_a_fit_error(self):
-        # the covariance of 1e100 data (1e200) is finite; its squared gradient in ADAM's second moment is not
-        st = init_online(3, method="colide_ev", floor=0.1)
-        batch = 1e100 * np.random.default_rng(0).standard_normal((3, 5))
+        # the covariance of this data is finite; the gradient of its first batch of one sample
+        # (9e153 squared over a scale of 9e151) squared in ADAM's second moment is not
+        X = np.zeros((2, 10_000))
+        X[:, 0] = 9e153
         with pytest.raises(FitError, match=r"gradient overflow \(update 1\)"):
-            online_update(st, batch)
+            fit_online(Dataset(X=X), 1, method="colide_ev")
 
     def test_first_update_checks_the_domain(self, monkeypatch):
-        st = init_online(2, method="colide_ev", floor=0.1)
-        st.W = np.array([[0.0, 1.0], [1.0, 0.0]])  # det(0.7 I - W*W) < 0
-        with pytest.raises(DomainViolation):
-            online_update(st, np.ones((2, 5)), s=0.7)
-        # later updates check st.W too
-        st = online_update(init_online(2, method="colide_ev", floor=0.1), np.ones((2, 5)))
-        with pytest.raises(DomainViolation):
-            online_update(replace(st, W=np.array([[0.0, 1.0], [1.0, 0.0]])), np.ones((2, 5)))
-        # inside the domain each update inverts st.W (domain check and gradient),
-        # and the guard inverts and slogdets the accepted candidate
+        # a stage's warm start outside the domain is a FitError before its first update
+        rng = np.random.default_rng(0)
+        ds = Dataset(X=rng.standard_normal((5, 20)) + 3.0 * rng.standard_normal(20))
+        with pytest.raises(FitError, match="stage 1 warm start: s=0.2 is not above the spectral radius"):
+            fit_online(ds, 5, schedule=StageSchedule(((1.0, 1.0, 1), (0.1, 0.2, 1))), epochs_per_stage=[10, 10],
+                       lr=1000.0)
+        # inside the domain the stage entry inverts and slogdets the warm start, and each update
+        # the guard's accepted candidate, whose inverse gives the next log-det gradient
         _, _, ds = small_instance(seed=8, d=6, n=120)
-        st = init_online(6, method="colide_ev", floor=sigma_floor_ev(ds))
         calls = {"slogdet": 0, "inv": 0}
         for name in calls:
             def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kw):
                 calls[_name] += 1
                 return _orig(*args, **kw)
             monkeypatch.setattr(np.linalg, name, counted)
-        for i in range(3):
-            st = online_update(st, ds.X[:, i * 40:(i + 1) * 40])
-        assert st.stalls == 0
-        assert calls == {"slogdet": 3, "inv": 6}
+        fit_online(ds, 40, schedule=StageSchedule(((1.0, 1.0, 3),)), epochs_per_stage=[1])
+        assert calls == {"slogdet": 4, "inv": 4}
+
+    def test_a_stalled_update_keeps_its_gradient(self, monkeypatch):
+        # a huge step on rows sharing a component stalls some updates; the next update
+        # steps from the same W with the same log-det gradient, not the guard's NaN
+        rng = np.random.default_rng(0)
+        ds = Dataset(X=rng.standard_normal((3, 12)) + 3.0 * rng.standard_normal(12))
+        stalled, guard = [], solver.domain_guard
+
+        def counting(W, update, s):
+            out = guard(W, update, s)
+            stalled.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(solver, "domain_guard", counting)
+        snaps = fit_online(ds, 4, schedule=StageSchedule(((1.0, 1.0, 1),)), epochs_per_stage=[10], lr=3e5)
+        assert 0 < sum(stalled) < len(stalled) == 30
+        h_ldet(snaps[-1][2], 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(hs.sampled_from(["colide_ev", "colide_nv"]), hs.integers(2, 6),
            hs.sampled_from([3e-4, 1e-2, 0.3]), hs.sampled_from([1.0, 0.1, 0.001]),
-           hs.sampled_from([1.0, 0.7]),
-           hs.lists(hs.tuples(hs.integers(1, 20), hs.sampled_from([1e-9, 1.0, 10.0]),
-                              hs.sampled_from([0.0, 3.0])),
+           hs.sampled_from([1.0, 0.7]), hs.integers(1, 20),
+           hs.lists(hs.tuples(hs.sampled_from([1e-9, 1.0, 10.0]), hs.sampled_from([0.0, 3.0])),
                     min_size=1, max_size=25),
            hs.integers(0, 2 ** 32 - 1))
-    def test_scale_floor_and_domain_hold_property(self, method, d, lr, mu, s, batches, seed):
+    def test_scale_floor_and_domain_hold_property(self, method, d, lr, mu, s, n_b, batches, seed):
         rng = np.random.default_rng(seed)
-        floor = rng.uniform(0.01, 1.0, size=None if method == "colide_ev" else d)
-        st = init_online(d, method=method, floor=floor, lr=lr)
-        for n_b, amplitude, shared in batches:
-            # a shared component correlates all nodes and pulls W towards cycles
-            noise = rng.standard_normal((d, n_b)) + shared * rng.standard_normal(n_b)
-            st = online_update(st, amplitude * noise, mu=mu, s=s)
-            assert np.all(st.scale >= st.floor)
-            h_ldet(st.W, s)  # raises DomainViolation outside the domain
-
-    def test_ls_unsupported(self):
-        with pytest.raises(ValueError):
-            init_online(3, method="ls_baseline")
+        # one batch of n_b samples per drawn (amplitude, shared) pair, streamed for two epochs;
+        # a shared component correlates all nodes and pulls W towards cycles
+        ds = Dataset(X=np.hstack([amplitude * (rng.standard_normal((d, n_b)) + shared * rng.standard_normal(n_b))
+                                  for amplitude, shared in batches]))
+        floor = METHOD_CORES[method][0](ds)
+        snaps = fit_online(ds, n_b, method=method, schedule=StageSchedule(((mu, s, 1),)), epochs_per_stage=[2],
+                           lr=lr)
+        for _, _, W, scale in snaps:
+            assert np.all(scale >= floor)
+            h_ldet(W, s)  # raises DomainViolation outside the domain
 
     def test_fit_online_tracks_batch_fit(self):
         _, _, ds = small_instance(seed=11, d=8, n=400)
         res = fit(ds, method="colide_ev", schedule=FAST)
-        st, snaps = fit_online(ds, 100, method="colide_ev", schedule=FAST,
-                               snapshot_every=50)
-        rel = np.linalg.norm(st.W - res.W) / np.linalg.norm(res.W)
+        snaps = fit_online(ds, 100, method="colide_ev", schedule=FAST, snapshot_every=50)
+        _, _, W, scale = snaps[-1]
+        rel = np.linalg.norm(W - res.W) / np.linalg.norm(res.W)
         assert rel < 0.35
-        assert abs(st.scale - res.scale) / res.scale < 0.1
-        assert snaps  # per-epoch history recorded
+        assert abs(scale - res.scale) / res.scale < 0.1
+        assert len(snaps) > 1  # per-epoch history recorded
 
     def test_fit_online_bad_snapshot_every(self):
         _, _, ds = small_instance(seed=12, d=6, n=100)
@@ -638,16 +660,14 @@ class TestOnline:
         with pytest.raises(ValueError):
             fit_online(ds, 101)
 
-    @pytest.mark.parametrize("setting", [{"lr": -1.0}, {"lr": 0.0}, {"lr": np.nan}, {"lam": -1.0}, {"lam": np.nan}],
-                             ids=["lr-negative", "lr-zero", "lr-nan", "lam-negative", "lam-nan"])
+    @pytest.mark.parametrize("setting", [{"lr": -1.0}, {"lr": 0.0}, {"lr": np.nan}, {"lr": np.inf}, {"lam": -1.0},
+                                         {"lam": np.nan}, {"lam": np.inf}],
+                             ids=["lr-negative", "lr-zero", "lr-nan", "lr-inf", "lam-negative", "lam-nan", "lam-inf"])
     def test_online_drivers_check_their_settings(self, setting):
-        # the batch driver's check, made before any batch streams: lr > 0 and lambda >= 0, NaN failing
+        # the batch driver's check, made before any batch streams: 0 < lr < inf and 0 <= lambda < inf, NaN failing
         _, _, ds = small_instance(seed=12, d=6, n=100)
         with pytest.raises(ValueError, match="need lr > 0"):
             fit_online(ds, 50, schedule=StageSchedule(((0.001, 0.7, 50),)), **setting)
-        if "lr" in setting:
-            with pytest.raises(ValueError, match="need lr > 0"):
-                init_online(6, method="colide_ev", floor=0.1, **setting)
 
     @pytest.mark.parametrize("method", ["ls_baseline", "no_such_method"])
     def test_fit_online_needs_a_scale_method(self, method):
