@@ -249,29 +249,21 @@ def _fit_and_score(ds, W_true, res, profile: str, true_sigmas=None):
     return {**record, **scored}
 
 
-def _run_stack(cfg: ExperimentConfig, method: str, cells):
-    """Records of the (seed, n) cells of one method, fitted together as one stack."""
-    instances = [generate_instance(cfg, seed, n=n) for seed, n in cells]
-    fits = fit_stack([ds for _, _, ds in instances], method=method, schedule=cfg.schedule,
-                     lam=cfg.lam, lr=cfg.lr, tau=cfg.threshold)
+def _run_stack(cfg: ExperimentConfig, cells):
+    """Records of the (seed, method, n) cells, fitted together as one stack on one instance per (seed, n)."""
+    instances = {key: generate_instance(cfg, *key) for key in dict.fromkeys((seed, n) for seed, _, n in cells)}
+    picked = [instances[seed, n] for seed, _, n in cells]
+    fits = fit_stack([ds for _, _, ds in picked], [method for _, method, _ in cells],
+                     schedule=cfg.schedule, lam=cfg.lam, lr=cfg.lr, tau=cfg.threshold)
     return [{**cfg.flat(), "seed": seed, "method": method, "n": ds.n,
              **_fit_and_score(ds, W_true, res, cfg.noise.profile, true_sigmas)}
-            for (seed, _), (W_true, true_sigmas, ds), res in zip(cells, instances, fits)]
+            for (seed, method, _), (W_true, true_sigmas, ds), res in zip(cells, picked, fits)]
 
 
 def _stacks(cells, jobs: int):
-    """(method, [(seed, n), ...]) stacks: each method's cells, cut evenly until there are min(jobs, cells) stacks.
-
-    Each cut goes to the method whose stacks are largest.
-    """
-    groups = {}
-    for seed, method, n in cells:
-        groups.setdefault(method, []).append((seed, n))
-    pieces = dict.fromkeys(groups, 1)
-    while sum(pieces.values()) < min(jobs, len(cells)):
-        pieces[max(groups, key=lambda m: len(groups[m]) / pieces[m])] += 1
-    return [(method, g[i * len(g) // c:(i + 1) * len(g) // c])
-            for method, g in groups.items() for c in [pieces[method]] for i in range(c)]
+    """The cells cut, in their order, into min(jobs, cells) contiguous stacks whose sizes differ by at most 1."""
+    c = min(jobs, len(cells))
+    return [cells[i * len(cells) // c:(i + 1) * len(cells) // c] for i in range(c)]
 
 
 def run_grid(cfg: ExperimentConfig):
@@ -281,10 +273,11 @@ def run_grid(cfg: ExperimentConfig):
     rows; in a sweep the aggregate rows carry "n". Fit failures, cyclic
     estimates and data faults met while scoring (a truth with no edges) are
     recorded in the affected row, never fatal to the grid.
-    The cells of one method, over every seed and size, run as one stacked
-    fit (fit_stack), cut into smaller stacks only as far as needed to give
-    the cfg.jobs pool processes one stack each; a record's wall_time_ms is
-    its stack's wall time divided by the stack size. Output order is
+    The cells, ordered by size, then seed, then method, are cut into
+    min(cfg.jobs, cells) contiguous stacks of near-equal size, one per pool
+    process; each stack spans methods and sizes and runs as one stacked fit
+    (fit_stack) on one instance per (seed, n). A record's wall_time_ms is its
+    stack's wall time divided by the stack size. Output order is
     deterministic (by size, then seed, then method order).
     """
     sizes = cfg.n_sweep or (None,)
@@ -293,12 +286,10 @@ def run_grid(cfg: ExperimentConfig):
     stacks = _stacks(cells, cfg.jobs)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            fitted = list(pool.map(_run_stack, [cfg] * len(stacks), *zip(*stacks)))
+            fitted = list(pool.map(_run_stack, [cfg] * len(stacks), stacks))
     else:
-        fitted = [_run_stack(cfg, *stack) for stack in stacks]
-    by_cell = {(seed, method, n): record for (method, group), records in zip(stacks, fitted)
-               for (seed, n), record in zip(group, records)}
-    done = [by_cell[cell] for cell in cells]
+        fitted = [_run_stack(cfg, stack) for stack in stacks]
+    done = [record for records in fitted for record in records]
     records, per_size = [], len(done) // len(sizes)
     for k, n in enumerate(sizes):
         batch = done[k * per_size:(k + 1) * per_size]
@@ -344,10 +335,9 @@ def run_sachs(data_path, truth_path, methods=("colide_ev", "colide_nv"),
     W_true = load_adjacency_csv(truth_path)
     if W_true.shape[0] != ds.d or not is_dag(W_true):
         raise DataError("ground truth must be a DAG on the dataset's nodes")
-    return [{"dataset": str(data_path), "method": method,
-             **_fit_and_score(ds, W_true, fit_stack([ds], method=method, lam=lam, tau=threshold)[0],
-                              "ev")}
-            for method in methods]
+    fits = fit_stack([ds] * len(methods), list(methods), lam=lam, tau=threshold)
+    return [{"dataset": str(data_path), "method": method, **_fit_and_score(ds, W_true, res, "ev")}
+            for method, res in zip(methods, fits)]
 
 
 # ---------------------------------------------------------------------------

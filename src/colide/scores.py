@@ -1,9 +1,11 @@
 """Method cores, noise floors and the log-det acyclicity penalty.
 
-METHOD_CORES holds each method's score, gradient and closed-form scale over a
-(B, d, d) stack of fits, read by the batch and online solvers; the log-det
+METHOD_CORES holds each method's noise floor, score and closed-form scale
+over a block of fits, read by the batch and online solvers; the log-det
 penalty and its gradient accept a slice only inside the domain s > rho(W*W),
-with a verdict per slice. h_ldet and grad_ldet take one W.
+with a verdict per slice. ldet_and_grad takes a (B, d, d) stack and can
+refresh each slice's inverse of sI - W*W by Newton-Schulz steps instead of an
+LU inverse; h_ldet and grad_ldet take one W and always invert.
 
 Conventions: sigma and the entries of Sigma are exogenous noise standard
 deviations (never variances). The sample covariance is the uncentered
@@ -41,52 +43,56 @@ def sigma_floor_ev(ds: Dataset) -> float:
     return norm / np.sqrt(ds.d * ds.n) * 1e-2
 
 
-def sigma_floor_nv(ds: Dataset) -> np.ndarray:
-    """Per-node noise floor sqrt(diag(cov(X))) * 1e-2."""
-    diag = np.diag(sample_cov(ds))
+def sigma_floor_nv(ds: Dataset, cov: np.ndarray | None = None) -> np.ndarray:
+    """Per-node noise floor sqrt(diag(cov(X))) * 1e-2; cov is X's sample covariance when already formed."""
+    diag = np.diag(sample_cov(ds) if cov is None else cov)
     if np.any(diag == 0):
         raise DataError("identically-zero variable has no usable noise floor")
     return np.sqrt(diag) * 1e-2
 
 
-def residual_gram(I_W: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """(I - W)^T cov (I - W) per slice of a (B, d, d) stack, from I_W = I - W."""
-    return I_W.transpose(0, 2, 1) @ cov @ I_W
+def residual_diag(I_W: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The residual Gram diagonal, diag((I - W)^T cov (I - W)) per slice, from I_W = I - W and P = cov I_W."""
+    return np.einsum("bij,bij->bj", I_W, P)  # ((I - W) * P).sum(axis=1), in fewer passes
 
 
 # A scalar per slice is worked out on Python floats: the same IEEE operations
 # as numpy's, without one ufunc call per operation on a (B,) array.
-def _sigma_ev(gram, floor):
-    d = gram.shape[-1]
-    return np.array([max(math.sqrt(max(trace / d, 0.0)), f)
-                     for trace, f in zip(gram.trace(axis1=1, axis2=2).tolist(), floor.tolist())])
+def _sigma_ev(diag, floor):
+    d = diag.shape[-1]
+    sigma = [max(math.sqrt(max(rss / d, 0.0)), f)
+             for rss, f in zip(diag.sum(axis=1).tolist(), floor[:, 0].tolist())]
+    return np.array(sigma)[:, None].repeat(d, axis=1)
 
 
-def _score_ev(gram, sigma):
-    d = gram.shape[-1]
-    return np.array([trace / (2.0 * s) + d * s / 2.0
-                     for trace, s in zip(gram.trace(axis1=1, axis2=2).tolist(), sigma.tolist())])
+def _score_ev(diag, sigma):
+    d = diag.shape[-1]
+    return np.array([rss / (2.0 * s) + d * s / 2.0
+                     for rss, s in zip(diag.sum(axis=1).tolist(), sigma[:, 0].tolist())])
 
 
-# method -> (floor, grad, score, scale), cores over a stack of B slices that
-# check nothing; the solver passes them positive scales. A scalar scale (and
-# floor) has shape (B,), a per-node one (B, d). floor(ds) of one dataset and
-# scale(gram, floor) are None for a scale frozen at 1; grad(-cov (I - W), scale)
-# is the smooth-part gradient; score(gram, scale) the smooth score per slice
-# without the l1 term. A residual Gram matrix of the PSD X X^T / n is PSD up to
-# rounding, so the scale cores clamp a rounded-negative term at 0.
+# method -> (floor, score, scale), cores over a block of B slices that check
+# nothing; the solver passes them positive scales. Every scale and floor is a
+# (B, d) row per slice: colide_ev repeats its sigma along the row, and the
+# scale of ls_baseline is frozen at a row of ones, so the smooth-part gradient
+# of every method is -cov (I - W) / scale[:, None, :]. floor(ds, cov) gives
+# one dataset's floor (a float or a (d,) array) from the dataset and its
+# sample covariance, and scale(diag, floor) the closed-form scale; both are
+# None for ls_baseline. score(diag, scale) is the smooth score per slice
+# without the l1 term. diag is residual_diag; the residual Gram matrix of the
+# PSD X X^T / n is PSD up to rounding, so the scale cores clamp a
+# rounded-negative entry at 0.
 METHOD_CORES = {
-    "colide_ev": (
-        sigma_floor_ev, lambda P, sigma: P / sigma[:, None, None],
-        _score_ev, _sigma_ev),
+    "colide_ev": (lambda ds, _: sigma_floor_ev(ds), _score_ev, _sigma_ev),
     "colide_nv": (
-        sigma_floor_nv, lambda P, sigmas: P / sigmas[:, None, :],
-        lambda gram, sigmas: (0.5 * (gram.diagonal(axis1=1, axis2=2) / sigmas).sum(axis=1)
-                              + 0.5 * sigmas.sum(axis=1)),
-        lambda gram, floors: np.maximum(np.sqrt(np.maximum(gram.diagonal(axis1=1, axis2=2), 0.0)),
-                                        floors)),
-    "ls_baseline": (None, lambda P, _: P, lambda gram, _: 0.5 * gram.trace(axis1=1, axis2=2), None),
+        sigma_floor_nv,
+        lambda diag, sigmas: 0.5 * (diag / sigmas).sum(axis=1) + 0.5 * sigmas.sum(axis=1),
+        lambda diag, floors: np.maximum(np.sqrt(np.maximum(diag, 0.0)), floors)),
+    "ls_baseline": (None, lambda diag, _: 0.5 * diag.sum(axis=1), None),
 }
+
+NS_TOL = 1e-4  # largest ||I - M X||_inf after the first Newton-Schulz step that ldet_and_grad accepts
+_EPS = np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=64)
@@ -101,12 +107,12 @@ def _domain_matrix(W: np.ndarray, s: float) -> np.ndarray:
     return _scaled_eye(s, W.shape[-1]) - W * W
 
 
-def _checked_grad(W: np.ndarray, M: np.ndarray, s: float):
-    """Log-det gradients 2 * M^{-T} * W of a stack M = sI - W*W, and the slices outside the domain.
+def _checked_inverse(M: np.ndarray, s: float):
+    """LU inverses of a stack M = sI - W*W, and the slices outside the domain.
 
-    Returns (grad, faults): faults maps the index of each slice that is not
+    Returns (Minv, faults): faults maps the index of each slice that is not
     inside the domain s > rho(W*W) to its DomainViolation message, and is
-    empty when every slice is inside; a faulted slice's gradient means nothing.
+    empty when every slice is inside; a faulted slice's inverse means nothing.
     The Z-matrix M is a nonsingular M-matrix, i.e. s > rho(W*W), exactly when
     x = M^{-1} 1 > 0: then Mx = 1 > 0 makes M semipositive, and an M-matrix
     inverse is nonnegative with a positive diagonal. det(M) > 0 is weaker (an
@@ -131,27 +137,64 @@ def _checked_grad(W: np.ndarray, M: np.ndarray, s: float):
         inside = (rows.min(axis=1) > 0) & (rows.max(axis=1) < np.inf)
         for b in np.flatnonzero(~inside).tolist():
             faults.setdefault(b, f"s={s} is not above the spectral radius of W*W")
-    return 2.0 * Minv.transpose(0, 2, 1) * W, faults
+    return Minv, faults
 
 
-def ldet_and_grad(W: np.ndarray, s: float):
-    """(h, grad, faults) of a (B, d, d) stack from one inverse and one slogdet of sI - W*W.
+def _newton_schulz(M: np.ndarray, X: np.ndarray, s: float):
+    """Two Newton-Schulz steps X <- X + X (I - M X) per slice of M = sI - W*W, and the slices they certify.
 
-    h (B,) and grad (B, d, d) hold h_ldet and grad_ldet of every slice that
-    faults (see _checked_grad) does not name.
+    Returns (X, ok). A slice is ok when R1 = I - M X1 after the first step
+    has ||R1||_inf <= NS_TOL, so that the second step's X = M^{-1} (I - R1^2)
+    is M^{-1} to a relative 1e-8, and when x = X 1 > 0 and Mx > (d + 1) eps s x
+    elementwise. The last two certify s > rho(W*W) for any X: W*W is
+    nonnegative, so rho(W*W) <= max_i ((W*W) x)_i / x_i = max_i (s - (Mx)_i / x_i) < s
+    (Collatz-Wielandt). The margin covers the mat-vec's rounding: it moves
+    (Mx)_i by at most d u (|M| x)_i with u = eps / 2, and (|M| x)_i <=
+    2 s x_i - (Mx)_i because M's off-diagonal is <= 0 and x > 0, so a
+    computed (Mx)_i above d eps s x_i has an exact (Mx)_i > 0. A non-finite
+    X fails every test.
+    """
+    d = M.shape[-1]
+    eye, ones = _scaled_eye(1.0, d), np.ones((d, 1))  # row sums as mat-vecs, cheaper than sum() at small d
+    X = X + X @ (eye - M @ X)
+    R = eye - M @ X
+    X = X + X @ R
+    x = X @ ones
+    ok = (((np.abs(R) @ ones).max(axis=(1, 2)) <= NS_TOL)
+          & (np.minimum(x, M @ x - (d + 1) * _EPS * s * x).min(axis=(1, 2)) > 0))
+    return X, ok
+
+
+def ldet_and_grad(W: np.ndarray, s: float, X: np.ndarray | None = None):
+    """(h, grad, X, faults) of a (B, d, d) stack from one slogdet of M = sI - W*W and an inverse of it.
+
+    h (B,), grad (B, d, d) and X ~ M^{-1} hold h_ldet, grad_ldet and the
+    inverse of every slice that faults does not name. Without X every slice
+    takes the LU inverse that _checked_inverse checks. With X, the inverses
+    of a nearby M (the previous iterate's), each slice first takes two
+    Newton-Schulz steps from its X, and only the slices they do not certify
+    (_newton_schulz) take the checked LU inverse, which alone names faults.
     """
     M = _domain_matrix(W, s)
-    G, faults = _checked_grad(W, M, s)
-    return W.shape[-1] * np.log(s) - np.linalg.slogdet(M)[1], G, faults
+    if X is None:
+        X, faults = _checked_inverse(M, s)
+    else:
+        X, ok = _newton_schulz(M, X, s)
+        faults = {}
+        if not ok.all():
+            redo = np.flatnonzero(~ok).tolist()
+            X[redo], exact = _checked_inverse(M[redo], s)
+            faults = {redo[j]: msg for j, msg in exact.items()}
+    return W.shape[-1] * np.log(s) - np.linalg.slogdet(M)[1], 2.0 * X.transpose(0, 2, 1) * W, X, faults
 
 
 def grad_ldet(W: np.ndarray, s: float) -> np.ndarray:
     """Gradient 2 * (sI - W*W)^{-T} * W (Hadamard product) of h_ldet; checks the domain."""
-    W = np.asarray(W)[None]
-    G, faults = _checked_grad(W, _domain_matrix(W, s), s)
+    W = np.asarray(W)
+    Minv, faults = _checked_inverse(_domain_matrix(W[None], s), s)
     if faults:
         raise DomainViolation(faults[0])
-    return G[0]
+    return 2.0 * Minv[0].T * W
 
 
 def h_ldet(W: np.ndarray, s: float) -> float:
@@ -159,11 +202,11 @@ def h_ldet(W: np.ndarray, s: float) -> float:
 
     Zero exactly when W is a DAG (W*W nilpotent); positive on cyclic W inside
     the domain s > rho(W*W). Raises DomainViolation outside it, checked
-    strictly on the inverse (see _checked_grad), not on the determinant's sign.
+    strictly on the inverse (see _checked_inverse), not on the determinant's sign.
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    h, _, faults = ldet_and_grad(np.asarray(W)[None], s)
+    h, _, _, faults = ldet_and_grad(np.asarray(W)[None], s)
     if faults:
         raise DomainViolation(faults[0])
     return h[0]

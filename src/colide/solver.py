@@ -5,22 +5,32 @@ ADAM step on W per inner iteration (with an l1 subgradient folded in and a
 domain guard on the log-det term), followed by the closed-form scale update.
 Stages warm-start W and the scale; ADAM moments reset at stage boundaries.
 
-fit_stack runs B datasets of one size and method as a (B, d, d) stack, each
-slice on exactly the iterates a fit of its own would take; fit is a stack of
-one. One _Slices object holds each slice's W, covariance, floor, scale and
-stall count; a slice that leaves the stack is stored back to its dataset's
-row. Per stack iteration without halvings: an inverse and a slogdet of the
-guard's accepted M = sI - W*W (the inverse checks the domain s > rho(W*W)
-per slice by positive row sums and gives the next log-det gradient; the
-slogdet gives h for the objective), then three d x d matmuls (cov (I - W)
-for the gradient; the Gram matrix (I - W)^T cov (I - W) for the scale and
-the score). Every numpy call broadcasts over the slices, so the fixed cost
-of the ~60 calls of an iteration, which dominates at d = 20, is paid once
-per stack: at d = 20 an iteration took about 200 us for a stack of four
-and 105 us for a stack of one (2-vCPU Xeon VM, one BLAS thread). A stage
-start makes one inverse and one slogdet of the warm starts.
+fit_stack runs B datasets of one size as a (B, d, d) stack, each slice on
+exactly the iterates a fit of its own would take; fit is a stack of one. A
+stack may span methods: its slices run ordered by method, each method's
+score and scale cores run on its contiguous block, and everything else runs
+once on the whole stack. One _Slices object holds each slice's W, inverse X
+of M = sI - W*W, covariance, floor, scale and stall count; a slice that
+leaves the stack is stored back to its dataset's row. Per stack iteration
+without halvings:
+- one slogdet of the guard's accepted M, for h in the objective;
+- two Newton-Schulz steps (four d x d matmuls) that refresh the previous
+  iterate's X to M^{-1}, and a residual and Collatz-Wielandt test that
+  certifies the domain s > rho(W*W) (scores._newton_schulz); X gives the
+  next log-det gradient. A slice the test does not certify falls back to an
+  LU inverse, whose positive row sums decide the domain;
+- one covariance product P = cov (I - W), which serves the next gradient
+  and, through the residual Gram diagonal ((I - W) * P).sum(-2), the scale
+  and the score.
+A stage start and every halving of the guard take the LU inverse. Every
+numpy call broadcasts over the slices, so the fixed cost of the ~60 calls
+of an iteration, which dominates at d = 20, is paid once per stack: at
+d = 20 an iteration took about 155 us for a stack of six and 80 us for a
+stack of one, and at d = 50 and 100 about 150 and 475 us for a stack of one
+(2-vCPU Xeon VM, one BLAS thread).
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .scores import METHOD_CORES, ldet_and_grad, residual_gram
+from .scores import METHOD_CORES, ldet_and_grad, residual_diag
 from .sem import Dataset, sample_cov
 
 __all__ = [
@@ -103,49 +113,53 @@ def adam_step(st: AdamState, grad: np.ndarray):
     return AdamState(m, v, t, st.lr), update
 
 
-def domain_guard(W: np.ndarray, update: np.ndarray, s: float):
+def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray | None = None):
     """Apply W + update to a (B, d, d) stack, halving a slice's update while it leaves the log-det domain.
 
-    Returns (accepted W, stalled, h, grad_h): stalled holds the indices of
+    Returns (accepted W, stalled, h, grad_h, X): stalled holds the indices of
     the slices that kept their W because MAX_HALVINGS halvings all left the
-    domain, and (h, grad_h) = ldet_and_grad of every other slice's accepted
-    point, from the inverse that checked it (NaN for a stalled slice). W
-    itself is assumed in-domain on entry.
+    domain, and (h, grad_h, X) = ldet_and_grad of every other slice's
+    accepted point, from the inverse that checked it (NaN h and grad_h for a
+    stalled slice, which keeps its entry of X, or NaN without X). X holds
+    inverses of sI - W*W at W: the full step refreshes them by Newton-Schulz
+    steps, and the halvings invert afresh. W itself is assumed in-domain on
+    entry.
     """
     candidate = W + update
-    h, grad_h, faults = ldet_and_grad(candidate, s)
+    h, grad_h, X_new, faults = ldet_and_grad(candidate, s, X)
     if not faults:
-        return candidate, _NO_SLICES, h, grad_h
+        return candidate, _NO_SLICES, h, grad_h, X_new
     bad = np.array(sorted(faults))
     step = update[bad]
     for _ in range(MAX_HALVINGS):
         step = step / 2.0
         retry = W[bad] + step
-        h_r, grad_r, faults = ldet_and_grad(retry, s)
+        h_r, grad_r, X_r, faults = ldet_and_grad(retry, s)
         ok = np.ones(len(bad), dtype=bool)
         ok[list(faults)] = False
-        candidate[bad[ok]], h[bad[ok]], grad_h[bad[ok]] = retry[ok], h_r[ok], grad_r[ok]
+        candidate[bad[ok]], h[bad[ok]], grad_h[bad[ok]], X_new[bad[ok]] = retry[ok], h_r[ok], grad_r[ok], X_r[ok]
         bad, step = bad[~ok], step[~ok]
         if not len(bad):
             break
     candidate[bad], h[bad], grad_h[bad] = W[bad], np.nan, np.nan
-    return candidate, bad, h, grad_h
+    X_new[bad] = np.nan if X is None else X[bad]
+    return candidate, bad, h, grad_h, X_new
 
 
-def _guarded_step(grad_w, W, I_W, scale, cov, grad_h, adam, mu, lam, s):
-    """ADAM step on mu * (score + l1) + h of each slice at W (I_W = I - W, grad_h = dh/dW), then the guard."""
-    # grad_w is linear in -cov (I - W): its sign moves into the l1 sum exactly
-    grad = mu * (lam * np.sign(W) - grad_w(cov @ I_W, scale)) + grad_h
+def _guarded_step(W, P, scale, grad_h, X, adam, mu, lam, s):
+    """ADAM step on mu * (score + l1) + h of each slice at W (P = cov (I - W), grad_h = dh/dW), then the guard."""
+    # the smooth-part gradient -P / scale: its sign moves into the l1 sum exactly
+    grad = mu * (lam * np.sign(W) - P / scale[:, None, :]) + grad_h
     grad.reshape(len(grad), -1)[:, ::grad.shape[-1] + 1] = 0.0
     adam, update = adam_step(adam, grad)
-    return (adam, *domain_guard(W, update, s))
+    return (adam, *domain_guard(W, update, s, X))
 
 
 def _stage_entry(W, s, k):
     """ldet_and_grad at a stage's warm starts, with a FitError for each slice outside the domain."""
-    h, grad_h, faults = ldet_and_grad(W, s)
-    return h, grad_h, {j: FitError(f"stage {k} warm start: {msg}", stage=k, iteration=0)
-                       for j, msg in faults.items()}
+    h, grad_h, X, faults = ldet_and_grad(W, s)
+    return h, grad_h, X, {j: FitError(f"stage {k} warm start: {msg}", stage=k, iteration=0)
+                          for j, msg in faults.items()}
 
 
 def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -202,8 +216,12 @@ def fit(ds: Dataset, method: str = "colide_ev",
     of the arithmetic: summing the residual Gram diagonal elementwise instead
     of taking it from the matmul moved W by max |dW| 0.012-0.124 on ER d = 50,
     k = 4, n = 1000 fits (EV and NV, instances 0-1 of master seeds 0-1) and
-    changed the tau = 0.3 support of 7 of the 8. A change to the fit path
-    must keep the iterates bit-identical or re-run acceptance criteria 6-8.
+    changed the tau = 0.3 support of 7 of the 8. The iterates changed last
+    when that diagonal came to be read from cov (I - W) and the log-det
+    inverse to be refreshed by Newton-Schulz steps: max |dW| 0.017-0.094 on
+    the same fits. Acceptance criteria 6-8 and 10 were re-run on the new
+    iterates; CHANGES.md records their values. A change to the fit path must
+    keep the iterates bit-identical or re-run those criteria.
     """
     res = fit_stack([ds], method, schedule, lam, lr, tau)[0]
     if isinstance(res, Exception):
@@ -225,8 +243,9 @@ class _Slices:
 
     b: np.ndarray  # each slice's dataset index
     W: np.ndarray
+    X: np.ndarray  # inverses of sI - W*W at the stage's s, refreshed with W
     cov: np.ndarray
-    floor: np.ndarray
+    floor: np.ndarray  # (slices, d) rows, as scale
     scale: np.ndarray
     stalls: np.ndarray
     iters: np.ndarray  # (slices, stages) iteration counts
@@ -240,15 +259,29 @@ class _Slices:
         into.iters[self.b, k] = it
 
 
+def _blocks(methods) -> list:
+    """(score, scale, lo, hi): the score and scale cores of each run of one name in methods, on slices lo:hi."""
+    blocks, lo = [], 0
+    for method, names in itertools.groupby(methods):
+        hi = lo + len(list(names))
+        blocks.append((*METHOD_CORES[method][1:], lo, hi))
+        lo = hi
+    return blocks
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing dataset is its slice's error
-def fit_stack(datasets, method: str = "colide_ev",
+def fit_stack(datasets, method: str | list = "colide_ev",
               schedule: StageSchedule | None = None,
               lam: float = DEFAULT_LAMBDA,
               lr: float = DEFAULT_LR,
               tau: float = DEFAULT_THRESHOLD) -> list:
     """fit() of B datasets of one size as one (B, d, d) stack; a FitResult, FitError or DataError each.
 
-    Each slice keeps its own W, scale, ADAM moments, halvings, stall count,
+    method is one method name for every dataset or a sequence of one name
+    per dataset. The slices run ordered by method, so each method's score
+    and scale cores run once per iteration on one contiguous block of the
+    stack, and everything else once on the whole stack. Each slice keeps its
+    own W, scale, ADAM moments, halvings, stall count,
     previous objective and iteration counts, so it takes exactly the iterates
     fit() takes on its dataset alone; every running slice starts a stage
     together, sharing ADAM's step count. A slice whose objective stops
@@ -261,58 +294,64 @@ def fit_stack(datasets, method: str = "colide_ev",
     its updates are 0 or NaN.
     wall_time is the stack's over B.
     """
-    _check_settings((method,), lam, lr, tau)
-    if not datasets or len({ds.d for ds in datasets}) != 1:
-        raise ValueError("a stack needs one or more datasets of one size")
+    methods = [method] * len(datasets) if isinstance(method, str) else list(method)
+    _check_settings(methods, lam, lr, tau)
+    if not datasets or len(methods) != len(datasets) or len({ds.d for ds in datasets}) != 1:
+        raise ValueError("a stack needs one or more datasets of one size, and one method or one per dataset")
     d = datasets[0].d
     if d < 2:
         raise DataError("need at least two variables")
     schedule = schedule or default_schedule()
     start = time.perf_counter()
 
-    floor_of, grad_w, score_of, scale_of = METHOD_CORES[method]
     B = len(datasets)
     covs, floors, errors = [], [np.nan] * B, {}
-    for b, ds in enumerate(datasets):
+    for b, (ds, floor_of) in enumerate(zip(datasets, (METHOD_CORES[m][0] for m in methods))):
         covs.append(sample_cov(ds))
         try:
-            floors[b] = floor_of(ds) if floor_of else np.nan
+            floors[b] = floor_of(ds, covs[b]) if floor_of else np.nan
         except DataError as exc:  # no usable noise floor
             errors[b] = exc
         if not np.isfinite(covs[b]).all():
             errors.setdefault(b, DataError("sample covariance overflows: data values too large"))
-    floors = np.array(np.broadcast_arrays(*floors))  # a NaN (no floor) takes the others' shape
-    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), cov=np.stack(covs), floor=floors,
-                   scale=floors * 1e2 if scale_of else np.ones(B),  # fixed for ls_baseline
+    per_node = [np.ndim(f) == 1 for f in floors]
+    floors = np.array([np.broadcast_to(f, d) for f in floors])  # a float or a NaN (no floor) fills its row
+    frozen = np.array([METHOD_CORES[m][2] is None for m in methods])  # ls_baseline's scale stays 1
+    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), X=np.zeros((B, d, d)), cov=np.stack(covs),
+                   floor=floors, scale=np.where(frozen[:, None], 1.0, floors * 1e2),
                    stalls=np.zeros(B, dtype=int), iters=np.zeros((B, len(schedule.stages)), dtype=int))
+    order = sorted(range(B), key=lambda b: METHODS.index(methods[b]))
     eye = np.eye(d)
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
-        live = [b for b in range(B) if b not in errors]
+        live = [b for b in order if b not in errors]
         if not live:
             break
-        h, grad_h, failed = _stage_entry(fits.W[live], s, k)
+        h, grad_h, fits.X[live], failed = _stage_entry(fits.W[live], s, k)
         errors.update({live[j]: err for j, err in failed.items()})
         keep = [j for j in range(len(live)) if j not in failed]
         if not keep:
             continue
         run, h, grad_h = fits.take([live[j] for j in keep]), h[keep], grad_h[keep]
-        I_W = eye - run.W
+        blocks, P = _blocks(methods[b] for b in run.b.tolist()), run.cov @ (eye - run.W)
         adam, prev_obj = AdamState.zero(run.W.shape, lr=lr), [math.nan] * len(run.b)  # NaN never settles
         for it in range(1, max_iters + 1):
-            adam, run.W, stalled, h_new, grad_new = _guarded_step(
-                grad_w, run.W, I_W, run.scale, run.cov, grad_h, adam, mu, lam, s)
+            adam, run.W, stalled, h_new, grad_new, run.X = _guarded_step(
+                run.W, P, run.scale, grad_h, run.X, adam, mu, lam, s)
             if len(stalled):
                 run.stalls[stalled] += 1
                 h_new[stalled], grad_new[stalled] = h[stalled], grad_h[stalled]
             h, grad_h, I_W = h_new, grad_new, eye - run.W
-            gram = residual_gram(I_W, run.cov)
-            if scale_of:
-                run.scale = scale_of(gram, run.floor)
+            P = run.cov @ I_W  # this W's covariance product serves its cores and the next gradient
+            diag, scores = residual_diag(I_W, P), []
+            for score_of, scale_of, lo, hi in blocks:
+                if scale_of:
+                    run.scale[lo:hi] = scale_of(diag[lo:hi], run.floor[lo:hi])
+                scores += score_of(diag[lo:hi], run.scale[lo:hi]).tolist()
             # each slice's objective and early-stop test on Python floats: the same
             # IEEE operations as (B,)-array calls, and cheaper for a grid's B
             obj = [mu * (score + lam * l1) + h_j for score, l1, h_j in zip(
-                score_of(gram, run.scale).tolist(), np.abs(run.W).sum(axis=(1, 2)).tolist(), h.tolist())]
+                scores, np.abs(run.W).sum(axis=(1, 2)).tolist(), h.tolist())]
             leave = [j for j, o in enumerate(obj) if it == max_iters or not math.isfinite(o) or abs(
                 o - prev_obj[j]) / max(abs(prev_obj[j]), 1e-12) < EARLY_STOP_RTOL]
             if leave:
@@ -325,20 +364,21 @@ def fit_stack(datasets, method: str = "colide_ev",
                 keep = [j for j in range(len(obj)) if j not in leave]
                 if not keep:
                     break
-                run, h, grad_h, obj = run.take(keep), h[keep], grad_h[keep], [obj[j] for j in keep]
-                I_W, adam = eye - run.W, AdamState(adam.m[keep], adam.v[keep], adam.t, lr)
+                run, h, grad_h, P, obj = run.take(keep), h[keep], grad_h[keep], P[keep], [obj[j] for j in keep]
+                adam = AdamState(adam.m[keep], adam.v[keep], adam.t, lr)
+                blocks = _blocks(methods[b] for b in run.b.tolist())
             prev_obj = obj
 
     wall_time = (time.perf_counter() - start) / B
     return [errors[b] if b in errors else FitResult(
         W=fits.W[b], W_thresholded=threshold(fits.W[b], tau),
-        scale=None if scale_of is None else float(fits.scale[b]) if fits.scale.ndim == 1 else fits.scale[b],
+        scale=None if frozen[b] else fits.scale[b] if per_node[b] else float(fits.scale[b, 0]),
         iters_per_stage=fits.iters[b].tolist(), stalls=int(fits.stalls[b]), wall_time=wall_time,
     ) for b in range(B)]
 
 
 # ---------------------------------------------------------------------------
-# Online / mini-batch variant with running covariance and residual Gram matrix.
+# Online / mini-batch variant with running covariance and residual Gram diagonal.
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing gradient is a FitError
@@ -353,7 +393,9 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     Each update takes the batch fit's guarded step, on a stack of one, against
     the running mean of the stage's batch covariances at the previous scale;
     the new scale is the method's closed form of the running mean of each
-    batch's residual Gram matrix at the pre-update W. Each stage restarts the
+    batch's residual Gram diagonal at the pre-update W. Both means are
+    updated incrementally, m += (m_b - m) / (t + 1), so they stay within the
+    range of the batches' values on a long stage. Each stage restarts the
     ADAM moments and both running means, carrying W and the scale forward like
     the batch driver's warm start. Returns the snapshots (stage, epoch, W copy,
     scale) taken at epoch ends; the last is the final state. Data without a
@@ -362,7 +404,7 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     a FitError.
     """
     _check_settings((method,), lam, lr, 0.0)
-    floor_of, grad_w, _, scale_of = METHOD_CORES[method]
+    floor_of, _, scale_of = METHOD_CORES[method]
     if scale_of is None:
         raise ValueError(f"online fits need a method with a scale core; got {method!r}")
     if batch_size < 1 or batch_size > ds.n:
@@ -376,30 +418,31 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     if len(epochs_per_stage) != len(schedule.stages) or any(e < 1 for e in epochs_per_stage):
         raise ValueError(f"epochs_per_stage needs one entry >= 1 per stage; got {epochs_per_stage}")
     # a batch's X_b X_b^T is bounded entrywise by X X^T's diagonal, so one check covers every batch
-    if not np.isfinite(sample_cov(ds)).all():
+    cov_all = sample_cov(ds)
+    if not np.isfinite(cov_all).all():
         raise DataError("sample covariance overflows: data values too large")
 
-    floor = np.asarray(floor_of(ds))[None]
+    floor = floor_of(ds, cov_all)
+    per_node, floor = np.ndim(floor) == 1, np.broadcast_to(floor, ds.d)[None]
     W, scale, eye = np.zeros((1, ds.d, ds.d)), floor * 1e2, np.eye(ds.d)
     snapshots = []
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
-        _, grad_h, failed = _stage_entry(W, s, k)
+        _, grad_h, X, failed = _stage_entry(W, s, k)
         if failed:
             raise failed[0]
-        adam, cov, gram = AdamState.zero(W.shape, lr=lr), np.zeros_like(W), np.zeros_like(W)
+        adam, cov, diag = AdamState.zero(W.shape, lr=lr), np.zeros_like(W), np.zeros_like(floor)
         for epoch in range(epochs):
             for batch in batches:
                 t, I_W = adam.t, eye - W
                 cov_b = batch @ batch.T / batch.shape[1]
-                cov = (cov * t + cov_b) / (t + 1)
-                adam, W, stalled, _, grad_new = _guarded_step(
-                    grad_w, W, I_W, scale, cov, grad_h, adam, mu, lam, s)
+                cov += (cov_b - cov) / (t + 1)  # running means that stay within the batches' range
+                adam, W, stalled, _, grad_new, X = _guarded_step(W, cov @ I_W, scale, grad_h, X, adam, mu, lam, s)
                 if not np.isfinite(adam.v).all():
                     raise FitError(f"gradient overflow (update {adam.t})", k, adam.t)
                 if not len(stalled):  # a stalled W keeps its gradient
                     grad_h = grad_new
-                gram = (gram * t + residual_gram(I_W, cov_b[None])) / (t + 1)
-                scale = scale_of(gram, floor)
+                diag += (residual_diag(I_W, cov_b @ I_W) - diag) / (t + 1)
+                scale = scale_of(diag, floor)
             if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:
-                snapshots.append((k, epoch, W[0].copy(), scale[0]))
+                snapshots.append((k, epoch, W[0].copy(), scale[0] if per_node else scale[0, 0]))
     return snapshots

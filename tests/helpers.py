@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from colide.scores import METHOD_CORES, residual_gram
+from colide.scores import METHOD_CORES, residual_diag
 from colide.sem import sample_cov
 
 BAD_FIT_LINES = ("fit.lr = -0.01", "fit.lambda = -1", "fit.threshold = -0.5", "fit.lr = nan",
@@ -33,24 +33,29 @@ NON_FINITE_LINES = ("graph.weight_ranges = nan:1", "graph.weight_ranges = 0.5:in
 
 
 def method_core(method, part, W, ds, arg=None, lam=0.0):
-    """METHOD_CORES[method] at W on ds, from the residual Gram matrix the solver builds.
+    """METHOD_CORES[method] at W on ds, from the residual Gram diagonal the solver builds.
 
     part "score" gives the smooth score plus lam * ||W||_1 and "grad" the
-    smooth-part gradient, both at scale arg; "scale" gives the closed-form
-    scale with floor arg. The cores run on a stack of one, as in fit.
+    smooth-part gradient -cov (I - W) / scale, both at scale arg (None for a
+    scale of 1); "scale" gives the closed-form scale with floor arg. A scalar
+    arg is a colide_ev scale: the solver's row repeats it and a scalar scale
+    comes back. The cores run on a stack of one, as in fit.
     """
-    _, grad, score, scale = METHOD_CORES[method]
+    _, score, scale = METHOD_CORES[method]
     cov = sample_cov(ds)[None]
     W = np.asarray(W)[None]
-    arg = None if arg is None else np.asarray(arg, dtype=float)[None]
-    I_W = np.eye(W.shape[-1]) - W
+    d = W.shape[-1]
+    row = np.broadcast_to(1.0 if arg is None else np.asarray(arg, dtype=float), (1, d))
+    I_W = np.eye(d) - W
+    P = cov @ I_W
     if part == "grad":
-        return grad(-cov @ I_W, arg)[0]
-    gram = residual_gram(I_W, cov)
+        return (-P / row[:, None, :])[0]
+    diag = residual_diag(I_W, P)
     if part == "scale":
-        return scale(gram, arg)[0]
+        out = scale(diag, row)[0]
+        return out if np.ndim(arg) else out[0]
     if part == "score":
-        return score(gram, arg)[0] + lam * np.abs(W).sum()
+        return score(diag, row)[0] + lam * np.abs(W).sum()
     raise ValueError(f"unknown part {part!r}")
 
 

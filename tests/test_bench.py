@@ -216,24 +216,22 @@ class TestRunGrid:
         assert _strip_times(records) == _strip_times(again)
 
     def test_parallel_matches_serial(self, records):
-        # 2 jobs: one stack per method; 3 jobs: one method's cells cut in two
+        # 1 job: one stack of all 4 cells; 2 jobs: one stack per seed, spanning both
+        # methods; 3 jobs: stacks of 1, 1 and 2 cells
         for jobs in (2, 3):
             par = run_grid(parse_config(SMALL_CFG + f"run.jobs = {jobs}\n"))
             assert _strip_times(par) == _strip_times(records)
 
     def test_stacks_cut_only_as_far_as_the_pool_needs(self):
+        # min(jobs, cells) stacks, sizes differing by at most 1, that cut the cells in order
         cells = [(seed, m, None) for seed in range(4) for m in ("a", "b", "c")]
-
-        def sizes(jobs):
-            return [(m, len(g)) for m, g in _stacks(cells, jobs)]
-
-        assert sizes(1) == sizes(2) == sizes(3) == [("a", 4), ("b", 4), ("c", 4)]
-        assert sizes(4) == [("a", 2), ("a", 2), ("b", 4), ("c", 4)]
-        assert sizes(20) == [(m, 1) for m in "abc" for _ in range(4)]
-        for jobs in (1, 4, 5, 7, 12):
+        for jobs in range(1, 15):
             stacks = _stacks(cells, jobs)
-            assert sorted((seed, m) for m, g in stacks for seed, _ in g) == sorted(
-                (seed, m) for seed, m, _ in cells)
+            sizes = [len(stack) for stack in stacks]
+            assert len(stacks) == min(jobs, len(cells))
+            assert max(sizes) - min(sizes) <= 1
+            assert [cell for stack in stacks for cell in stack] == cells
+        assert [len(stack) for stack in _stacks(cells, 5)] == [2, 2, 3, 2, 3]
 
 
 def _strip_times(records):
@@ -379,7 +377,7 @@ class TestFailedCells:
         assert ["error" in r for r in cells] == [False, False, True, False, False]
         assert "warm start" in cells[2]["error"]
         for r in cells:
-            alone = _run_stack(cfg, "colide_ev", [(r["seed"], None)])
+            alone = _run_stack(cfg, [(r["seed"], "colide_ev", None)])
             assert _strip_times([r]) == _strip_times(alone)
 
     def test_cyclic_estimate_is_an_error_row(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from colide.graphs import GraphModelSpec, assign_edge_weights, sample_er_dag
 from colide.rng import stream
@@ -7,10 +9,11 @@ from colide.scores import (
     METHOD_CORES,
     DomainViolation,
     _domain_matrix,
+    _newton_schulz,
     grad_ldet,
     h_ldet,
     ldet_and_grad,
-    residual_gram,
+    residual_diag,
     sigma_floor_ev,
     sigma_floor_nv,
 )
@@ -68,7 +71,7 @@ class TestHLdet:
         W[1, 0, 1] = W[1, 1, 0] = 1.0  # sI - W*W singular at s = 1
         W[2, 0, 1] = W[2, 1, 0] = 1.5  # outside the domain
         W[3, 0, 1] = W[3, 1, 0] = 0.5  # a 2-cycle inside it
-        h, G, faults = ldet_and_grad(W, 1.0)
+        h, G, _, faults = ldet_and_grad(W, 1.0)
         assert sorted(faults) == [1, 2]
         assert "singular" in faults[1] and "spectral radius" in faults[2]
         for b in (0, 3):
@@ -89,6 +92,39 @@ class TestHLdet:
                     assert got.dtype == expect.dtype
                     assert got.tobytes() == expect.tobytes()
                     assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+class TestNewtonSchulz:
+    @settings(max_examples=150, deadline=None)
+    @given(d=hs.integers(2, 12), s=hs.sampled_from([0.7, 1.0]),
+           rho=hs.sampled_from([0.5, 0.9, 0.99, 0.999, 1.001, 1.1]),
+           grow=hs.sampled_from([1.0, 1.0005, 1.002, 1.02, 1.2]), step=hs.sampled_from([0.0, 1e-7, 1e-4]),
+           seed=hs.integers(0, 2 ** 32 - 1))
+    @example(d=5, s=1.0, rho=0.9, grow=1.0, step=1e-7, seed=0)  # certified
+    @example(d=5, s=1.0, rho=0.999, grow=1.002, step=0.0, seed=0)  # just outside the domain
+    # outside, from the exact inverse of that M: the steps keep it, and only x = X 1 > 0 fails
+    @example(d=5, s=1.0, rho=1.001, grow=1.0, step=0.0, seed=0)
+    def test_certified_refresh_property(self, d, s, rho, grow, step, seed):
+        # the previous W0 has rho(W0*W0) = rho * s and LU inverse X0; the new W scales W0*W0 by
+        # grow and takes a step, so that rho * grow >= 1 puts it outside the domain
+        rng = np.random.default_rng(seed)
+        W0 = random_in_domain(d, s, rng, scale=rho)
+        X0 = np.linalg.inv(_domain_matrix(W0[None], s))
+        E = rng.standard_normal((d, d))
+        np.fill_diagonal(E, 0.0)
+        W = W0 * np.sqrt(grow) + step * E
+        X, ok = _newton_schulz(_domain_matrix(W[None], s), X0, s)
+        if ok[0]:
+            assert max(abs(np.linalg.eigvals(W * W))) < s
+            assert rel_err(2.0 * X[0].T * W, grad_ldet(W, s)) < 1e-8
+        elif grow == 1.0 and step == 0.0 and rho <= 0.9:
+            pytest.fail("the exact inverse of a well-conditioned M was not certified")
+        # a slice the refresh does not certify takes the LU path: the verdict is the exact one
+        _, G, _, faults = ldet_and_grad(W[None], s, X0)
+        _, G_exact, _, exact = ldet_and_grad(W[None], s)
+        assert faults.keys() == exact.keys()
+        if not ok[0] and not faults:
+            assert np.array_equal(G, G_exact)
 
 
 class TestGradients:
@@ -184,18 +220,18 @@ class TestScaleUpdates:
 
     def test_rounded_negative_residual_gives_the_floor(self):
         # x1 = a * x0 fitted by the exact coefficient: node 1's residual variance
-        # is 0, but the Gram matrix rounds it below -1e-12; the cores clamp it
+        # is 0, but the Gram diagonal rounds it below -1e-12; the cores clamp it
         rng = np.random.default_rng(0)
         scale, a = 10 ** rng.uniform(0, 4), rng.uniform(-2, 2)
         x0 = scale * rng.standard_normal(50)
         ds = Dataset(X=np.stack([x0, a * x0]))
-        gram = residual_gram((np.eye(2) - np.array([[0.0, a], [0.0, 0.0]]))[None], sample_cov(ds)[None])
-        assert gram[0, 1, 1] < -1e-12
+        I_W = (np.eye(2) - np.array([[0.0, a], [0.0, 0.0]]))[None]
+        diag = residual_diag(I_W, sample_cov(ds)[None] @ I_W)
+        assert diag[0, 1] < -1e-12
         floors = sigma_floor_nv(ds)
-        assert METHOD_CORES["colide_nv"][3](gram, floors[None]).tolist() == [
-            [np.sqrt(gram[0, 0, 0]), floors[1]]]
-        # node 1 alone: the EV trace term is the same rounded value
-        assert METHOD_CORES["colide_ev"][3](gram[:, 1:, 1:], np.array([0.5])).tolist() == [0.5]
+        assert METHOD_CORES["colide_nv"][2](diag, floors[None]).tolist() == [[np.sqrt(diag[0, 0]), floors[1]]]
+        # node 1 alone: the EV sum is the same rounded value, and the scale row repeats the floor
+        assert METHOD_CORES["colide_ev"][2](diag[:, 1:], np.array([[0.5]])).tolist() == [[0.5]]
 
     def test_floors_from_data(self):
         ds = random_dataset(4, 50, 1)
@@ -203,6 +239,8 @@ class TestScaleUpdates:
             np.linalg.norm(ds.X) / np.sqrt(4 * 50) * 1e-2)
         assert np.allclose(sigma_floor_nv(ds),
                            np.sqrt(np.diag(sample_cov(ds))) * 1e-2)
+        # the solver passes the covariance it has formed; the floor reads its diagonal
+        assert np.array_equal(sigma_floor_nv(ds, sample_cov(ds)), sigma_floor_nv(ds))
 
     def test_zero_data_rejected(self):
         ds = Dataset(X=np.zeros((2, 3)) + [[1.0], [0.0]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from colide import solver
+from colide import scores, solver
 from colide.bench import ExperimentConfig, generate_instance
 from colide.errors import DataError
 from colide.graphs import GraphModelSpec, is_dag
@@ -46,8 +46,8 @@ def fit_recording(ds, **kw):
     """fit(ds, **kw) with the domain guard wrapped; returns (result, W accepted at each iteration)."""
     accepted = []
 
-    def guard(W, update, s):
-        out = domain_guard(W, update, s)
+    def guard(*args):
+        out = domain_guard(*args)
         accepted.append(out[0][0])  # fit runs a stack of one
         return out
 
@@ -64,7 +64,7 @@ def stage_objectives(ds, method, schedule, lam=0.05):
     """
     res, accepted = fit_recording(ds, method=method, schedule=schedule, lam=lam)
     floor_of = METHOD_CORES[method][0]
-    floor = floor_of(ds) if floor_of else None
+    floor = floor_of(ds, sample_cov(ds)) if floor_of else None
     stages, done = [], 0
     for (mu, s, _), iters in zip(schedule.stages, res.iters_per_stage):
         objs = []
@@ -118,8 +118,8 @@ class TestAdam:
 
 
 def guard_one(W, update, s):
-    """domain_guard on a stack of one: (W, stalled, h, grad_h) of the slice."""
-    out, stalled, h, grad_h = domain_guard(W[None], update[None], s)
+    """domain_guard on a stack of one without inverses: (W, stalled, h, grad_h) of the slice."""
+    out, stalled, h, grad_h, _ = domain_guard(W[None], update[None], s)
     return out[0], stalled.tolist() == [0], h[0], grad_h[0]
 
 
@@ -181,7 +181,7 @@ class TestDomainGuard:
         up[0, 0, 1] = 0.1
         up[1, 0, 1] = up[1, 1, 0] = 1.5
         up[2, 0, 1] = 1e9
-        out, stalled, h, grad_h = domain_guard(W, up, s=1.0)
+        out, stalled, h, grad_h, _ = domain_guard(W, up, s=1.0)
         assert stalled.tolist() == [2]
         for b in range(3):
             one = guard_one(W[b], up[b], s=1.0)
@@ -338,21 +338,34 @@ class TestFit:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_factorisation_budget(self, method, monkeypatch):
-        # per iteration one inverse and one slogdet of the guard's accepted
-        # candidate, the same pair per stage start for the warm start
+        # one slogdet per iteration, of the guard's accepted candidate, and one per stage
+        # start, of the warm start; one LU inverse per stage start, and one in an iteration
+        # only when the Newton-Schulz refresh of the previous inverse is not certified (a
+        # fallback; the larger lr makes some); no update here is halved
         _, _, ds = small_instance(seed=13)
         sched = StageSchedule(stages=((1.0, 1.0, 200), (0.1, 0.9, 200)))
-        calls = {"slogdet": 0, "inv": 0}
-        for name in calls:
+        calls, fallbacks, newton_schulz = {}, [], scores._newton_schulz
+        for name in ("slogdet", "inv"):
             def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kw):
                 calls[_name] += 1
                 return _orig(*args, **kw)
             monkeypatch.setattr(np.linalg, name, counted)
-        res = fit(ds, method=method, schedule=sched)
-        iters = sum(res.iters_per_stage)
-        assert res.stalls == 0
-        stages = len(sched.stages)
-        assert calls == {"slogdet": iters + stages, "inv": iters + stages}
+
+        def counting(*args):
+            X, ok = newton_schulz(*args)
+            fallbacks.append(not ok.all())
+            return X, ok
+
+        monkeypatch.setattr(scores, "_newton_schulz", counting)
+        for lr in (3e-4, 3e-3):
+            calls.update(slogdet=0, inv=0)
+            fallbacks.clear()
+            res = fit(ds, method=method, schedule=sched, lr=lr)
+            iters = sum(res.iters_per_stage)
+            assert res.stalls == 0 and len(fallbacks) == iters
+            stages = len(sched.stages)
+            assert calls == {"slogdet": iters + stages, "inv": stages + sum(fallbacks)}
+            assert any(fallbacks) == (lr > 1e-3)
 
 
 def kind_dataset(kind, d, rng, block=4):
@@ -406,40 +419,51 @@ KINDS = ("sparse", "pair", "dense", "random", "zero-row", "zeros", "large")
 # d = 3, lr = 1e6, s falling to 0.2: "sparse" stops early in both stages, "pair"
 # leaves stage 1's domain at its warm start, "dense" stalls, "zeros" has no
 # colide_ev floor
-MIXED = dict(method="colide_ev", d=3, kinds=list(KINDS), lr=1e6, stages=[(1.0, 40), (0.2, 40)], seed=0)
+MIXED = dict(slices=[(kind, "colide_ev") for kind in KINDS], d=3, lr=1e6, stages=[(1.0, 40), (0.2, 40)], seed=0)
+
+
+def one_method(method, kinds):
+    return [(kind, method) for kind in kinds]
 
 
 class TestFitStack:
     @settings(max_examples=60, deadline=None)
-    @given(method=hs.sampled_from(METHODS), d=hs.integers(2, 8),
-           kinds=hs.lists(hs.sampled_from(KINDS), min_size=1, max_size=5),
+    @given(slices=hs.lists(hs.tuples(hs.sampled_from(KINDS), hs.sampled_from(METHODS)), min_size=1, max_size=5),
+           d=hs.integers(2, 8),
            lr=hs.sampled_from([1e-2, 0.3, 1e6]),
            stages=hs.lists(hs.tuples(hs.sampled_from([1.0, 0.7, 0.2]), hs.integers(1, 40)),
                            min_size=1, max_size=3),
            seed=hs.integers(0, 2 ** 32 - 1))
     @example(**MIXED)
-    @example(method="colide_nv", d=2, kinds=["sparse", "dense", "random"], lr=1e-2,
+    @example(slices=one_method("colide_nv", ["sparse", "dense", "random"]), d=2, lr=1e-2,
              stages=[(1.0, 40), (0.2, 40)], seed=0)
+    # every method in one stack, listed out of the stack's method order
+    @example(slices=[("random", "ls_baseline"), ("dense", "colide_nv"), ("random", "colide_ev"),
+                     ("sparse", "colide_nv"), ("pair", "colide_ev")], d=4, lr=1e-2,
+             stages=[(1.0, 40), (0.7, 40)], seed=0)
     # every slice has failed before the last stage starts
-    @example(method="colide_ev", d=2, kinds=["pair"], lr=1e6, stages=[(1.0, 1), (0.7, 1), (1.0, 1)], seed=0)
+    @example(slices=one_method("colide_ev", ["pair"]), d=2, lr=1e6, stages=[(1.0, 1), (0.7, 1), (1.0, 1)], seed=0)
     # slice 0 leaves stage 1's domain at its warm start, slice 1 stage 2's
-    @example(method="colide_ev", d=2, kinds=["dense", "pair"], lr=1e6, stages=[(1.0, 40), (0.7, 40), (0.2, 40)],
-             seed=0)
+    @example(slices=one_method("colide_ev", ["dense", "pair"]), d=2, lr=1e6,
+             stages=[(1.0, 40), (0.7, 40), (0.2, 40)], seed=0)
     # slice 1's covariance overflows: a DataError of its own, without RuntimeWarnings, while the others run on
-    @example(method="colide_nv", d=3, kinds=["sparse", "huge", "random"], lr=0.3, stages=[(1.0, 40), (0.7, 40)],
-             seed=0)
+    @example(slices=one_method("colide_nv", ["sparse", "huge", "random"]), d=3, lr=0.3,
+             stages=[(1.0, 40), (0.7, 40)], seed=0)
     # slices 1 and 2 have no usable floor, while the others run on
-    @example(method="colide_nv", d=3, kinds=["random", "zero-row", "zeros", "sparse"], lr=0.3,
+    @example(slices=one_method("colide_nv", ["random", "zero-row", "zeros", "sparse"]), d=3, lr=0.3,
              stages=[(1.0, 40), (0.7, 40)], seed=0)
     # slice 1's ADAM second moment overflows in stage 0, while the others run on
-    @example(method="ls_baseline", d=3, kinds=["random", "large", "sparse"], lr=0.3,
+    @example(slices=one_method("ls_baseline", ["random", "large", "sparse"]), d=3, lr=0.3,
              stages=[(1.0, 40), (0.7, 40)], seed=0)
-    def test_each_slice_is_its_own_fit_property(self, method, d, kinds, lr, stages, seed):
+    def test_each_slice_is_its_own_fit_property(self, slices, d, lr, stages, seed):
+        # one method drawn per dataset: a stack that spans methods gives each slice its own fit
         rng = np.random.default_rng(seed)
-        datasets = [kind_dataset(kind, d, rng) for kind in kinds]
-        kw = dict(method=method, lr=lr, schedule=StageSchedule(
+        datasets = [kind_dataset(kind, d, rng) for kind, _ in slices]
+        methods = [method for _, method in slices]
+        kw = dict(lr=lr, schedule=StageSchedule(
             stages=tuple((10.0 ** -k, s, cap) for k, (s, cap) in enumerate(stages))))
-        for got, want in zip(fit_stack(datasets, **kw), [fit_or_error(ds, **kw) for ds in datasets]):
+        for got, want in zip(fit_stack(datasets, methods, **kw),
+                             [fit_or_error(ds, method=m, **kw) for ds, m in zip(datasets, methods)]):
             if isinstance(want, Exception):
                 assert error_key(got) == error_key(want)
                 continue
@@ -489,9 +513,10 @@ class TestFitStack:
 
     def test_mixed_example_covers_stalls_faults_and_early_stops(self):
         rng = np.random.default_rng(MIXED["seed"])
-        datasets = [kind_dataset(kind, MIXED["d"], rng) for kind in MIXED["kinds"]]
+        datasets = [kind_dataset(kind, MIXED["d"], rng) for kind, _ in MIXED["slices"]]
         sched = StageSchedule(stages=((1.0, 1.0, 40), (0.1, 0.2, 40)))
-        sparse, pair, dense, _, _, zeros, _ = fit_stack(datasets, MIXED["method"], sched, lr=MIXED["lr"])
+        sparse, pair, dense, _, _, zeros, _ = fit_stack(datasets, [m for _, m in MIXED["slices"]], sched,
+                                                        lr=MIXED["lr"])
         assert sparse.iters_per_stage == [2, 2] and sparse.stalls == 0
         assert isinstance(pair, FitError) and (pair.stage, pair.iteration) == (1, 0)
         assert "warm start" in str(pair)
@@ -504,6 +529,9 @@ class TestFitStack:
             fit_stack([kind_dataset("random", 3, rng), kind_dataset("random", 4, rng)])
         with pytest.raises(ValueError):
             fit_stack([])
+        # one method for every dataset, or one per dataset
+        with pytest.raises(ValueError):
+            fit_stack([kind_dataset("random", 3, rng)] * 2, ["colide_ev"])
 
 
 class TestOnline:
@@ -511,25 +539,26 @@ class TestOnline:
         _, _, ds = small_instance(seed=8, d=6, n=120)
         seen, guarded = [], solver._guarded_step
 
-        def recording(grad_w, W, I_W, scale, cov, *rest):
-            seen.append(cov[0].copy())
-            return guarded(grad_w, W, I_W, scale, cov, *rest)
+        def recording(W, P, *rest):
+            seen.append(P[0].copy())
+            return guarded(W, P, *rest)
 
         monkeypatch.setattr(solver, "_guarded_step", recording)
         fit_online(ds, ds.n, schedule=StageSchedule(((1.0, 1.0, 1),)), epochs_per_stage=[1])
+        # the one update steps from W = 0, where the product cov (I - W) is the covariance itself
         assert len(seen) == 1 and np.allclose(seen[0], sample_cov(ds))
 
     def test_batch_mean_identity(self, monkeypatch):
-        # update u of a stage steps against the mean of that stage's first u + 1 batch covariances,
-        # and each stage's scale is the closed form of the mean of its batches' residual Gram
-        # matrices at the pre-update W: both running means restart with the stage
+        # update u of a stage steps against the mean of that stage's first u + 1 batch covariances
+        # (times I - W), and each stage's scale is the closed form of the mean of its batches'
+        # residual Gram diagonals at the pre-update W: both running means restart with the stage
         _, _, ds = small_instance(seed=9, d=6, n=120, profile="nv")
         covs = [ds.X[:, i:i + 30] @ ds.X[:, i:i + 30].T / 30 for i in range(0, 120, 30)]
         seen, guarded = [], solver._guarded_step
 
-        def recording(grad_w, W, I_W, scale, cov, *rest):
-            seen.append((I_W[0].copy(), cov[0].copy()))
-            return guarded(grad_w, W, I_W, scale, cov, *rest)
+        def recording(W, P, *rest):
+            seen.append((np.eye(W.shape[-1]) - W[0], P[0].copy()))
+            return guarded(W, P, *rest)
 
         monkeypatch.setattr(solver, "_guarded_step", recording)
         snaps = fit_online(ds, 30, method="colide_nv", schedule=StageSchedule(((1.0, 1.0, 4), (0.1, 0.9, 4))),
@@ -537,8 +566,8 @@ class TestOnline:
         assert len(seen) == 8 and len(snaps) == 2
         for k, (_, _, _, scale) in enumerate(snaps):
             stage = seen[4 * k:4 * (k + 1)]
-            for u, (_, cov) in enumerate(stage):
-                assert np.allclose(cov, np.mean(covs[:u + 1], axis=0))
+            for u, (I_W, P) in enumerate(stage):
+                assert np.allclose(P, np.mean(covs[:u + 1], axis=0) @ I_W)
             gram = np.mean([I_W.T @ c @ I_W for (I_W, _), c in zip(stage, covs)], axis=0)
             assert np.allclose(scale, np.maximum(np.sqrt(np.diag(gram)), sigma_floor_nv(ds)))
 
@@ -568,6 +597,15 @@ class TestOnline:
         with pytest.raises(DataError, match=f"^{expect}$"):
             fit_online(Dataset(X=X), 100, method=method)
 
+    @pytest.mark.parametrize("method", ["colide_ev", "colide_nv"])
+    def test_long_stage_running_means_stay_finite(self, method):
+        # 20,000 updates on data at 1e152, whose covariance (1e304) is finite: the running means
+        # are incremental, where t * cov would pass the float range near update 18,000
+        ds = Dataset(X=1e152 * np.where(np.random.default_rng(0).random((2, 1000)) < 0.5, -1.0, 1.0))
+        snaps = fit_online(ds, 100, method=method, schedule=StageSchedule(((1.0, 1.0, 1),)), epochs_per_stage=[2000])
+        _, _, W, scale = snaps[-1]
+        assert np.isfinite(W).all() and np.all(scale >= METHOD_CORES[method][0](ds, sample_cov(ds)))
+
     def test_gradient_overflow_is_a_fit_error(self):
         # the covariance of this data is finite; the gradient of its first batch of one sample
         # (9e153 squared over a scale of 9e151) squared in ADAM's second moment is not
@@ -584,7 +622,8 @@ class TestOnline:
             fit_online(ds, 5, schedule=StageSchedule(((1.0, 1.0, 1), (0.1, 0.2, 1))), epochs_per_stage=[10, 10],
                        lr=1000.0)
         # inside the domain the stage entry inverts and slogdets the warm start, and each update
-        # the guard's accepted candidate, whose inverse gives the next log-det gradient
+        # slogdets the guard's accepted candidate, whose inverse, refreshed from the previous one
+        # by Newton-Schulz steps that certify every update here, gives the next log-det gradient
         _, _, ds = small_instance(seed=8, d=6, n=120)
         calls = {"slogdet": 0, "inv": 0}
         for name in calls:
@@ -593,7 +632,7 @@ class TestOnline:
                 return _orig(*args, **kw)
             monkeypatch.setattr(np.linalg, name, counted)
         fit_online(ds, 40, schedule=StageSchedule(((1.0, 1.0, 3),)), epochs_per_stage=[1])
-        assert calls == {"slogdet": 4, "inv": 4}
+        assert calls == {"slogdet": 4, "inv": 1}
 
     def test_a_stalled_update_keeps_its_gradient(self, monkeypatch):
         # a huge step on rows sharing a component stalls some updates; the next update
@@ -602,8 +641,8 @@ class TestOnline:
         ds = Dataset(X=rng.standard_normal((3, 12)) + 3.0 * rng.standard_normal(12))
         stalled, guard = [], solver.domain_guard
 
-        def counting(W, update, s):
-            out = guard(W, update, s)
+        def counting(*args):
+            out = guard(*args)
             stalled.append(len(out[1]))
             return out
 
@@ -625,7 +664,7 @@ class TestOnline:
         # a shared component correlates all nodes and pulls W towards cycles
         ds = Dataset(X=np.hstack([amplitude * (rng.standard_normal((d, n_b)) + shared * rng.standard_normal(n_b))
                                   for amplitude, shared in batches]))
-        floor = METHOD_CORES[method][0](ds)
+        floor = METHOD_CORES[method][0](ds, sample_cov(ds))
         snaps = fit_online(ds, n_b, method=method, schedule=StageSchedule(((mu, s, 1),)), epochs_per_stage=[2],
                            lr=lr)
         for _, _, W, scale in snaps:
