@@ -22,7 +22,7 @@ from .graphs import (
 )
 from .metrics import MetricReport, evaluate, fdr, noise_error, posthoc_noise, shd, shd_c, sid, tpr
 from .rng import stream
-from .scores import DomainViolation, h_ldet, sigma_floor_ev, sigma_floor_nv
+from .scores import DomainViolation, h_ldet
 from .sem import (
     Dataset,
     NoiseSpec,

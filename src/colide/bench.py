@@ -275,7 +275,8 @@ def run_grid(cfg: ExperimentConfig):
     recorded in the affected row, never fatal to the grid.
     The cells, ordered by size, then seed, then method, are cut into
     min(cfg.jobs, cells) contiguous stacks of near-equal size, one per pool
-    process; each stack spans methods and sizes and runs as one stacked fit
+    process (one stack runs in this process, with no pool); each stack spans
+    methods and sizes and runs as one stacked fit
     (fit_stack) on one instance per (seed, n). A record's wall_time_ms is its
     stack's wall time divided by the stack size. Output order is
     deterministic (by size, then seed, then method order).
@@ -284,8 +285,8 @@ def run_grid(cfg: ExperimentConfig):
     cells = [(seed, method, n) for n in sizes
              for seed in sorted(cfg.seeds) for method in cfg.methods]
     stacks = _stacks(cells, cfg.jobs)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if len(stacks) > 1:  # a pool starts all its workers at once: one per stack
+        with ProcessPoolExecutor(max_workers=len(stacks)) as pool:
             fitted = list(pool.map(_run_stack, [cfg] * len(stacks), stacks))
     else:
         fitted = [_run_stack(cfg, stack) for stack in stacks]

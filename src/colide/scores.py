@@ -1,7 +1,8 @@
-"""Method cores, noise floors and the log-det acyclicity penalty.
+"""Method cores and the log-det acyclicity penalty.
 
-METHOD_CORES holds each method's noise floor, score and closed-form scale
-over a block of fits, read by the batch and online solvers; the log-det
+METHOD_CORES holds each method's score and closed-form scale over a block
+of fits, read by the batch and online solvers; a method's noise floor is
+1e-2 times its closed-form scale at W = 0 (solver._setup). The log-det
 penalty and its gradient accept a slice only inside the domain s > rho(W*W),
 with a verdict per slice. ldet_and_grad takes a (B, d, d) stack and can
 refresh each slice's inverse of sI - W*W by Newton-Schulz steps instead of an
@@ -18,13 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import DataError
-from .sem import Dataset, sample_cov
-
 __all__ = [
     "DomainViolation",
-    "sigma_floor_ev",
-    "sigma_floor_nv",
     "h_ldet",
     "grad_ldet",
     "ldet_and_grad",
@@ -33,22 +29,6 @@ __all__ = [
 
 class DomainViolation(ValueError):
     """Raised when W leaves the log-det domain s > rho(W*W)."""
-
-
-def sigma_floor_ev(ds: Dataset) -> float:
-    """Scalar noise floor ||X||_F / sqrt(d*n) * 1e-2."""
-    norm = np.linalg.norm(ds.X)
-    if norm == 0:
-        raise DataError("all-zero dataset has no usable noise floor")
-    return norm / np.sqrt(ds.d * ds.n) * 1e-2
-
-
-def sigma_floor_nv(ds: Dataset, cov: np.ndarray | None = None) -> np.ndarray:
-    """Per-node noise floor sqrt(diag(cov(X))) * 1e-2; cov is X's sample covariance when already formed."""
-    diag = np.diag(sample_cov(ds) if cov is None else cov)
-    if np.any(diag == 0):
-        raise DataError("identically-zero variable has no usable noise floor")
-    return np.sqrt(diag) * 1e-2
 
 
 def residual_diag(I_W: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -62,7 +42,7 @@ def _sigma_ev(diag, floor):
     d = diag.shape[-1]
     sigma = [max(math.sqrt(max(rss / d, 0.0)), f)
              for rss, f in zip(diag.sum(axis=1).tolist(), floor[:, 0].tolist())]
-    return np.array(sigma)[:, None].repeat(d, axis=1)
+    return np.array(sigma)[:, None]
 
 
 def _score_ev(diag, sigma):
@@ -71,24 +51,22 @@ def _score_ev(diag, sigma):
                      for rss, s in zip(diag.sum(axis=1).tolist(), sigma[:, 0].tolist())])
 
 
-# method -> (floor, score, scale), cores over a block of B slices that check
-# nothing; the solver passes them positive scales. Every scale and floor is a
-# (B, d) row per slice: colide_ev repeats its sigma along the row, and the
-# scale of ls_baseline is frozen at a row of ones, so the smooth-part gradient
-# of every method is -cov (I - W) / scale[:, None, :]. floor(ds, cov) gives
-# one dataset's floor (a float or a (d,) array) from the dataset and its
-# sample covariance, and scale(diag, floor) the closed-form scale; both are
-# None for ls_baseline. score(diag, scale) is the smooth score per slice
-# without the l1 term. diag is residual_diag; the residual Gram matrix of the
-# PSD X X^T / n is PSD up to rounding, so the scale cores clamp a
-# rounded-negative entry at 0.
+# method -> (score, scale), cores over a block of B slices that check nothing;
+# the solver passes the score core positive scales. The solver holds every
+# scale and floor as a (B, d) row per slice: colide_ev's sigma fills its row,
+# and the scale of ls_baseline is frozen at a row of ones, so the smooth-part
+# gradient of every method is -cov (I - W) / scale[:, None, :].
+# scale(diag, floor) is the closed-form scale, a (B, 1) column of sigmas for
+# colide_ev and a (B, d) row for colide_nv, and None for ls_baseline;
+# score(diag, scale) is the smooth score per slice without the l1 term. diag
+# is residual_diag; the residual Gram matrix of the PSD X X^T / n is PSD up
+# to rounding, so the scale cores clamp a rounded-negative entry at 0.
 METHOD_CORES = {
-    "colide_ev": (lambda ds, _: sigma_floor_ev(ds), _score_ev, _sigma_ev),
+    "colide_ev": (_score_ev, _sigma_ev),
     "colide_nv": (
-        sigma_floor_nv,
         lambda diag, sigmas: 0.5 * (diag / sigmas).sum(axis=1) + 0.5 * sigmas.sum(axis=1),
         lambda diag, floors: np.maximum(np.sqrt(np.maximum(diag, 0.0)), floors)),
-    "ls_baseline": (None, lambda diag, _: 0.5 * diag.sum(axis=1), None),
+    "ls_baseline": (lambda diag, _: 0.5 * diag.sum(axis=1), None),
 }
 
 NS_TOL = 1e-4  # largest ||I - M X||_inf after the first Newton-Schulz step that ldet_and_grad accepts

@@ -6,13 +6,14 @@ domain guard on the log-det term), followed by the closed-form scale update.
 Stages warm-start W and the scale; ADAM moments reset at stage boundaries.
 
 fit_stack runs B datasets of one size as a (B, d, d) stack, each slice on
-exactly the iterates a fit of its own would take; fit is a stack of one. A
-stack may span methods: its slices run ordered by method, each method's
-score and scale cores run on its contiguous block, and everything else runs
-once on the whole stack. One _Slices object holds each slice's W, inverse X
-of M = sI - W*W, covariance, floor, scale and stall count; a slice that
-leaves the stack is stored back to its dataset's row. Per stack iteration
-without halvings:
+exactly the iterates a fit of its own would take; fit is a stack of one.
+fit_stack and fit_online share one data setup (_setup) and one guarded step,
+whose guard hands a stalled slice back whole. A stack may span methods: its
+slices run ordered by method, each method's score and scale cores run on its
+contiguous block, and everything else runs once on the whole stack. One
+_Slices object holds each slice's W, inverse X of M = sI - W*W, covariance,
+floor, scale and stall count; a slice that leaves the stack is stored back
+to its dataset's row. Per stack iteration without halvings:
 - one slogdet of the guard's accepted M, for h in the objective;
 - two Newton-Schulz steps (four d x d matmuls) that refresh the previous
   iterate's X to M^{-1}, and a residual and Collatz-Wielandt test that
@@ -113,22 +114,22 @@ def adam_step(st: AdamState, grad: np.ndarray):
     return AdamState(m, v, t, st.lr), update
 
 
-def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray | None = None):
+def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray, h: np.ndarray, grad_h: np.ndarray):
     """Apply W + update to a (B, d, d) stack, halving a slice's update while it leaves the log-det domain.
 
     Returns (accepted W, stalled, h, grad_h, X): stalled holds the indices of
     the slices that kept their W because MAX_HALVINGS halvings all left the
     domain, and (h, grad_h, X) = ldet_and_grad of every other slice's
-    accepted point, from the inverse that checked it (NaN h and grad_h for a
-    stalled slice, which keeps its entry of X, or NaN without X). X holds
+    accepted point, from the inverse that checked it. A stalled slice comes
+    back whole: its own W, h, grad_h and X, the entries passed in. X holds
     inverses of sI - W*W at W: the full step refreshes them by Newton-Schulz
     steps, and the halvings invert afresh. W itself is assumed in-domain on
     entry.
     """
     candidate = W + update
-    h, grad_h, X_new, faults = ldet_and_grad(candidate, s, X)
+    h_new, grad_new, X_new, faults = ldet_and_grad(candidate, s, X)
     if not faults:
-        return candidate, _NO_SLICES, h, grad_h, X_new
+        return candidate, _NO_SLICES, h_new, grad_new, X_new
     bad = np.array(sorted(faults))
     step = update[bad]
     for _ in range(MAX_HALVINGS):
@@ -137,22 +138,21 @@ def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray | No
         h_r, grad_r, X_r, faults = ldet_and_grad(retry, s)
         ok = np.ones(len(bad), dtype=bool)
         ok[list(faults)] = False
-        candidate[bad[ok]], h[bad[ok]], grad_h[bad[ok]], X_new[bad[ok]] = retry[ok], h_r[ok], grad_r[ok], X_r[ok]
+        candidate[bad[ok]], h_new[bad[ok]], grad_new[bad[ok]], X_new[bad[ok]] = retry[ok], h_r[ok], grad_r[ok], X_r[ok]
         bad, step = bad[~ok], step[~ok]
         if not len(bad):
             break
-    candidate[bad], h[bad], grad_h[bad] = W[bad], np.nan, np.nan
-    X_new[bad] = np.nan if X is None else X[bad]
-    return candidate, bad, h, grad_h, X_new
+    candidate[bad], h_new[bad], grad_new[bad], X_new[bad] = W[bad], h[bad], grad_h[bad], X[bad]
+    return candidate, bad, h_new, grad_new, X_new
 
 
-def _guarded_step(W, P, scale, grad_h, X, adam, mu, lam, s):
+def _guarded_step(W, P, scale, h, grad_h, X, adam, mu, lam, s):
     """ADAM step on mu * (score + l1) + h of each slice at W (P = cov (I - W), grad_h = dh/dW), then the guard."""
     # the smooth-part gradient -P / scale: its sign moves into the l1 sum exactly
     grad = mu * (lam * np.sign(W) - P / scale[:, None, :]) + grad_h
     grad.reshape(len(grad), -1)[:, ::grad.shape[-1] + 1] = 0.0
     adam, update = adam_step(adam, grad)
-    return (adam, *domain_guard(W, update, s, X))
+    return (adam, *domain_guard(W, update, s, X, h, grad_h))
 
 
 def _stage_entry(W, s, k):
@@ -219,9 +219,12 @@ def fit(ds: Dataset, method: str = "colide_ev",
     changed the tau = 0.3 support of 7 of the 8. The iterates changed last
     when that diagonal came to be read from cov (I - W) and the log-det
     inverse to be refreshed by Newton-Schulz steps: max |dW| 0.017-0.094 on
-    the same fits. Acceptance criteria 6-8 and 10 were re-run on the new
-    iterates; CHANGES.md records their values. A change to the fit path must
-    keep the iterates bit-identical or re-run those criteria.
+    the same fits; and when the colide_ev floor became sqrt(tr C / d) * 1e-2,
+    ||X||_F / sqrt(d n) * 1e-2 but for the last bit: max |dW| 0.005-0.128 on
+    the EV fits, the NV and ls_baseline fits bit-identical. Criteria 6-8 and
+    10 were re-run on the new iterates; CHANGES.md records their values. A
+    change to the fit path must keep the iterates bit-identical or re-run
+    those criteria.
     """
     res = fit_stack([ds], method, schedule, lam, lr, tau)[0]
     if isinstance(res, Exception):
@@ -259,12 +262,42 @@ class _Slices:
         into.iters[self.b, k] = it
 
 
+def _setup(datasets, methods):
+    """Stacked (covariances, floor rows, starting scale rows, number of scales, DataErrors) of fits by methods.
+
+    A floor is 1e-2 times the method's closed-form scale at W = 0, on diag C:
+    sqrt(tr C / d) * 1e-2 (colide_ev) or sqrt(diag C) * 1e-2 (colide_nv). A
+    fit starts at 100x its floor and reports 1, d or 0 scales (ls_baseline:
+    a NaN floor and a scale frozen at 1). errors maps each unusable dataset
+    to its DataError: a zero floor before an overflowing covariance.
+    """
+    covs = np.stack([sample_cov(ds) for ds in datasets])
+    diag = covs.diagonal(axis1=1, axis2=2)
+    floors, n_scales = np.full(diag.shape, np.nan), np.zeros(len(datasets), dtype=int)
+    for method in dict.fromkeys(methods):
+        scale_of, on = METHOD_CORES[method][1], [b for b, m in enumerate(methods) if m == method]
+        if scale_of:
+            at_zero = scale_of(diag[on], np.zeros((len(on), diag.shape[1])))
+            floors[on], n_scales[on] = 1e-2 * at_zero, at_zero.shape[1]
+    zero = (floors == 0).any(axis=1)
+    errors = {b: DataError(("all-zero dataset" if n_scales[b] == 1 else "identically-zero variable")
+                           + " has no usable noise floor") for b in np.flatnonzero(zero).tolist()}
+    for b in np.flatnonzero(~zero & ~np.isfinite(covs).all(axis=(1, 2))).tolist():
+        errors[b] = DataError("sample covariance overflows: data values too large")
+    return covs, floors, np.where(n_scales[:, None] == 0, 1.0, floors * 1e2), n_scales, errors
+
+
+def _result_scale(row, n_scales):
+    """A fit's scale from its (d,) scale row: None (ls_baseline), a float (colide_ev) or the row (colide_nv)."""
+    return None if n_scales == 0 else float(row[0]) if n_scales == 1 else row
+
+
 def _blocks(methods) -> list:
     """(score, scale, lo, hi): the score and scale cores of each run of one name in methods, on slices lo:hi."""
     blocks, lo = [], 0
     for method, names in itertools.groupby(methods):
         hi = lo + len(list(names))
-        blocks.append((*METHOD_CORES[method][1:], lo, hi))
+        blocks.append((*METHOD_CORES[method], lo, hi))
         lo = hi
     return blocks
 
@@ -305,21 +338,9 @@ def fit_stack(datasets, method: str | list = "colide_ev",
     start = time.perf_counter()
 
     B = len(datasets)
-    covs, floors, errors = [], [np.nan] * B, {}
-    for b, (ds, floor_of) in enumerate(zip(datasets, (METHOD_CORES[m][0] for m in methods))):
-        covs.append(sample_cov(ds))
-        try:
-            floors[b] = floor_of(ds, covs[b]) if floor_of else np.nan
-        except DataError as exc:  # no usable noise floor
-            errors[b] = exc
-        if not np.isfinite(covs[b]).all():
-            errors.setdefault(b, DataError("sample covariance overflows: data values too large"))
-    per_node = [np.ndim(f) == 1 for f in floors]
-    floors = np.array([np.broadcast_to(f, d) for f in floors])  # a float or a NaN (no floor) fills its row
-    frozen = np.array([METHOD_CORES[m][2] is None for m in methods])  # ls_baseline's scale stays 1
-    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), X=np.zeros((B, d, d)), cov=np.stack(covs),
-                   floor=floors, scale=np.where(frozen[:, None], 1.0, floors * 1e2),
-                   stalls=np.zeros(B, dtype=int), iters=np.zeros((B, len(schedule.stages)), dtype=int))
+    covs, floors, scales, n_scales, errors = _setup(datasets, methods)
+    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), X=np.zeros((B, d, d)), cov=covs, floor=floors,
+                   scale=scales, stalls=np.zeros(B, dtype=int), iters=np.zeros((B, len(schedule.stages)), dtype=int))
     order = sorted(range(B), key=lambda b: METHODS.index(methods[b]))
     eye = np.eye(d)
 
@@ -336,12 +357,10 @@ def fit_stack(datasets, method: str | list = "colide_ev",
         blocks, P = _blocks(methods[b] for b in run.b.tolist()), run.cov @ (eye - run.W)
         adam, prev_obj = AdamState.zero(run.W.shape, lr=lr), [math.nan] * len(run.b)  # NaN never settles
         for it in range(1, max_iters + 1):
-            adam, run.W, stalled, h_new, grad_new, run.X = _guarded_step(
-                run.W, P, run.scale, grad_h, run.X, adam, mu, lam, s)
-            if len(stalled):
-                run.stalls[stalled] += 1
-                h_new[stalled], grad_new[stalled] = h[stalled], grad_h[stalled]
-            h, grad_h, I_W = h_new, grad_new, eye - run.W
+            adam, run.W, stalled, h, grad_h, run.X = _guarded_step(
+                run.W, P, run.scale, h, grad_h, run.X, adam, mu, lam, s)
+            run.stalls[stalled] += 1
+            I_W = eye - run.W
             P = run.cov @ I_W  # this W's covariance product serves its cores and the next gradient
             diag, scores = residual_diag(I_W, P), []
             for score_of, scale_of, lo, hi in blocks:
@@ -372,7 +391,7 @@ def fit_stack(datasets, method: str | list = "colide_ev",
     wall_time = (time.perf_counter() - start) / B
     return [errors[b] if b in errors else FitResult(
         W=fits.W[b], W_thresholded=threshold(fits.W[b], tau),
-        scale=None if frozen[b] else fits.scale[b] if per_node[b] else float(fits.scale[b, 0]),
+        scale=_result_scale(fits.scale[b], n_scales[b]),
         iters_per_stage=fits.iters[b].tolist(), stalls=int(fits.stalls[b]), wall_time=wall_time,
     ) for b in range(B)]
 
@@ -404,7 +423,7 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     a FitError.
     """
     _check_settings((method,), lam, lr, 0.0)
-    floor_of, _, scale_of = METHOD_CORES[method]
+    scale_of = METHOD_CORES[method][1]
     if scale_of is None:
         raise ValueError(f"online fits need a method with a scale core; got {method!r}")
     if batch_size < 1 or batch_size > ds.n:
@@ -417,17 +436,14 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
         epochs_per_stage = [math.ceil(t / len(batches)) for _, _, t in schedule.stages]
     if len(epochs_per_stage) != len(schedule.stages) or any(e < 1 for e in epochs_per_stage):
         raise ValueError(f"epochs_per_stage needs one entry >= 1 per stage; got {epochs_per_stage}")
-    # a batch's X_b X_b^T is bounded entrywise by X X^T's diagonal, so one check covers every batch
-    cov_all = sample_cov(ds)
-    if not np.isfinite(cov_all).all():
-        raise DataError("sample covariance overflows: data values too large")
-
-    floor = floor_of(ds, cov_all)
-    per_node, floor = np.ndim(floor) == 1, np.broadcast_to(floor, ds.d)[None]
-    W, scale, eye = np.zeros((1, ds.d, ds.d)), floor * 1e2, np.eye(ds.d)
+    # a batch's X_b X_b^T is bounded entrywise by X X^T's diagonal, so the setup's overflow check covers every batch
+    _, floor, scale, (n_scales,), errors = _setup([ds], [method])
+    if errors:
+        raise errors[0]
+    W, eye = np.zeros((1, ds.d, ds.d)), np.eye(ds.d)
     snapshots = []
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
-        _, grad_h, X, failed = _stage_entry(W, s, k)
+        h, grad_h, X, failed = _stage_entry(W, s, k)
         if failed:
             raise failed[0]
         adam, cov, diag = AdamState.zero(W.shape, lr=lr), np.zeros_like(W), np.zeros_like(floor)
@@ -436,13 +452,11 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
                 t, I_W = adam.t, eye - W
                 cov_b = batch @ batch.T / batch.shape[1]
                 cov += (cov_b - cov) / (t + 1)  # running means that stay within the batches' range
-                adam, W, stalled, _, grad_new, X = _guarded_step(W, cov @ I_W, scale, grad_h, X, adam, mu, lam, s)
+                adam, W, _, h, grad_h, X = _guarded_step(W, cov @ I_W, scale, h, grad_h, X, adam, mu, lam, s)
                 if not np.isfinite(adam.v).all():
                     raise FitError(f"gradient overflow (update {adam.t})", k, adam.t)
-                if not len(stalled):  # a stalled W keeps its gradient
-                    grad_h = grad_new
                 diag += (residual_diag(I_W, cov_b @ I_W) - diag) / (t + 1)
                 scale = scale_of(diag, floor)
             if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:
-                snapshots.append((k, epoch, W[0].copy(), scale[0] if per_node else scale[0, 0]))
+                snapshots.append((k, epoch, W[0].copy(), _result_scale(scale[0], n_scales)))
     return snapshots

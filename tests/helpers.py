@@ -1,7 +1,7 @@
 """Shared brute-force oracles for the test suite.
 
-Everything here except method_core is deliberately independent of the
-library implementation: finite-difference gradients, DAG enumeration,
+Everything here except method_core and noise_floor is deliberately
+independent of the library implementation: finite-difference gradients, DAG enumeration,
 Markov-equivalence grouping, equivalence classes by orientation enumeration,
 path-enumeration d-separation, the adjustment criterion checked path by
 path, d-separation on the moral ancestral graph and the adjustment criterion
@@ -11,8 +11,9 @@ transitive closure, and Kahn's algorithm and the
 compelled-edge labelling written with one numpy call per node on boolean
 matrices (the library runs both on adjacency lists and int bitsets).
 method_core evaluates the library's method table the way the solver does,
-so the tests check the code the solver runs. wide_dags is the hypothesis
-strategy for DAGs whose bitsets span several bytes and machine words.
+and noise_floor takes the solver's noise floor from it, so the tests check
+the code the solver runs. wide_dags is the hypothesis strategy for DAGs
+whose bitsets span several bytes and machine words.
 BAD_FIT_LINES are config lines whose fit settings are out of range, and
 NON_FINITE_LINES config lines with a non-finite graph, noise or schedule value.
 """
@@ -38,12 +39,12 @@ def method_core(method, part, W, ds, arg=None, lam=0.0):
     part "score" gives the smooth score plus lam * ||W||_1 and "grad" the
     smooth-part gradient -cov (I - W) / scale, both at scale arg (None for a
     scale of 1); "scale" gives the closed-form scale with floor arg. A scalar
-    arg is a colide_ev scale: the solver's row repeats it and a scalar scale
-    comes back. The cores run on a stack of one, as in fit.
+    W or arg fills the solver's matrix or row, and colide_ev's one scale
+    comes back as a scalar. The cores run on a stack of one, as in fit.
     """
-    _, score, scale = METHOD_CORES[method]
+    score, scale = METHOD_CORES[method]
     cov = sample_cov(ds)[None]
-    W = np.asarray(W)[None]
+    W = np.broadcast_to(W, (ds.d, ds.d))[None]
     d = W.shape[-1]
     row = np.broadcast_to(1.0 if arg is None else np.asarray(arg, dtype=float), (1, d))
     I_W = np.eye(d) - W
@@ -53,10 +54,19 @@ def method_core(method, part, W, ds, arg=None, lam=0.0):
     diag = residual_diag(I_W, P)
     if part == "scale":
         out = scale(diag, row)[0]
-        return out if np.ndim(arg) else out[0]
+        return out[0] if len(out) == 1 else out
     if part == "score":
         return score(diag, row)[0] + lam * np.abs(W).sum()
     raise ValueError(f"unknown part {part!r}")
+
+
+def noise_floor(method, ds):
+    """The floor the solver keeps method's scale above on ds: 1e-2 times its closed-form scale at W = 0.
+
+    A float for colide_ev, a (d,) array for colide_nv and None for
+    ls_baseline, which has no scale.
+    """
+    return None if METHOD_CORES[method][1] is None else 1e-2 * method_core(method, "scale", 0, ds, 0.0)
 
 
 def fd_grad(f, W, step=1e-6):

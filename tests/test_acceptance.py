@@ -20,11 +20,11 @@ from colide.bench import (
 from colide.graphs import GraphModelSpec
 from colide.metrics import shd, shd_c, sid
 from colide.rng import stream
-from colide.scores import grad_ldet, h_ldet, sigma_floor_ev, sigma_floor_nv
+from colide.scores import grad_ldet, h_ldet
 from colide.sem import Dataset, NoiseSpec, sample_cov
 from colide.solver import fit, fit_online
 
-from helpers import (all_dags, fd_grad, method_core, random_dag, random_in_domain, rel_err,
+from helpers import (all_dags, fd_grad, method_core, noise_floor, random_dag, random_in_domain, rel_err,
                      shd_bf, sid_bf)
 from test_metrics import _vstructs
 
@@ -83,7 +83,7 @@ def test_criterion_02_scale_updates_beat_grid_scan():
         W = random_in_domain(d, 1.0, stream(102, seed, "w"))
         resid = ds.X - W.T @ ds.X
 
-        floor = sigma_floor_ev(ds)
+        floor = noise_floor("colide_ev", ds)
         sig = method_core("colide_ev", "scale", W, ds, floor)
         grid = np.arange(floor, 10.0, 1e-4)
         rss = (resid ** 2).sum() / ds.n
@@ -91,7 +91,7 @@ def test_criterion_02_scale_updates_beat_grid_scan():
         assert (method_core("colide_ev", "score", W, ds, sig, lam=0.1)
                 <= method_core("colide_ev", "score", W, ds, best, lam=0.1) + 1e-8)
 
-        floors = sigma_floor_nv(ds)
+        floors = noise_floor("colide_nv", ds)
         sigs = method_core("colide_nv", "scale", W, ds, floors)
         rss_i = (resid ** 2).sum(axis=1) / ds.n
         val = method_core("colide_nv", "score", W, ds, sigs, lam=0.1)

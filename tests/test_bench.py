@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
+from colide import bench
 from colide.bench import (
     _CONFIG_KEYS,
     METRIC_KEYS,
@@ -221,6 +222,33 @@ class TestRunGrid:
         for jobs in (2, 3):
             par = run_grid(parse_config(SMALL_CFG + f"run.jobs = {jobs}\n"))
             assert _strip_times(par) == _strip_times(records)
+
+    @pytest.mark.parametrize("methods, jobs, workers", [("colide_ev, colide_nv, ls_baseline", 8, [3]),
+                                                        ("colide_ev", 4, [])], ids=["3-cells-8-jobs", "1-cell-4-jobs"])
+    def test_pool_has_one_worker_per_stack(self, monkeypatch, methods, jobs, workers):
+        # a pool forks all its workers at the first submit, so it is sized by the stacks, and one
+        # stack runs with no pool; the fake pool maps in this process and starts nothing
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        text = f"graph.d = 4\ngraph.k = 1\ndata.n = 50\nfit.methods = {methods}\nfit.schedule = 1:1:20\nrun.seeds = 0\n"
+        serial = run_grid(parse_config(text))
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_grid(parse_config(text + f"run.jobs = {jobs}\n"))
+        assert opened == workers
+        assert payload_bytes(pooled) == payload_bytes(serial)
 
     def test_stacks_cut_only_as_far_as_the_pool_needs(self):
         # min(jobs, cells) stacks, sizes differing by at most 1, that cut the cells in order

@@ -14,12 +14,12 @@ from colide.scores import (
     h_ldet,
     ldet_and_grad,
     residual_diag,
-    sigma_floor_ev,
-    sigma_floor_nv,
 )
+from colide.errors import DataError
 from colide.sem import Dataset, sample_cov
+from colide.solver import StageSchedule, fit, fit_online
 
-from helpers import fd_grad, method_core, random_in_domain, rel_err
+from helpers import fd_grad, method_core, noise_floor, random_in_domain, rel_err
 
 FD_RTOL = 1e-5
 
@@ -184,7 +184,7 @@ class TestScaleUpdates:
         for seed in range(20):
             ds = random_dataset(4, 30, seed)
             W = random_in_domain(4, 1.0, stream(8, seed, "w"))
-            floor = sigma_floor_ev(ds)
+            floor = noise_floor("colide_ev", ds)
             sig = method_core("colide_ev", "scale", W, ds, floor)
             resid = ds.X - W.T @ ds.X
             rss = (resid ** 2).sum() / ds.n
@@ -199,7 +199,7 @@ class TestScaleUpdates:
         for seed in range(20):
             ds = random_dataset(4, 30, seed)
             W = random_in_domain(4, 1.0, stream(9, seed, "w"))
-            floors = sigma_floor_nv(ds)
+            floors = noise_floor("colide_nv", ds)
             sigs = method_core("colide_nv", "scale", W, ds, floors)
             resid = ds.X - W.T @ ds.X
             rss = (resid ** 2).sum(axis=1) / ds.n
@@ -228,24 +228,30 @@ class TestScaleUpdates:
         I_W = (np.eye(2) - np.array([[0.0, a], [0.0, 0.0]]))[None]
         diag = residual_diag(I_W, sample_cov(ds)[None] @ I_W)
         assert diag[0, 1] < -1e-12
-        floors = sigma_floor_nv(ds)
-        assert METHOD_CORES["colide_nv"][2](diag, floors[None]).tolist() == [[np.sqrt(diag[0, 0]), floors[1]]]
-        # node 1 alone: the EV sum is the same rounded value, and the scale row repeats the floor
-        assert METHOD_CORES["colide_ev"][2](diag[:, 1:], np.array([[0.5]])).tolist() == [[0.5]]
+        floors = noise_floor("colide_nv", ds)
+        assert METHOD_CORES["colide_nv"][1](diag, floors[None]).tolist() == [[np.sqrt(diag[0, 0]), floors[1]]]
+        # node 1 alone: the EV sum is the same rounded value, and the scale column is the floor
+        assert METHOD_CORES["colide_ev"][1](diag[:, 1:], np.array([[0.5]])).tolist() == [[0.5]]
 
     def test_floors_from_data(self):
-        ds = random_dataset(4, 50, 1)
-        assert sigma_floor_ev(ds) == pytest.approx(
-            np.linalg.norm(ds.X) / np.sqrt(4 * 50) * 1e-2)
-        assert np.allclose(sigma_floor_nv(ds),
-                           np.sqrt(np.diag(sample_cov(ds))) * 1e-2)
-        # the solver passes the covariance it has formed; the floor reads its diagonal
-        assert np.array_equal(sigma_floor_nv(ds, sample_cov(ds)), sigma_floor_nv(ds))
+        # the floor is 1e-2 times the closed-form scale at W = 0: sqrt(tr C / d) for colide_ev,
+        # which is ||X||_F / sqrt(d n) up to rounding, and sqrt(diag C) for colide_nv
+        for seed in range(20):
+            d, n = 2 + seed % 7, 10 + 37 * seed
+            ds = random_dataset(d, n, seed)
+            assert noise_floor("colide_ev", ds) == pytest.approx(
+                np.linalg.norm(ds.X) / np.sqrt(d * n) * 1e-2, rel=1e-15, abs=0)
+            assert np.array_equal(noise_floor("colide_nv", ds), np.sqrt(np.diag(sample_cov(ds))) * 1e-2)
+        assert noise_floor("ls_baseline", ds) is None
 
     def test_zero_data_rejected(self):
+        # a variable that is identically zero has a zero colide_nv floor; both drivers reject it
         ds = Dataset(X=np.zeros((2, 3)) + [[1.0], [0.0]])
-        with pytest.raises(ValueError):
-            sigma_floor_nv(ds)
+        assert noise_floor("colide_nv", ds)[1] == 0
+        with pytest.raises(DataError, match="^identically-zero variable has no usable noise floor$"):
+            fit(ds, "colide_nv", StageSchedule(((1.0, 1.0, 1),)))
+        with pytest.raises(DataError, match="^identically-zero variable has no usable noise floor$"):
+            fit_online(ds, 3, "colide_nv")
 
 
 class TestConvexity:

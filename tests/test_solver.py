@@ -7,16 +7,18 @@ from hypothesis import strategies as hs
 
 from colide import scores, solver
 from colide.bench import ExperimentConfig, generate_instance
-from colide.errors import DataError
+from colide.errors import CyclicGraphError, DataError
 from colide.graphs import GraphModelSpec, is_dag
+from colide.metrics import evaluate
 from colide.rng import stream
-from colide.scores import METHOD_CORES, DomainViolation, grad_ldet, h_ldet, sigma_floor_ev, sigma_floor_nv
+from colide.scores import DomainViolation, grad_ldet, h_ldet, ldet_and_grad
 from colide.sem import Dataset, NoiseSpec, sample_cov, sample_noise, simulate_sem
 from colide.solver import (
     EARLY_STOP_RTOL,
     METHODS,
     AdamState,
     FitError,
+    FitResult,
     StageSchedule,
     adam_step,
     default_schedule,
@@ -27,7 +29,7 @@ from colide.solver import (
     threshold,
 )
 
-from helpers import method_core
+from helpers import method_core, noise_floor
 
 # reduced iteration caps keep small-instance fits fast; early stopping
 # usually kicks in well before them
@@ -63,8 +65,7 @@ def stage_objectives(ds, method, schedule, lam=0.05):
     of the method core, at the closed-form scale of that W (1 for ls_baseline).
     """
     res, accepted = fit_recording(ds, method=method, schedule=schedule, lam=lam)
-    floor_of = METHOD_CORES[method][0]
-    floor = floor_of(ds, sample_cov(ds)) if floor_of else None
+    floor = noise_floor(method, ds)
     stages, done = [], 0
     for (mu, s, _), iters in zip(schedule.stages, res.iters_per_stage):
         objs = []
@@ -117,9 +118,18 @@ class TestAdam:
         assert st.m.shape == (3, 5, 5) and st.v.shape == (3, 5, 5)
 
 
+def guard_stack(W, update, s):
+    """domain_guard on a (B, d, d) stack at W's own h and grad_h, with every candidate on the checked LU inverse.
+
+    An X of NaNs certifies no Newton-Schulz refresh.
+    """
+    h, grad_h, _, _ = ldet_and_grad(W, s)
+    return domain_guard(W, update, s, np.full_like(W, np.nan), h, grad_h)
+
+
 def guard_one(W, update, s):
-    """domain_guard on a stack of one without inverses: (W, stalled, h, grad_h) of the slice."""
-    out, stalled, h, grad_h, _ = domain_guard(W[None], update[None], s)
+    """guard_stack on a stack of one: (W, stalled, h, grad_h) of the slice."""
+    out, stalled, h, grad_h, _ = guard_stack(W[None], update[None], s)
     return out[0], stalled.tolist() == [0], h[0], grad_h[0]
 
 
@@ -151,8 +161,9 @@ class TestDomainGuard:
         up[0, 1] = 1e9
         out, stalled, h, grad_h = guard_one(W, up, s=1.0)
         assert stalled
+        # the stalled slice comes back whole: its own W, h and log-det gradient
         assert np.array_equal(out, W)
-        assert np.isnan(h) and np.isnan(grad_h).all()
+        assert h == h_ldet(W, 1.0) and np.array_equal(grad_h, grad_ldet(W, 1.0))
 
     def test_zero_update(self):
         W = np.zeros((3, 3))
@@ -181,13 +192,13 @@ class TestDomainGuard:
         up[0, 0, 1] = 0.1
         up[1, 0, 1] = up[1, 1, 0] = 1.5
         up[2, 0, 1] = 1e9
-        out, stalled, h, grad_h, _ = domain_guard(W, up, s=1.0)
+        out, stalled, h, grad_h, _ = guard_stack(W, up, s=1.0)
         assert stalled.tolist() == [2]
         for b in range(3):
             one = guard_one(W[b], up[b], s=1.0)
             assert np.array_equal(out[b], one[0])
-            assert np.array_equal(h[b], one[2], equal_nan=True)
-            assert np.array_equal(grad_h[b], one[3], equal_nan=True)
+            assert h[b] == one[2]
+            assert np.array_equal(grad_h[b], one[3])
 
 
 class TestThreshold:
@@ -290,7 +301,7 @@ class TestFit:
     def test_sigma_floor_respected(self):
         _, _, ds = small_instance(seed=7)
         res = fit(ds, method="colide_ev", schedule=FAST)
-        assert res.scale >= sigma_floor_ev(ds)
+        assert res.scale >= noise_floor("colide_ev", ds)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
@@ -376,11 +387,12 @@ def kind_dataset(kind, d, rng, block=4):
     following row 0, so W grows one 2-cycle; "dense": every row shares a
     component, so a huge step leaves the domain at every halving (stall);
     "random": independent Gaussian rows; "huge": random rows whose covariance
-    overflows, and "zero-row" (random rows but the last, all zero) and "zeros"
-    (all zero), which have no usable colide_nv floor (and "zeros" no
-    colide_ev one), so the slice is a DataError from the start; "large":
-    random rows at 1e80, whose covariance is finite but whose ls_baseline
-    gradient (the covariance) overflows ADAM's second moment, a FitError.
+    overflows, and "zero-row" (random rows but the last, all zero),
+    "huge-zero-row" (the same at 1e200) and "zeros" (all zero), which have no
+    usable colide_nv floor (and "zeros" no colide_ev one), so the slice is a
+    DataError from the start; "large": random rows at 1e80, whose covariance
+    is finite but whose ls_baseline gradient (the covariance) overflows
+    ADAM's second moment, a FitError.
     """
     X = np.zeros((d, block * d))
     for i in range(d):
@@ -393,8 +405,8 @@ def kind_dataset(kind, d, rng, block=4):
         X = rng.standard_normal(X.shape)
     elif kind == "huge":
         X = 1e155 * rng.standard_normal(X.shape)
-    elif kind == "zero-row":
-        X = rng.standard_normal(X.shape)
+    elif kind in ("zero-row", "huge-zero-row"):
+        X = (1e200 if kind == "huge-zero-row" else 1.0) * rng.standard_normal(X.shape)
         X[-1] = 0.0
     elif kind == "zeros":
         X = np.zeros(X.shape)
@@ -426,6 +438,16 @@ def one_method(method, kinds):
     return [(kind, method) for kind in kinds]
 
 
+# every data fault, each with its DataError message, unchanged since the faults were first
+# checked; a zero floor is reported over an overflowing covariance. FAULT_STACK puts them
+# between two slices that fit
+DATA_FAULTS = {("zeros", "colide_ev"): "all-zero dataset has no usable noise floor",
+               ("zero-row", "colide_nv"): "identically-zero variable has no usable noise floor",
+               ("huge", "colide_ev"): "sample covariance overflows: data values too large",
+               ("huge-zero-row", "colide_nv"): "identically-zero variable has no usable noise floor"}
+FAULT_STACK = [("random", "colide_nv"), *DATA_FAULTS, ("sparse", "colide_ev")]
+
+
 class TestFitStack:
     @settings(max_examples=60, deadline=None)
     @given(slices=hs.lists(hs.tuples(hs.sampled_from(KINDS), hs.sampled_from(METHODS)), min_size=1, max_size=5),
@@ -449,8 +471,8 @@ class TestFitStack:
     # slice 1's covariance overflows: a DataError of its own, without RuntimeWarnings, while the others run on
     @example(slices=one_method("colide_nv", ["sparse", "huge", "random"]), d=3, lr=0.3,
              stages=[(1.0, 40), (0.7, 40)], seed=0)
-    # slices 1 and 2 have no usable floor, while the others run on
-    @example(slices=one_method("colide_nv", ["random", "zero-row", "zeros", "sparse"]), d=3, lr=0.3,
+    # slices 1-4 are data faults, while the others run on
+    @example(slices=FAULT_STACK, d=3, lr=0.3,
              stages=[(1.0, 40), (0.7, 40)], seed=0)
     # slice 1's ADAM second moment overflows in stage 0, while the others run on
     @example(slices=one_method("ls_baseline", ["random", "large", "sparse"]), d=3, lr=0.3,
@@ -474,17 +496,22 @@ class TestFitStack:
             assert got.iters_per_stage == want.iters_per_stage
             assert got.stalls == want.stalls
 
-    # just below the covariance check: the score overflows at the first step, with no
-    # RuntimeWarning, also when the first step is the stage cap
+    # just below the covariance check: one sample at 1e154 has a finite covariance (1e308)
+    # whose trace, and with it the colide_ev floor, is not, so the score overflows at the
+    # first step, with no RuntimeWarning, also when the first step is the stage cap
     def test_objective_that_overflows_is_its_slices_fit_error(self):
         rng = np.random.default_rng(0)
-        datasets = [kind_dataset("random", 3, rng), Dataset(X=1e153 * kind_dataset("dense", 3, rng).X)]
+        datasets = [kind_dataset("random", 3, rng), Dataset(X=np.full((3, 1), 1e154)),
+                    Dataset(X=1e153 * kind_dataset("dense", 3, rng).X)]
         for cap in (1, 40):
             kw = dict(method="colide_ev", lr=1e-2, schedule=StageSchedule(stages=((1.0, 1.0, cap),)))
-            got, diverged = fit_stack(datasets, **kw)
+            got, diverged, fitted = fit_stack(datasets, **kw)
             assert (str(diverged), diverged.stage, diverged.iteration) == (
                 "objective diverged (stage 0, iteration 1)", 0, 1)
             assert np.array_equal(got.W, fit(datasets[0], **kw).W)
+            # 1e153 data whose ||X||_F overflows, but not its covariance's trace: the floor
+            # sqrt(tr C / d) * 1e-2 is finite, and so is the fit
+            assert np.isfinite(fitted.W).all() and np.isfinite(fitted.scale)
 
     def test_divergence_is_reported_over_a_gradient_overflow(self):
         # one sample at 1e154: the covariance (1e308) is finite, but at the first step both the
@@ -522,6 +549,47 @@ class TestFitStack:
         assert "warm start" in str(pair)
         assert dense.stalls > 0
         assert isinstance(zeros, DataError) and "no usable noise floor" in str(zeros)
+
+    def test_each_data_fault_keeps_its_message(self):
+        rng = np.random.default_rng(0)
+        got = fit_stack([kind_dataset(kind, 3, rng) for kind, _ in FAULT_STACK], [m for _, m in FAULT_STACK],
+                        StageSchedule(((1.0, 1.0, 40),)), lr=0.3)
+        assert [type(r) for r in got] == [FitResult, *[DataError] * len(DATA_FAULTS), FitResult]
+        assert [str(err) for err in got[1:-1]] == list(DATA_FAULTS.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(method=hs.sampled_from(METHODS), d=hs.integers(2, 8), kind=hs.sampled_from(KINDS),
+           lr=hs.sampled_from([3e-4, 3e-3, 1e-2]),
+           stages=hs.lists(hs.tuples(hs.sampled_from([1.0, 0.7, 0.2]), hs.integers(20, 200)), min_size=1, max_size=3),
+           seed=hs.integers(0, 2 ** 32 - 1))
+    def test_relabelled_data_gives_the_relabelled_fit_property(self, method, d, kind, lr, stages, seed):
+        # every quantity of a fit is equivariant under a permutation of the nodes, so a fit of
+        # P X is P W P^T up to rounding; with no early stop, rounding cannot move a stopping
+        # iteration, and lr <= 1e-2 keeps halvings away from the domain's edge. Rounding grows
+        # where M = sI - W*W is ill-conditioned: a search that maximised the gap reached 1.3e-10
+        # in W, while taking the colide_ev floor from X's first row moves W by 7e-5
+        rng = np.random.default_rng(seed)
+        ds, perm = kind_dataset(kind, d, rng), rng.permutation(d)
+        truth = np.triu(rng.random((d, d)) < 0.5, 1).astype(float)
+        truth[0, -1] = 1.0  # a truth with no edges is a DataError of evaluate
+        kw = dict(method=method, lr=lr, schedule=StageSchedule(
+            stages=tuple((10.0 ** -k, s, cap) for k, (s, cap) in enumerate(stages))))
+        with mock.patch.object(solver, "EARLY_STOP_RTOL", 0.0):
+            res, relabelled = fit_or_error(ds, **kw), fit_or_error(Dataset(X=ds.X[perm]), **kw)
+        if isinstance(res, Exception):
+            assert error_key(relabelled) == error_key(res)
+            return
+        assert np.abs(relabelled.W - res.W[np.ix_(perm, perm)]).max() <= 1e-8
+        scale, got = np.asarray(res.scale, dtype=float), np.asarray(relabelled.scale, dtype=float)  # None is NaN
+        assert np.allclose(got, scale if np.ndim(scale) == 0 else scale[perm], rtol=1e-8, atol=0, equal_nan=True)
+        assert relabelled.iters_per_stage == res.iters_per_stage and relabelled.stalls == res.stalls
+        reports = []
+        for W, true in ((res.W_thresholded, truth), (relabelled.W_thresholded, truth[np.ix_(perm, perm)])):
+            try:
+                reports.append(evaluate(W, true))
+            except CyclicGraphError as exc:  # a cycle left by the threshold
+                reports.append(str(exc))
+        assert reports[1] == reports[0]
 
     def test_datasets_must_share_one_size(self):
         rng = np.random.default_rng(0)
@@ -569,15 +637,15 @@ class TestOnline:
             for u, (I_W, P) in enumerate(stage):
                 assert np.allclose(P, np.mean(covs[:u + 1], axis=0) @ I_W)
             gram = np.mean([I_W.T @ c @ I_W for (I_W, _), c in zip(stage, covs)], axis=0)
-            assert np.allclose(scale, np.maximum(np.sqrt(np.diag(gram)), sigma_floor_nv(ds)))
+            assert np.allclose(scale, np.maximum(np.sqrt(np.diag(gram)), noise_floor("colide_nv", ds)))
 
     def test_scale_floor(self):
         # node 1 is twice node 0, so its residual vanishes once W[0, 1] = 2 and the scale stops at the floor
         x = np.random.default_rng(0).standard_normal(40)
         ds = Dataset(X=np.stack([x, 2 * x]))
         snaps = fit_online(ds, 10, method="colide_nv", epochs_per_stage=[50] * 4, lr=1e-2)
-        assert snaps[-1][3][1] == sigma_floor_nv(ds)[1]
-        assert snaps[-1][3][0] > sigma_floor_nv(ds)[0]
+        assert snaps[-1][3][1] == noise_floor("colide_nv", ds)[1]
+        assert snaps[-1][3][0] > noise_floor("colide_nv", ds)[0]
 
     def test_nv_statistic_per_node(self):
         _, _, ds = small_instance(seed=10, d=6, n=120, profile="nv")
@@ -597,6 +665,15 @@ class TestOnline:
         with pytest.raises(DataError, match=f"^{expect}$"):
             fit_online(Dataset(X=X), 100, method=method)
 
+    @pytest.mark.parametrize("kind, method", DATA_FAULTS)
+    def test_a_data_fault_is_the_batch_fits(self, kind, method):
+        # one setup decides both drivers' data faults: a zero floor before an overflow
+        ds = kind_dataset(kind, 3, np.random.default_rng(0))
+        expect = fit_stack([ds], method)[0]
+        assert isinstance(expect, DataError)
+        with pytest.raises(DataError, match=f"^{expect}$"):
+            fit_online(ds, 4, method=method)
+
     @pytest.mark.parametrize("method", ["colide_ev", "colide_nv"])
     def test_long_stage_running_means_stay_finite(self, method):
         # 20,000 updates on data at 1e152, whose covariance (1e304) is finite: the running means
@@ -604,7 +681,7 @@ class TestOnline:
         ds = Dataset(X=1e152 * np.where(np.random.default_rng(0).random((2, 1000)) < 0.5, -1.0, 1.0))
         snaps = fit_online(ds, 100, method=method, schedule=StageSchedule(((1.0, 1.0, 1),)), epochs_per_stage=[2000])
         _, _, W, scale = snaps[-1]
-        assert np.isfinite(W).all() and np.all(scale >= METHOD_CORES[method][0](ds, sample_cov(ds)))
+        assert np.isfinite(W).all() and np.all(scale >= noise_floor(method, ds))
 
     def test_gradient_overflow_is_a_fit_error(self):
         # the covariance of this data is finite; the gradient of its first batch of one sample
@@ -635,8 +712,8 @@ class TestOnline:
         assert calls == {"slogdet": 4, "inv": 1}
 
     def test_a_stalled_update_keeps_its_gradient(self, monkeypatch):
-        # a huge step on rows sharing a component stalls some updates; the next update
-        # steps from the same W with the same log-det gradient, not the guard's NaN
+        # a huge step on rows sharing a component stalls some updates; the guard hands the
+        # stalled W back with its own log-det gradient, from which the next update steps
         rng = np.random.default_rng(0)
         ds = Dataset(X=rng.standard_normal((3, 12)) + 3.0 * rng.standard_normal(12))
         stalled, guard = [], solver.domain_guard
@@ -664,7 +741,7 @@ class TestOnline:
         # a shared component correlates all nodes and pulls W towards cycles
         ds = Dataset(X=np.hstack([amplitude * (rng.standard_normal((d, n_b)) + shared * rng.standard_normal(n_b))
                                   for amplitude, shared in batches]))
-        floor = METHOD_CORES[method][0](ds, sample_cov(ds))
+        floor = noise_floor(method, ds)
         snaps = fit_online(ds, n_b, method=method, schedule=StageSchedule(((mu, s, 1),)), epochs_per_stage=[2],
                            lr=lr)
         for _, _, W, scale in snaps:
