@@ -8,7 +8,7 @@ least-squares baseline, the standard DAG-recovery metric suite, and a
 seeded benchmark harness.
 """
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainViolation, FitError
 from .graphs import (
     Cpdag,
     GraphModelSpec,
@@ -22,7 +22,7 @@ from .graphs import (
 )
 from .metrics import MetricReport, evaluate, fdr, noise_error, posthoc_noise, shd, shd_c, sid, tpr
 from .rng import stream
-from .scores import DomainViolation, h_ldet
+from .scores import h_ldet
 from .sem import (
     Dataset,
     NoiseSpec,
@@ -33,7 +33,6 @@ from .sem import (
     standardize,
 )
 from .solver import (
-    FitError,
     FitResult,
     StageSchedule,
     default_schedule,

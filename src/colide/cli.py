@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bench
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FitError
 from .graphs import load_adjacency_csv, save_adjacency_csv
 from .metrics import evaluate
 from .sem import standardize
@@ -21,7 +21,6 @@ from .solver import (
     DEFAULT_LAMBDA,
     DEFAULT_THRESHOLD,
     METHODS,
-    FitError,
     fit,
     threshold,
 )

@@ -1,6 +1,8 @@
 """Error types raised where a fault is found; the CLI maps each to an exit code.
 
-All subclass ValueError, so callers that catch ValueError keep working.
+Every package error is defined here. ConfigError, DataError and
+DomainViolation subclass ValueError, so callers that catch ValueError keep
+working; FitError, a fit that diverged on usable input, is a RuntimeError.
 """
 
 
@@ -18,3 +20,22 @@ class CyclicGraphError(DataError):
     def __init__(self, graph: str):
         super().__init__(f"the {graph} is not a DAG: it has a directed cycle")
         self.graph = graph
+
+
+class DomainViolation(ValueError):
+    """W lies outside the log-det domain s > rho(W*W), raised as DomainViolation(s).
+
+    A singular sI - W*W is outside too: s is then an eigenvalue of W*W. The
+    message is formed from args, so the error pickles whole.
+    """
+
+    def __str__(self):
+        return f"s={self.args[0]} is not above the spectral radius of W*W"
+
+
+class FitError(RuntimeError):
+    """A fit that failed on usable data, at a stage and iteration (0: the stage's warm start)."""
+
+    def __init__(self, msg, stage=None, iteration=None):
+        super().__init__(msg)
+        self.stage, self.iteration = stage, iteration

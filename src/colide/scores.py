@@ -3,10 +3,12 @@
 METHOD_CORES holds each method's score and closed-form scale over a block
 of fits, read by the batch and online solvers; a method's noise floor is
 1e-2 times its closed-form scale at W = 0 (solver._setup). The log-det
-penalty and its gradient accept a slice only inside the domain s > rho(W*W),
-with a verdict per slice. ldet_and_grad takes a (B, d, d) stack and can
-refresh each slice's inverse of sI - W*W by Newton-Schulz steps instead of an
-LU inverse; h_ldet and grad_ldet take one W and always invert.
+penalty and its gradient are defined only inside the domain s > rho(W*W).
+ldet_and_grad takes a (B, d, d) stack and returns a (B,) mask of the slices
+inside it; it can refresh each slice's inverse of sI - W*W by Newton-Schulz
+steps instead of an LU inverse. Either inverse is judged by one
+Collatz-Wielandt certificate (_certified). h_ldet and grad_ldet take one W,
+always invert, and raise DomainViolation outside the domain.
 
 Conventions: sigma and the entries of Sigma are exogenous noise standard
 deviations (never variances). The sample covariance is the uncentered
@@ -19,16 +21,14 @@ import math
 
 import numpy as np
 
+from .errors import DomainViolation
+
 __all__ = [
     "DomainViolation",
     "h_ldet",
     "grad_ldet",
     "ldet_and_grad",
 ]
-
-
-class DomainViolation(ValueError):
-    """Raised when W leaves the log-det domain s > rho(W*W)."""
 
 
 def residual_diag(I_W: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -85,22 +85,31 @@ def _domain_matrix(W: np.ndarray, s: float) -> np.ndarray:
     return _scaled_eye(s, W.shape[-1]) - W * W
 
 
-def _checked_inverse(M: np.ndarray, s: float):
-    """LU inverses of a stack M = sI - W*W, and the slices outside the domain.
+def _certified(M: np.ndarray, X: np.ndarray, s: float) -> np.ndarray:
+    """The (B,) mask of the slices of M = sI - W*W that X certifies inside the domain s > rho(W*W).
 
-    Returns (Minv, faults): faults maps the index of each slice that is not
-    inside the domain s > rho(W*W) to its DomainViolation message, and is
-    empty when every slice is inside; a faulted slice's inverse means nothing.
-    The Z-matrix M is a nonsingular M-matrix, i.e. s > rho(W*W), exactly when
-    x = M^{-1} 1 > 0: then Mx = 1 > 0 makes M semipositive, and an M-matrix
-    inverse is nonnegative with a positive diagonal. det(M) > 0 is weaker (an
-    even number of eigenvalues of W*W above s keeps it positive). The row sums
-    are tested rather than DAGMA's entries >= -1e-16 because a DAG's zero
-    entries of M^{-1} round to about -1e-15 when others are large. When one
-    slice is singular the stacked inverse fails, so the slices are inverted
-    one at a time and only the singular ones are marked.
+    x = X 1 > 0 and Mx > (d + 1) eps s x elementwise prove s > rho(W*W) for any X: W*W is
+    nonnegative, so rho(W*W) <= max_i ((W*W) x)_i / x_i = max_i (s - (Mx)_i / x_i) < s
+    (Collatz-Wielandt). The margin covers the mat-vec's rounding, at most d u (|M| x)_i with
+    u = eps / 2, where (|M| x)_i <= 2 s x_i - (Mx)_i as M's off-diagonal is <= 0 and x > 0: a
+    computed (Mx)_i above d eps s x_i has an exact (Mx)_i > 0. The exact inverse passes whenever
+    s > rho(W*W): M is then a nonsingular M-matrix, whose inverse is nonnegative with a positive
+    diagonal, so x = M^{-1} 1 > 0 and Mx = 1. det(M) > 0 would not do (an even number of
+    eigenvalues of W*W above s keeps it positive), nor would DAGMA's entries >= -1e-16, which a
+    DAG's zero entries of M^{-1} miss by rounding to about -1e-15. A NaN in X fails the test,
+    with no floating-point warning.
     """
-    faults = {}
+    d = M.shape[-1]
+    x = X @ np.ones((d, 1))  # X 1 as a mat-vec, cheaper than sum() at small d
+    return np.minimum(x, M @ x - (d + 1) * _EPS * s * x).min(axis=(1, 2)) > 0
+
+
+def _checked_inverse(M: np.ndarray, s: float):
+    """(Minv, inside): LU inverses of a stack M = sI - W*W, and the slices they certify (_certified).
+
+    When one slice is singular the stacked inverse fails, so the slices are inverted one at a
+    time; a singular slice keeps a NaN inverse, which the certificate rejects.
+    """
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
@@ -109,82 +118,64 @@ def _checked_inverse(M: np.ndarray, s: float):
             try:
                 Minv[b] = np.linalg.inv(Mb)
             except np.linalg.LinAlgError:
-                faults[b] = f"sI - W*W is singular at s={s}"
-    rows = Minv.sum(axis=2)  # a non-finite entry makes its row sum non-finite
-    if not (rows.min() > 0 and rows.max() < np.inf):
-        inside = (rows.min(axis=1) > 0) & (rows.max(axis=1) < np.inf)
-        for b in np.flatnonzero(~inside).tolist():
-            faults.setdefault(b, f"s={s} is not above the spectral radius of W*W")
-    return Minv, faults
+                pass
+    return Minv, _certified(M, Minv, s)
 
 
 def _newton_schulz(M: np.ndarray, X: np.ndarray, s: float):
     """Two Newton-Schulz steps X <- X + X (I - M X) per slice of M = sI - W*W, and the slices they certify.
 
-    Returns (X, ok). A slice is ok when R1 = I - M X1 after the first step
-    has ||R1||_inf <= NS_TOL, so that the second step's X = M^{-1} (I - R1^2)
-    is M^{-1} to a relative 1e-8, and when x = X 1 > 0 and Mx > (d + 1) eps s x
-    elementwise. The last two certify s > rho(W*W) for any X: W*W is
-    nonnegative, so rho(W*W) <= max_i ((W*W) x)_i / x_i = max_i (s - (Mx)_i / x_i) < s
-    (Collatz-Wielandt). The margin covers the mat-vec's rounding: it moves
-    (Mx)_i by at most d u (|M| x)_i with u = eps / 2, and (|M| x)_i <=
-    2 s x_i - (Mx)_i because M's off-diagonal is <= 0 and x > 0, so a
-    computed (Mx)_i above d eps s x_i has an exact (Mx)_i > 0. A non-finite
-    X fails every test.
+    Returns (X, inside). A slice is inside when R1 = I - M X1 after the first step has
+    ||R1||_inf <= NS_TOL, so that the second step's X = M^{-1} (I - R1^2) is M^{-1} to a relative
+    1e-8, and when _certified accepts the final X.
     """
     d = M.shape[-1]
-    eye, ones = _scaled_eye(1.0, d), np.ones((d, 1))  # row sums as mat-vecs, cheaper than sum() at small d
+    eye, ones = _scaled_eye(1.0, d), np.ones((d, 1))
     X = X + X @ (eye - M @ X)
     R = eye - M @ X
     X = X + X @ R
-    x = X @ ones
-    ok = (((np.abs(R) @ ones).max(axis=(1, 2)) <= NS_TOL)
-          & (np.minimum(x, M @ x - (d + 1) * _EPS * s * x).min(axis=(1, 2)) > 0))
-    return X, ok
+    return X, ((np.abs(R) @ ones).max(axis=(1, 2)) <= NS_TOL) & _certified(M, X, s)
 
 
 def ldet_and_grad(W: np.ndarray, s: float, X: np.ndarray | None = None):
-    """(h, grad, X, faults) of a (B, d, d) stack from one slogdet of M = sI - W*W and an inverse of it.
+    """(h, grad, X, inside) of a (B, d, d) stack from one slogdet of M = sI - W*W and an inverse of it.
 
-    h (B,), grad (B, d, d) and X ~ M^{-1} hold h_ldet, grad_ldet and the
-    inverse of every slice that faults does not name. Without X every slice
-    takes the LU inverse that _checked_inverse checks. With X, the inverses
-    of a nearby M (the previous iterate's), each slice first takes two
-    Newton-Schulz steps from its X, and only the slices they do not certify
-    (_newton_schulz) take the checked LU inverse, which alone names faults.
+    inside is the (B,) mask of the slices in the domain; h, grad and X ~ M^{-1} hold h_ldet,
+    grad_ldet and the inverse of each of them. Without X every slice takes the LU inverse. With
+    X, the inverses of a nearby M (the previous iterate's), each slice first takes two
+    Newton-Schulz steps from its X, and only the slices they do not certify take the LU inverse.
     """
     M = _domain_matrix(W, s)
     if X is None:
-        X, faults = _checked_inverse(M, s)
+        X, inside = _checked_inverse(M, s)
     else:
-        X, ok = _newton_schulz(M, X, s)
-        faults = {}
-        if not ok.all():
-            redo = np.flatnonzero(~ok).tolist()
-            X[redo], exact = _checked_inverse(M[redo], s)
-            faults = {redo[j]: msg for j, msg in exact.items()}
-    return W.shape[-1] * np.log(s) - np.linalg.slogdet(M)[1], 2.0 * X.transpose(0, 2, 1) * W, X, faults
+        X, inside = _newton_schulz(M, X, s)
+        if not inside.all():
+            redo = ~inside
+            X[redo], inside[redo] = _checked_inverse(M[redo], s)
+    return W.shape[-1] * np.log(s) - np.linalg.slogdet(M)[1], 2.0 * X.transpose(0, 2, 1) * W, X, inside
+
+
+def _ldet_of_one(W: np.ndarray, s: float):
+    """(h, grad) of ldet_and_grad at one W; ValueError unless s > 0, DomainViolation outside the domain."""
+    if s <= 0:
+        raise ValueError("s must be positive")
+    h, grad, _, inside = ldet_and_grad(np.asarray(W)[None], s)
+    if not inside[0]:
+        raise DomainViolation(s)
+    return h[0], grad[0]
 
 
 def grad_ldet(W: np.ndarray, s: float) -> np.ndarray:
-    """Gradient 2 * (sI - W*W)^{-T} * W (Hadamard product) of h_ldet; checks the domain."""
-    W = np.asarray(W)
-    Minv, faults = _checked_inverse(_domain_matrix(W[None], s), s)
-    if faults:
-        raise DomainViolation(faults[0])
-    return 2.0 * Minv[0].T * W
+    """Gradient 2 * (sI - W*W)^{-T} * W (Hadamard product) of h_ldet; checks s and the domain as h_ldet does."""
+    return _ldet_of_one(W, s)[1]
 
 
 def h_ldet(W: np.ndarray, s: float) -> float:
     """Log-determinant acyclicity value d*log(s) - log det(sI - W*W).
 
-    Zero exactly when W is a DAG (W*W nilpotent); positive on cyclic W inside
-    the domain s > rho(W*W). Raises DomainViolation outside it, checked
-    strictly on the inverse (see _checked_inverse), not on the determinant's sign.
+    Zero exactly when W is a DAG (W*W nilpotent); positive on cyclic W inside the domain
+    s > rho(W*W). Raises ValueError unless s > 0, and DomainViolation outside the domain, which
+    _certified decides on the inverse, not on the determinant's sign.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    h, _, _, faults = ldet_and_grad(np.asarray(W)[None], s)
-    if faults:
-        raise DomainViolation(faults[0])
-    return h[0]
+    return _ldet_of_one(W, s)[0]

@@ -19,7 +19,7 @@ to its dataset's row. Per stack iteration without halvings:
   iterate's X to M^{-1}, and a residual and Collatz-Wielandt test that
   certifies the domain s > rho(W*W) (scores._newton_schulz); X gives the
   next log-det gradient. A slice the test does not certify falls back to an
-  LU inverse, whose positive row sums decide the domain;
+  LU inverse, judged by the same certificate (scores._certified);
 - one covariance product P = cov (I - W), which serves the next gradient
   and, through the residual Gram diagonal ((I - W) * P).sum(-2), the scale
   and the score.
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainViolation, FitError
 from .scores import METHOD_CORES, ldet_and_grad, residual_diag
 from .sem import Dataset, sample_cov
 
@@ -127,17 +127,15 @@ def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray, h: 
     entry.
     """
     candidate = W + update
-    h_new, grad_new, X_new, faults = ldet_and_grad(candidate, s, X)
-    if not faults:
+    h_new, grad_new, X_new, inside = ldet_and_grad(candidate, s, X)
+    if inside.all():
         return candidate, _NO_SLICES, h_new, grad_new, X_new
-    bad = np.array(sorted(faults))
+    bad = np.flatnonzero(~inside)
     step = update[bad]
     for _ in range(MAX_HALVINGS):
         step = step / 2.0
         retry = W[bad] + step
-        h_r, grad_r, X_r, faults = ldet_and_grad(retry, s)
-        ok = np.ones(len(bad), dtype=bool)
-        ok[list(faults)] = False
+        h_r, grad_r, X_r, ok = ldet_and_grad(retry, s)
         candidate[bad[ok]], h_new[bad[ok]], grad_new[bad[ok]], X_new[bad[ok]] = retry[ok], h_r[ok], grad_r[ok], X_r[ok]
         bad, step = bad[~ok], step[~ok]
         if not len(bad):
@@ -157,9 +155,9 @@ def _guarded_step(W, P, scale, h, grad_h, X, adam, mu, lam, s):
 
 def _stage_entry(W, s, k):
     """ldet_and_grad at a stage's warm starts, with a FitError for each slice outside the domain."""
-    h, grad_h, X, faults = ldet_and_grad(W, s)
-    return h, grad_h, X, {j: FitError(f"stage {k} warm start: {msg}", stage=k, iteration=0)
-                          for j, msg in faults.items()}
+    h, grad_h, X, inside = ldet_and_grad(W, s)
+    return h, grad_h, X, {j: FitError(f"stage {k} warm start: {DomainViolation(s)}", stage=k, iteration=0)
+                          for j in np.flatnonzero(~inside).tolist()}
 
 
 def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -194,12 +192,6 @@ class FitResult:
         return self.scale if np.ndim(self.scale) == 1 else None
 
 
-class FitError(RuntimeError):
-    def __init__(self, msg, stage=None, iteration=None):
-        super().__init__(msg)
-        self.stage, self.iteration = stage, iteration
-
-
 def fit(ds: Dataset, method: str = "colide_ev",
         schedule: StageSchedule | None = None,
         lam: float = DEFAULT_LAMBDA,
@@ -213,18 +205,8 @@ def fit(ds: Dataset, method: str = "colide_ev",
     (fit_stack); raises its FitError or DataError.
 
     The per-iteration early stop makes the iterates sensitive to the last bit
-    of the arithmetic: summing the residual Gram diagonal elementwise instead
-    of taking it from the matmul moved W by max |dW| 0.012-0.124 on ER d = 50,
-    k = 4, n = 1000 fits (EV and NV, instances 0-1 of master seeds 0-1) and
-    changed the tau = 0.3 support of 7 of the 8. The iterates changed last
-    when that diagonal came to be read from cov (I - W) and the log-det
-    inverse to be refreshed by Newton-Schulz steps: max |dW| 0.017-0.094 on
-    the same fits; and when the colide_ev floor became sqrt(tr C / d) * 1e-2,
-    ||X||_F / sqrt(d n) * 1e-2 but for the last bit: max |dW| 0.005-0.128 on
-    the EV fits, the NV and ls_baseline fits bit-identical. Criteria 6-8 and
-    10 were re-run on the new iterates; CHANGES.md records their values. A
-    change to the fit path must keep the iterates bit-identical or re-run
-    those criteria.
+    of the arithmetic, so a change to the fit path keeps them bit-identical
+    or re-runs acceptance criteria 6-8 and 10.
     """
     res = fit_stack([ds], method, schedule, lam, lr, tau)[0]
     if isinstance(res, Exception):
@@ -269,7 +251,8 @@ def _setup(datasets, methods):
     sqrt(tr C / d) * 1e-2 (colide_ev) or sqrt(diag C) * 1e-2 (colide_nv). A
     fit starts at 100x its floor and reports 1, d or 0 scales (ls_baseline:
     a NaN floor and a scale frozen at 1). errors maps each unusable dataset
-    to its DataError: a zero floor before an overflowing covariance.
+    to its DataError: a zero floor before an overflowing covariance or floor
+    (a finite C can have an infinite trace, and so an infinite EV floor).
     """
     covs = np.stack([sample_cov(ds) for ds in datasets])
     diag = covs.diagonal(axis1=1, axis2=2)
@@ -282,7 +265,8 @@ def _setup(datasets, methods):
     zero = (floors == 0).any(axis=1)
     errors = {b: DataError(("all-zero dataset" if n_scales[b] == 1 else "identically-zero variable")
                            + " has no usable noise floor") for b in np.flatnonzero(zero).tolist()}
-    for b in np.flatnonzero(~zero & ~np.isfinite(covs).all(axis=(1, 2))).tolist():
+    overflow = ~np.isfinite(covs).all(axis=(1, 2)) | np.isinf(floors).any(axis=1)  # ls_baseline's floor is NaN
+    for b in np.flatnonzero(~zero & overflow).tolist():
         errors[b] = DataError("sample covariance overflows: data values too large")
     return covs, floors, np.where(n_scales[:, None] == 0, 1.0, floors * 1e2), n_scales, errors
 

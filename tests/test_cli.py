@@ -241,6 +241,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: sample covariance overflows")
 
+    def test_overflowing_trace_is_a_data_error(self, tmp_path, capsys):
+        # one sample at 1e154: the covariance (1e308) is finite, its trace and the colide_ev floor are not
+        p = tmp_path / "huge-trace.csv"
+        save_dataset_csv(Dataset(X=np.full((3, 1), 1e154)), p)
+        assert main(["fit", "--data", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: sample covariance overflows: data values too large"]
+
     @pytest.mark.parametrize("line", BAD_FIT_LINES)
     def test_bad_fit_setting_stops_bench_before_any_instance(self, tmp_path, capsys, monkeypatch, line):
         p = tmp_path / "bad.cfg"

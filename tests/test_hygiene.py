@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in that
 module, every private top-level name of the package is read somewhere in it,
 every public name outside its module's `__all__` and every method of the
-package is read by the package or by perfbench, every name a demo script
-imports from the package exists, and every python block of the README runs.
+package is read by the package or by perfbench, every exception class of the
+package is defined in `errors.py`, every name a demo script imports from the
+package exists, and every python block of the README runs.
 
 A stdlib `ast` scan of the package and test modules, with perfbench's
 modules read as callers of the package. The package's `__init__.py` is left
@@ -14,6 +15,7 @@ not run; the README's python blocks run in turn, as a reader would paste them.
 """
 
 import ast
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -152,6 +154,37 @@ def test_every_public_name_and_method_is_read():
     # perfbench's modules are readers: they are not part of the package, but they call it
     readers = {f"perfbench/{p.stem}": p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))}
     assert unread_api({p.stem: p.read_text() for p in PACKAGE}, readers) == []
+
+
+def exception_classes(sources: dict) -> list:
+    """'module: Class' for each class of sources whose base is a builtin exception or such a class.
+
+    A base is matched by its name, whether imported (DataError) or taken as
+    an attribute (errors.DataError), so a subclass of another module's error
+    is found too.
+    """
+    classes = [(module, node) for module, text in sources.items() for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.ClassDef)]
+    errors = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    while True:
+        found = {node.name for _, node in classes
+                 if {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases} & errors}
+        if found <= errors:
+            return [f"{module}: {node.name}" for module, node in classes if node.name in found]
+        errors |= found
+
+
+def test_scan_flags_exception_classes():
+    sources = {"errors": "class E(ValueError): pass\nclass F(E): pass\nclass Plain: pass\n",
+               "a": "import errors\nfrom errors import F\nclass G(F): pass\nclass H(errors.E): pass\n"
+                    "class I(object): pass\nclass J(RuntimeError): pass\n"}
+    assert exception_classes(sources) == ["errors: E", "errors: F", "a: G", "a: H", "a: J"]
+
+
+def test_every_exception_class_is_in_errors():
+    # one module holds the package's error types, each of which the CLI maps to an exit code
+    found = exception_classes({p.stem: p.read_text() for p in PACKAGE})
+    assert found and all(c.startswith("errors: ") for c in found), found
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -316,6 +316,15 @@ class TestFit:
                 fit(ds, method=method, schedule=sched)
             assert (err.value.stage, err.value.iteration) == (1, 0)
 
+    def test_singular_warm_start_has_the_one_domain_message(self):
+        # a singular sI - W*W has s as an eigenvalue of W*W: the fault is the domain's, with its message
+        W = np.zeros((2, 2, 2))
+        W[1, 0, 1] = W[1, 1, 0] = 1.0
+        _, _, _, failed = solver._stage_entry(W, 1.0, 1)
+        assert list(failed) == [1] and isinstance(failed[1], FitError)
+        assert (failed[1].stage, failed[1].iteration) == (1, 0)
+        assert str(failed[1]) == "stage 1 warm start: s=1.0 is not above the spectral radius of W*W"
+
     @pytest.mark.parametrize("method", METHODS)
     def test_trace_ends_at_stage_objective(self, method):
         # the solver stops a stage at the first iteration whose change of
@@ -390,7 +399,9 @@ def kind_dataset(kind, d, rng, block=4):
     overflows, and "zero-row" (random rows but the last, all zero),
     "huge-zero-row" (the same at 1e200) and "zeros" (all zero), which have no
     usable colide_nv floor (and "zeros" no colide_ev one), so the slice is a
-    DataError from the start; "large": random rows at 1e80, whose covariance
+    DataError from the start; "huge-trace": one sample of every variable at
+    1e154, whose covariance (1e308) is finite but whose trace, and with it the
+    colide_ev floor, is not, also a DataError; "large": random rows at 1e80, whose covariance
     is finite but whose ls_baseline gradient (the covariance) overflows
     ADAM's second moment, a FitError.
     """
@@ -410,6 +421,8 @@ def kind_dataset(kind, d, rng, block=4):
         X[-1] = 0.0
     elif kind == "zeros":
         X = np.zeros(X.shape)
+    elif kind == "huge-trace":
+        X = np.full((d, 1), 1e154)
     elif kind == "large":
         X = 1e80 * rng.standard_normal(X.shape)
     return Dataset(X=X)
@@ -438,13 +451,14 @@ def one_method(method, kinds):
     return [(kind, method) for kind in kinds]
 
 
-# every data fault, each with its DataError message, unchanged since the faults were first
-# checked; a zero floor is reported over an overflowing covariance. FAULT_STACK puts them
-# between two slices that fit
+# every data fault, each with its DataError message; a zero floor is reported over an
+# overflowing covariance, and an infinite floor from a finite covariance is an overflowing
+# one. FAULT_STACK puts them between two slices that fit
 DATA_FAULTS = {("zeros", "colide_ev"): "all-zero dataset has no usable noise floor",
                ("zero-row", "colide_nv"): "identically-zero variable has no usable noise floor",
                ("huge", "colide_ev"): "sample covariance overflows: data values too large",
-               ("huge-zero-row", "colide_nv"): "identically-zero variable has no usable noise floor"}
+               ("huge-zero-row", "colide_nv"): "identically-zero variable has no usable noise floor",
+               ("huge-trace", "colide_ev"): "sample covariance overflows: data values too large"}
 FAULT_STACK = [("random", "colide_nv"), *DATA_FAULTS, ("sparse", "colide_ev")]
 
 
@@ -471,7 +485,7 @@ class TestFitStack:
     # slice 1's covariance overflows: a DataError of its own, without RuntimeWarnings, while the others run on
     @example(slices=one_method("colide_nv", ["sparse", "huge", "random"]), d=3, lr=0.3,
              stages=[(1.0, 40), (0.7, 40)], seed=0)
-    # slices 1-4 are data faults, while the others run on
+    # slices 1-5 are data faults, while the others run on
     @example(slices=FAULT_STACK, d=3, lr=0.3,
              stages=[(1.0, 40), (0.7, 40)], seed=0)
     # slice 1's ADAM second moment overflows in stage 0, while the others run on
@@ -496,19 +510,20 @@ class TestFitStack:
             assert got.iters_per_stage == want.iters_per_stage
             assert got.stalls == want.stalls
 
-    # just below the covariance check: one sample at 1e154 has a finite covariance (1e308)
-    # whose trace, and with it the colide_ev floor, is not, so the score overflows at the
-    # first step, with no RuntimeWarning, also when the first step is the stage cap
+    # just below the covariance check: one sample at 1e154 has a finite covariance (1e308),
+    # so the ls_baseline score overflows at the first step, with no RuntimeWarning, also when
+    # the first step is the stage cap, while the colide_ev slices beside it run on (under
+    # colide_ev the same data is a DataError: its trace, and with it the floor, overflows)
     def test_objective_that_overflows_is_its_slices_fit_error(self):
         rng = np.random.default_rng(0)
         datasets = [kind_dataset("random", 3, rng), Dataset(X=np.full((3, 1), 1e154)),
                     Dataset(X=1e153 * kind_dataset("dense", 3, rng).X)]
         for cap in (1, 40):
-            kw = dict(method="colide_ev", lr=1e-2, schedule=StageSchedule(stages=((1.0, 1.0, cap),)))
-            got, diverged, fitted = fit_stack(datasets, **kw)
+            kw = dict(lr=1e-2, schedule=StageSchedule(stages=((1.0, 1.0, cap),)))
+            got, diverged, fitted = fit_stack(datasets, ["colide_ev", "ls_baseline", "colide_ev"], **kw)
             assert (str(diverged), diverged.stage, diverged.iteration) == (
                 "objective diverged (stage 0, iteration 1)", 0, 1)
-            assert np.array_equal(got.W, fit(datasets[0], **kw).W)
+            assert np.array_equal(got.W, fit(datasets[0], "colide_ev", **kw).W)
             # 1e153 data whose ||X||_F overflows, but not its covariance's trace: the floor
             # sqrt(tr C / d) * 1e-2 is finite, and so is the fit
             assert np.isfinite(fitted.W).all() and np.isfinite(fitted.scale)
@@ -667,12 +682,13 @@ class TestOnline:
 
     @pytest.mark.parametrize("kind, method", DATA_FAULTS)
     def test_a_data_fault_is_the_batch_fits(self, kind, method):
-        # one setup decides both drivers' data faults: a zero floor before an overflow
+        # one setup decides both drivers' data faults, before any batch streams: a zero floor
+        # before an overflow
         ds = kind_dataset(kind, 3, np.random.default_rng(0))
         expect = fit_stack([ds], method)[0]
         assert isinstance(expect, DataError)
         with pytest.raises(DataError, match=f"^{expect}$"):
-            fit_online(ds, 4, method=method)
+            fit_online(ds, ds.n, method=method)
 
     @pytest.mark.parametrize("method", ["colide_ev", "colide_nv"])
     def test_long_stage_running_means_stay_finite(self, method):
