@@ -15,11 +15,12 @@ class DataError(ValueError):
 
 
 class CyclicGraphError(DataError):
-    """A graph that must be a DAG has a directed cycle; graph names which (e.g. "estimate", "truth")."""
+    """A graph that must be a DAG has a directed cycle, raised as CyclicGraphError(graph) naming it; pickles whole."""
 
-    def __init__(self, graph: str):
-        super().__init__(f"the {graph} is not a DAG: it has a directed cycle")
-        self.graph = graph
+    graph = property(lambda self: self.args[0])
+
+    def __str__(self):
+        return f"the {self.graph} is not a DAG: it has a directed cycle"
 
 
 class DomainViolation(ValueError):

@@ -11,9 +11,11 @@ fit_stack and fit_online share one data setup (_setup) and one guarded step,
 whose guard hands a stalled slice back whole. A stack may span methods: its
 slices run ordered by method, each method's score and scale cores run on its
 contiguous block, and everything else runs once on the whole stack. One
-_Slices object holds each slice's W, inverse X of M = sI - W*W, covariance,
-floor, scale and stall count; a slice that leaves the stack is stored back
-to its dataset's row. Per stack iteration without halvings:
+_Slices object holds a row per slice of every array a stage runs on: W, h,
+grad_h, the inverse X of M = sI - W*W, cov, P = cov (I - W), ADAM's m and v,
+the floor, scale, stall and iteration counts; both drivers move that object,
+and a slice leaving the stack is stored back to its dataset's row. Per stack
+iteration without halvings:
 - one slogdet of the guard's accepted M, for h in the objective;
 - two Newton-Schulz steps (four d x d matmuls) that refresh the previous
   iterate's X to M^{-1}, and a residual and Collatz-Wielandt test that
@@ -44,7 +46,6 @@ from .sem import Dataset, sample_cov
 
 __all__ = [
     "StageSchedule",
-    "AdamState",
     "FitResult",
     "FitError",
     "default_schedule",
@@ -91,27 +92,16 @@ def default_schedule() -> StageSchedule:
     ))
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    lr: float = DEFAULT_LR
+def adam_step(m: np.ndarray, v: np.ndarray, grad: np.ndarray, t: int, lr: float):
+    """Bias-corrected ADAM step t >= 1 of size lr from the moments m, v of steps 1..t-1 (zeros at t = 1).
 
-    @classmethod
-    def zero(cls, shape, lr: float = DEFAULT_LR) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), lr=lr)
-
-
-def adam_step(st: AdamState, grad: np.ndarray):
-    """One bias-corrected ADAM step; returns (new state, additive update)."""
-    t = st.t + 1
-    m = ADAM_BETA1 * st.m + (1 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * st.v + (1 - ADAM_BETA2) * grad * grad
+    Returns (m, v, update): the moments after step t and the update to add to W. A stage counts its steps from 1.
+    """
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
-    update = -st.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(m, v, t, st.lr), update
+    return m, v, -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray, h: np.ndarray, grad_h: np.ndarray):
@@ -144,20 +134,22 @@ def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray, h: 
     return candidate, bad, h_new, grad_new, X_new
 
 
-def _guarded_step(W, P, scale, h, grad_h, X, adam, mu, lam, s):
-    """ADAM step on mu * (score + l1) + h of each slice at W (P = cov (I - W), grad_h = dh/dW), then the guard."""
+def _guarded_step(run, t, mu, lam, lr, s):
+    """ADAM step t of run's slices, then the guard; updates W, h, grad_h, X, m and v in place, returns the stalled."""
     # the smooth-part gradient -P / scale: its sign moves into the l1 sum exactly
-    grad = mu * (lam * np.sign(W) - P / scale[:, None, :]) + grad_h
+    grad = mu * (lam * np.sign(run.W) - run.P / run.scale[:, None, :]) + run.grad_h
     grad.reshape(len(grad), -1)[:, ::grad.shape[-1] + 1] = 0.0
-    adam, update = adam_step(adam, grad)
-    return (adam, *domain_guard(W, update, s, X, h, grad_h))
+    run.m, run.v, update = adam_step(run.m, run.v, grad, t, lr)
+    run.W, stalled, run.h, run.grad_h, run.X = domain_guard(run.W, update, s, run.X, run.h, run.grad_h)
+    return stalled
 
 
-def _stage_entry(W, s, k):
-    """ldet_and_grad at a stage's warm starts, with a FitError for each slice outside the domain."""
-    h, grad_h, X, inside = ldet_and_grad(W, s)
-    return h, grad_h, X, {j: FitError(f"stage {k} warm start: {DomainViolation(s)}", stage=k, iteration=0)
-                          for j in np.flatnonzero(~inside).tolist()}
+def _stage_entry(run, s, k):
+    """Start stage k at run's W: set h, grad_h and X there, zero the moments; a FitError per dataset off the domain."""
+    run.h, run.grad_h, run.X, inside = ldet_and_grad(run.W, s)
+    run.m, run.v = np.zeros_like(run.W), np.zeros_like(run.W)
+    return {b: FitError(f"stage {k} warm start: {DomainViolation(s)}", stage=k, iteration=0)
+            for b in run.b[~inside].tolist()}
 
 
 def threshold(W: np.ndarray, tau: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -228,12 +220,25 @@ class _Slices:
 
     b: np.ndarray  # each slice's dataset index
     W: np.ndarray
+    h: np.ndarray
+    grad_h: np.ndarray
     X: np.ndarray  # inverses of sI - W*W at the stage's s, refreshed with W
+    P: np.ndarray  # cov (I - W)
+    m: np.ndarray  # ADAM moments
+    v: np.ndarray
     cov: np.ndarray
     floor: np.ndarray  # (slices, d) rows, as scale
     scale: np.ndarray
     stalls: np.ndarray
     iters: np.ndarray  # (slices, stages) iteration counts
+
+    @classmethod
+    def of(cls, covs, floors, scales, stages: int) -> "_Slices":
+        """Every dataset's slice at W = 0, from _setup's covariances, floor and scale rows."""
+        zeros = np.zeros(covs.shape)
+        return cls(b=np.arange(len(covs)), W=zeros, h=np.zeros(len(covs)), grad_h=zeros.copy(), X=zeros.copy(),
+                   P=covs.copy(), m=zeros.copy(), v=zeros.copy(), cov=covs, floor=floors, scale=scales,
+                   stalls=np.zeros(len(covs), dtype=int), iters=np.zeros((len(covs), stages), dtype=int))
 
     def take(self, keep) -> "_Slices":
         return _Slices(**{name: a[keep] for name, a in vars(self).items()})
@@ -253,7 +258,10 @@ def _setup(datasets, methods):
     a NaN floor and a scale frozen at 1). errors maps each unusable dataset
     to its DataError: a zero floor before an overflowing covariance or floor
     (a finite C can have an infinite trace, and so an infinite EV floor).
+    Data with fewer than two variables is a DataError raised for the whole call.
     """
+    if datasets[0].d < 2:
+        raise DataError("need at least two variables")
     covs = np.stack([sample_cov(ds) for ds in datasets])
     diag = covs.diagonal(axis1=1, axis2=2)
     floors, n_scales = np.full(diag.shape, np.nan), np.zeros(len(datasets), dtype=int)
@@ -315,38 +323,28 @@ def fit_stack(datasets, method: str | list = "colide_ev",
     _check_settings(methods, lam, lr, tau)
     if not datasets or len(methods) != len(datasets) or len({ds.d for ds in datasets}) != 1:
         raise ValueError("a stack needs one or more datasets of one size, and one method or one per dataset")
-    d = datasets[0].d
-    if d < 2:
-        raise DataError("need at least two variables")
     schedule = schedule or default_schedule()
     start = time.perf_counter()
 
     B = len(datasets)
     covs, floors, scales, n_scales, errors = _setup(datasets, methods)
-    fits = _Slices(b=np.arange(B), W=np.zeros((B, d, d)), X=np.zeros((B, d, d)), cov=covs, floor=floors,
-                   scale=scales, stalls=np.zeros(B, dtype=int), iters=np.zeros((B, len(schedule.stages)), dtype=int))
+    fits = _Slices.of(covs, floors, scales, len(schedule.stages))
     order = sorted(range(B), key=lambda b: METHODS.index(methods[b]))
-    eye = np.eye(d)
+    eye = np.eye(datasets[0].d)
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
-        live = [b for b in order if b not in errors]
-        if not live:
+        run = fits.take([b for b in order if b not in errors])
+        errors.update(_stage_entry(run, s, k))
+        run = run.take([j for j, b in enumerate(run.b.tolist()) if b not in errors])
+        if not len(run.b):
             break
-        h, grad_h, fits.X[live], failed = _stage_entry(fits.W[live], s, k)
-        errors.update({live[j]: err for j, err in failed.items()})
-        keep = [j for j in range(len(live)) if j not in failed]
-        if not keep:
-            continue
-        run, h, grad_h = fits.take([live[j] for j in keep]), h[keep], grad_h[keep]
-        blocks, P = _blocks(methods[b] for b in run.b.tolist()), run.cov @ (eye - run.W)
-        adam, prev_obj = AdamState.zero(run.W.shape, lr=lr), [math.nan] * len(run.b)  # NaN never settles
+        blocks, run.P = _blocks(methods[b] for b in run.b.tolist()), run.cov @ (eye - run.W)
+        prev_obj = [math.nan] * len(run.b)  # NaN never settles
         for it in range(1, max_iters + 1):
-            adam, run.W, stalled, h, grad_h, run.X = _guarded_step(
-                run.W, P, run.scale, h, grad_h, run.X, adam, mu, lam, s)
-            run.stalls[stalled] += 1
+            run.stalls[_guarded_step(run, it, mu, lam, lr, s)] += 1
             I_W = eye - run.W
-            P = run.cov @ I_W  # this W's covariance product serves its cores and the next gradient
-            diag, scores = residual_diag(I_W, P), []
+            run.P = run.cov @ I_W  # this W's covariance product serves its cores and the next gradient
+            diag, scores = residual_diag(I_W, run.P), []
             for score_of, scale_of, lo, hi in blocks:
                 if scale_of:
                     run.scale[lo:hi] = scale_of(diag[lo:hi], run.floor[lo:hi])
@@ -354,21 +352,20 @@ def fit_stack(datasets, method: str | list = "colide_ev",
             # each slice's objective and early-stop test on Python floats: the same
             # IEEE operations as (B,)-array calls, and cheaper for a grid's B
             obj = [mu * (score + lam * l1) + h_j for score, l1, h_j in zip(
-                scores, np.abs(run.W).sum(axis=(1, 2)).tolist(), h.tolist())]
+                scores, np.abs(run.W).sum(axis=(1, 2)).tolist(), run.h.tolist())]
             leave = [j for j, o in enumerate(obj) if it == max_iters or not math.isfinite(o) or abs(
                 o - prev_obj[j]) / max(abs(prev_obj[j]), 1e-12) < EARLY_STOP_RTOL]
             if leave:
                 run.take(leave).store(fits, k, it)
                 for j, b in zip(leave, run.b[leave].tolist()):
                     fault = ("objective diverged" if not math.isfinite(obj[j]) else
-                             "gradient overflow" if not np.isfinite(adam.v[j]).all() else None)
+                             "gradient overflow" if not np.isfinite(run.v[j]).all() else None)
                     if fault:
                         errors[b] = FitError(f"{fault} (stage {k}, iteration {it})", k, it)
                 keep = [j for j in range(len(obj)) if j not in leave]
                 if not keep:
                     break
-                run, h, grad_h, P, obj = run.take(keep), h[keep], grad_h[keep], P[keep], [obj[j] for j in keep]
-                adam = AdamState(adam.m[keep], adam.v[keep], adam.t, lr)
+                run, obj = run.take(keep), [obj[j] for j in keep]
                 blocks = _blocks(methods[b] for b in run.b.tolist())
             prev_obj = obj
 
@@ -421,26 +418,27 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     if len(epochs_per_stage) != len(schedule.stages) or any(e < 1 for e in epochs_per_stage):
         raise ValueError(f"epochs_per_stage needs one entry >= 1 per stage; got {epochs_per_stage}")
     # a batch's X_b X_b^T is bounded entrywise by X X^T's diagonal, so the setup's overflow check covers every batch
-    _, floor, scale, (n_scales,), errors = _setup([ds], [method])
+    covs, floors, scales, (n_scales,), errors = _setup([ds], [method])
     if errors:
         raise errors[0]
-    W, eye = np.zeros((1, ds.d, ds.d)), np.eye(ds.d)
+    run, eye = _Slices.of(covs, floors, scales, len(schedule.stages)), np.eye(ds.d)
     snapshots = []
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
-        h, grad_h, X, failed = _stage_entry(W, s, k)
+        failed = _stage_entry(run, s, k)
         if failed:
             raise failed[0]
-        adam, cov, diag = AdamState.zero(W.shape, lr=lr), np.zeros_like(W), np.zeros_like(floor)
+        run.cov, diag, t = np.zeros_like(run.cov), np.zeros_like(run.floor), 0
         for epoch in range(epochs):
             for batch in batches:
-                t, I_W = adam.t, eye - W
+                t, I_W = t + 1, eye - run.W
                 cov_b = batch @ batch.T / batch.shape[1]
-                cov += (cov_b - cov) / (t + 1)  # running means that stay within the batches' range
-                adam, W, _, h, grad_h, X = _guarded_step(W, cov @ I_W, scale, h, grad_h, X, adam, mu, lam, s)
-                if not np.isfinite(adam.v).all():
-                    raise FitError(f"gradient overflow (update {adam.t})", k, adam.t)
-                diag += (residual_diag(I_W, cov_b @ I_W) - diag) / (t + 1)
-                scale = scale_of(diag, floor)
+                run.cov += (cov_b - run.cov) / t  # running means that stay within the batches' range
+                run.P = run.cov @ I_W
+                _guarded_step(run, t, mu, lam, lr, s)
+                if not np.isfinite(run.v).all():
+                    raise FitError(f"gradient overflow (update {t})", k, t)
+                diag += (residual_diag(I_W, cov_b @ I_W) - diag) / t
+                run.scale = scale_of(diag, run.floor)
             if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:
-                snapshots.append((k, epoch, W[0].copy(), _result_scale(scale[0], n_scales)))
+                snapshots.append((k, epoch, run.W[0].copy(), _result_scale(run.scale[0], n_scales)))
     return snapshots

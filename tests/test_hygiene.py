@@ -3,7 +3,9 @@ module, every private top-level name of the package is read somewhere in it,
 every public name outside its module's `__all__` and every method of the
 package is read by the package or by perfbench, every exception class of the
 package is defined in `errors.py`, every name a demo script imports from the
-package exists, and every python block of the README runs.
+package exists, `import colide` loads from files only the standard library,
+numpy and colide's modules other than bench and cli, and every python block
+of the README runs.
 
 A stdlib `ast` scan of the package and test modules, with perfbench's
 modules read as callers of the package. The package's `__init__.py` is left
@@ -17,7 +19,10 @@ not run; the README's python blocks run in turn, as a reader would paste them.
 import ast
 import builtins
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -194,6 +199,20 @@ def test_demo_imports_exist(path):
                for alias in node.names]
     assert imports
     assert [f"{m}.{name}" for m, name in imports if not hasattr(importlib.import_module(m), name)] == []
+
+
+def test_import_loads_only_the_stdlib_and_numpy():
+    # every run of the package pays its import time, so `import colide` loads no third-party package
+    # beside numpy and neither the harness (bench) nor the CLI; the modules it loads from files are
+    # listed, which leaves out the in-memory runtime modules of numpy's compiled (Cython) parts
+    code = ("import sys; before = set(sys.modules); import colide; print(colide.__file__, "
+            "*(m for m in set(sys.modules) - before if getattr(sys.modules[m], '__file__', None)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    path, *loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                   check=True).stdout.split()
+    assert Path(path).parent == ROOT / "src" / "colide"
+    assert {m.partition(".")[0] for m in loaded} - set(sys.stdlib_module_names) == {"colide", "numpy"}
+    assert not {"colide.bench", "colide.cli"} & set(loaded)
 
 
 @pytest.mark.slow

@@ -16,7 +16,6 @@ from colide.sem import Dataset, NoiseSpec, sample_cov, sample_noise, simulate_se
 from colide.solver import (
     EARLY_STOP_RTOL,
     METHODS,
-    AdamState,
     FitError,
     FitResult,
     StageSchedule,
@@ -97,25 +96,19 @@ class TestSchedule:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        st = AdamState.zero((2, 2), lr=0.01)
         grad = np.array([[0.0, 3.0], [-2.0, 0.0]])
-        st, update = adam_step(st, grad)
+        m, v, update = adam_step(np.zeros((2, 2)), np.zeros((2, 2)), grad, 1, 0.01)
         # bias correction makes the first step lr * sign(grad) (up to eps)
         assert np.allclose(update, -0.01 * np.sign(grad), atol=1e-6)
-        assert st.t == 1
+        assert np.allclose(m, 0.1 * grad, rtol=1e-15) and np.allclose(v, 1e-3 * grad * grad, rtol=1e-12)
 
     def test_constant_gradient_limit(self):
-        st = AdamState.zero((2, 2), lr=0.5)
         grad = np.zeros((2, 2))
         grad[0, 1] = 0.7
-        update = None
-        for _ in range(500):
-            st, update = adam_step(st, grad)
+        m = v = np.zeros((2, 2))
+        for t in range(1, 501):
+            m, v, update = adam_step(m, v, grad, t, 0.5)
         assert update[0, 1] == pytest.approx(-0.5, rel=1e-3)
-
-    def test_moments_shape(self):
-        st = AdamState.zero((3, 5, 5))
-        assert st.m.shape == (3, 5, 5) and st.v.shape == (3, 5, 5)
 
 
 def guard_stack(W, update, s):
@@ -318,9 +311,9 @@ class TestFit:
 
     def test_singular_warm_start_has_the_one_domain_message(self):
         # a singular sI - W*W has s as an eigenvalue of W*W: the fault is the domain's, with its message
-        W = np.zeros((2, 2, 2))
-        W[1, 0, 1] = W[1, 1, 0] = 1.0
-        _, _, _, failed = solver._stage_entry(W, 1.0, 1)
+        run = solver._Slices.of(np.stack([np.eye(2)] * 2), np.ones((2, 2)), np.ones((2, 2)), 2)
+        run.W[1, 0, 1] = run.W[1, 1, 0] = 1.0
+        failed = solver._stage_entry(run, 1.0, 1)
         assert list(failed) == [1] and isinstance(failed[1], FitError)
         assert (failed[1].stage, failed[1].iteration) == (1, 0)
         assert str(failed[1]) == "stage 1 warm start: s=1.0 is not above the spectral radius of W*W"
@@ -617,14 +610,56 @@ class TestFitStack:
             fit_stack([kind_dataset("random", 3, rng)] * 2, ["colide_ev"])
 
 
+class TestSlices:
+    def test_take_keeps_every_field_aligned(self):
+        # every field, present or added later, is one row per slice, and take moves the rows together
+        rng, B, d = np.random.default_rng(0), 5, 3
+        run = solver._Slices.of(rng.random((B, d, d)), rng.random((B, d)), rng.random((B, d)), 4)
+        assert np.array_equal(run.b, np.arange(B)) and np.array_equal(run.P, run.cov)
+        assert all(getattr(run, name).shape == (B, d, d) for name in ("W", "grad_h", "X", "P", "m", "v", "cov"))
+        for name, a in vars(run).items():
+            assert len(a) == B, name
+            if name != "b":  # distinct values in every entry of every field
+                setattr(run, name, (np.arange(a.size).reshape(a.shape) + 1000 * rng.random()).astype(a.dtype))
+        perm = [3, 0, 4, 1, 2]
+        taken = run.take(perm)
+        assert vars(taken).keys() == vars(run).keys() and np.array_equal(taken.b, perm)
+        for name, a in vars(run).items():
+            got = getattr(taken, name)
+            assert got.dtype == a.dtype and np.array_equal(got, a[perm]), name
+            assert not np.shares_memory(got, a), name
+
+    def test_store_writes_only_its_datasets_rows(self):
+        rng, B, d = np.random.default_rng(1), 5, 3
+        fits = solver._Slices.of(rng.random((B, d, d)), rng.random((B, d)), rng.random((B, d)), 4)
+        before = {name: a.copy() for name, a in vars(fits).items()}
+        run, rows, others = fits.take([3, 1]), [3, 1], [0, 2, 4]
+        run.W, run.scale, run.stalls = rng.random((2, d, d)), rng.random((2, d)), np.array([7, 9])
+        run.h, run.m = rng.random(2), rng.random((2, d, d))  # state that store leaves alone
+        run.store(fits, 2, 11)
+        assert np.array_equal(fits.W[rows], run.W) and np.array_equal(fits.scale[rows], run.scale)
+        assert np.array_equal(fits.stalls[rows], [7, 9]) and np.array_equal(fits.iters[rows, 2], [11, 11])
+        fits.iters[rows, 2] = 0
+        for name, a in vars(fits).items():
+            unchanged = others if name in ("W", "scale", "stalls") else slice(None)
+            assert np.array_equal(a[unchanged], before[name][unchanged]), name
+
+
 class TestOnline:
+    def test_one_variable_is_the_batch_data_error(self):
+        # both drivers decide the data faults in one setup
+        ds = Dataset(X=np.random.default_rng(0).standard_normal((1, 50)))
+        for run in (lambda: fit(ds), lambda: fit_online(ds, 10)):
+            with pytest.raises(DataError, match="^need at least two variables$"):
+                run()
+
     def test_single_batch_cov_is_sample_cov(self, monkeypatch):
         _, _, ds = small_instance(seed=8, d=6, n=120)
         seen, guarded = [], solver._guarded_step
 
-        def recording(W, P, *rest):
-            seen.append(P[0].copy())
-            return guarded(W, P, *rest)
+        def recording(run, *rest):
+            seen.append(run.P[0].copy())
+            return guarded(run, *rest)
 
         monkeypatch.setattr(solver, "_guarded_step", recording)
         fit_online(ds, ds.n, schedule=StageSchedule(((1.0, 1.0, 1),)), epochs_per_stage=[1])
@@ -639,9 +674,9 @@ class TestOnline:
         covs = [ds.X[:, i:i + 30] @ ds.X[:, i:i + 30].T / 30 for i in range(0, 120, 30)]
         seen, guarded = [], solver._guarded_step
 
-        def recording(W, P, *rest):
-            seen.append((np.eye(W.shape[-1]) - W[0], P[0].copy()))
-            return guarded(W, P, *rest)
+        def recording(run, *rest):
+            seen.append((np.eye(run.W.shape[-1]) - run.W[0], run.P[0].copy()))
+            return guarded(run, *rest)
 
         monkeypatch.setattr(solver, "_guarded_step", recording)
         snaps = fit_online(ds, 30, method="colide_nv", schedule=StageSchedule(((1.0, 1.0, 4), (0.1, 0.9, 4))),
