@@ -1,10 +1,11 @@
-"""Weighted digraphs, random DAG generation, and CPDAG conversion.
-
-The CPDAG comes from Chickering's compelled-edge labelling (UAI 1995): one
-pass over a topological order, O(d^2) on a dense support.
+"""Weighted digraphs, random DAG generation, and the one DAG-structure object.
 
 A graph is a dense d x d float matrix W with zero diagonal; W[i, j] is the
 weight of the edge i -> j. Supports are the same matrices with 0/1 entries.
+_Dag builds a support's parent and child lists, topological order and
+descendant closure once, and is the one place that reports a directed cycle;
+sem, metrics, topological_order and cpdag_of read it. Its cpdag() is
+Chickering's compelled-edge labelling (UAI 1995), one pass over the order.
 """
 
 import csv
@@ -86,33 +87,17 @@ def check_weights(W: np.ndarray) -> np.ndarray:
 
 
 def topological_order(W: np.ndarray):
-    """Kahn's algorithm on the support {|W[i,j]| > 0}; a boolean W is read as the support.
+    """Kahn's order of _Dag on the support {|W[i,j]| > 0}; a boolean W is read as the support.
 
     Returns a list of node indices in topological order, or None if the
-    support contains a directed cycle.
+    support has a directed cycle, a self-loop included. W not square is a DataError.
     """
     A = np.asarray(W)
-    return _structure(A if A.dtype == bool else np.abs(A.astype(float)) > 0)[0]
-
-
-def _structure(A: np.ndarray):
-    """(order, parents, children) of a boolean support: ascending lists from one np.nonzero, and
-    Kahn's order over the child lists with a LIFO ready list (None on a directed cycle)."""
-    parents, children = [[] for _ in A], [[] for _ in A]
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(A))):
-        parents[j].append(i)
-        children[i].append(j)
-    indeg = [len(p) for p in parents]
-    ready = [v for v, n in enumerate(indeg) if not n]
-    order = []
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for v in children[u]:
-            indeg[v] -= 1
-            if not indeg[v]:
-                ready.append(v)
-    return order if len(order) == len(A) else None, parents, children
+    check_weights(np.zeros(A.shape))  # its shape rule alone: a self-loop is a cycle here, not a fault
+    try:
+        return _Dag(A if A.dtype == bool else np.abs(A.astype(float)) > 0).order
+    except CyclicGraphError:
+        return None
 
 
 def is_dag(W: np.ndarray) -> bool:
@@ -217,8 +202,104 @@ def assign_edge_weights(support: np.ndarray, ranges, rng: np.random.Generator) -
 
 
 # ---------------------------------------------------------------------------
-# CPDAG of a DAG: Chickering's compelled-edge labelling (UAI 1995).
+# DAG structure: lists, order, descendant closure, Bayes-ball walk and CPDAG.
 # ---------------------------------------------------------------------------
+
+class _Dag:
+    """A DAG support with its parent and child lists, topological order and descendant closure.
+
+    The lists are ascending, from one np.nonzero; the order is Kahn's over
+    the child lists with a LIFO ready list, and a directed cycle raises
+    CyclicGraphError naming role. The closure is one reverse-topological pass
+    over int bitsets, bits[v] = OR of bits[c] | 1 << c over v's children c:
+    a d-bit OR per edge, O(edges * d / 64) word operations, and one unpack.
+    """
+
+    def __init__(self, A: np.ndarray, role: str = "graph"):
+        parents, children = [[] for _ in A], [[] for _ in A]
+        for i, j in zip(*(idx.tolist() for idx in np.nonzero(A))):
+            parents[j].append(i)
+            children[i].append(j)
+        indeg = [len(p) for p in parents]
+        ready = [v for v, n in enumerate(indeg) if not n]
+        order = []
+        while ready:
+            u = ready.pop()
+            order.append(u)
+            for v in children[u]:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    ready.append(v)
+        if len(order) != len(A):
+            raise CyclicGraphError(role)
+        self.A, self.order, self.parents, self.children = A, order, parents, children
+        bits = [0] * len(order)
+        for v in reversed(order):
+            for c in children[v]:
+                bits[v] |= bits[c] | 1 << c
+        self.desc = _unpack_bits(bits, len(order))  # desc[i, j]: a directed path i -> ... -> j
+
+    def ancestors(self, Z: np.ndarray) -> np.ndarray:
+        """Mask of the nodes in Z and of every node with a directed path into Z."""
+        return Z | self.desc[:, Z].any(axis=1)
+
+    def reached(self, x, in_z, in_anc, x_children) -> np.ndarray:
+        """Mask of the nodes y with a path x .. y active given Z (not d-separated from x).
+
+        in_z and in_anc are Z and ancestors(Z) as lists of bools. A Bayes-ball
+        search over (node, direction) states, "up" meaning entered against an
+        arrow, expands each state once: O(d + edges) per walk, answering every
+        target. x_children replaces x's children, cutting x's other out-edges.
+        """
+        seen_up, seen_down = bytearray(len(in_z)), bytearray(len(in_z))
+        up, down = [x], []  # nodes to enter against an arrow / along one
+        while up or down:
+            if up:
+                v = up.pop()
+                if seen_up[v]:
+                    continue
+                seen_up[v] = 1
+                if not in_z[v]:
+                    down.extend(x_children if v == x else self.children[v])
+                    up.extend(self.parents[v])
+            else:
+                v = down.pop()
+                if seen_down[v]:
+                    continue
+                seen_down[v] = 1
+                if not in_z[v]:
+                    down.extend(x_children if v == x else self.children[v])
+                if in_anc[v]:  # collider opened by conditioning on a descendant
+                    up.extend(self.parents[v])
+        return np.frombuffer(seen_up, dtype=bool) | np.frombuffer(seen_down, dtype=bool)
+
+    def cpdag(self) -> Cpdag:
+        """The CPDAG of this DAG's Markov equivalence class (cpdag_of).
+
+        Chickering's Find-Compelled (UAI 1995) labels every edge in one pass over
+        the nodes y in topological order. Let x be y's highest-ranked parent;
+        the edges into x are already labelled. A compelled w -> x with w not a
+        parent of y compels every edge into y. Otherwise y inherits x's
+        compelled parents, and then a parent z of y that is not a parent of x
+        (a v-structure x -> y <- z) compels all of y's edges; without one, the
+        edges into y not yet compelled are reversible. Both parent sets are int
+        bitsets (bit i: node i): a node costs a max over its parents and a few
+        d-bit operations, O(d^2 / 64) word operations in all, and one unpack.
+        """
+        rank = {v: r for r, v in enumerate(self.order)}
+        pb = [sum(1 << i for i in p) for p in self.parents]
+        comp = [0] * len(self.order)  # comp[y] bit i: i -> y is compelled
+        for y in self.order:
+            if not self.parents[y]:
+                continue
+            x = max(self.parents[y], key=rank.__getitem__)
+            # a compelled w -> x with w outside pa(y), or a parent of y besides x
+            # outside pa(x) (x itself is one, as a DAG has no self-loops)
+            comp[y] = pb[y] if comp[x] & ~pb[y] or (pb[y] & ~pb[x]).bit_count() > 1 else comp[x]
+        D = _unpack_bits(comp, len(self.order)).T  # compelled i -> j
+        U = self.A & ~D
+        return Cpdag(D, U | U.T)
+
 
 def cpdag_of(W: np.ndarray) -> Cpdag:
     """Return the CPDAG of the Markov equivalence class of the DAG W.
@@ -226,39 +307,7 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
     Compelled edges (those directed alike in every member of the class) stay
     directed; the remaining skeleton edges become undirected.
     """
-    B = check_weights(W) != 0
-    order, parents, _ = _structure(B)
-    if order is None:
-        raise CyclicGraphError("input graph")
-    return _cpdag(B, order, parents)
-
-
-def _cpdag(B: np.ndarray, order, parents) -> Cpdag:
-    """cpdag_of on a boolean DAG support, given a topological order and parent lists (unchecked).
-
-    Chickering's Find-Compelled (UAI 1995) labels every edge in one pass over
-    the nodes y in topological order. Let x be y's highest-ranked parent;
-    the edges into x are already labelled. A compelled w -> x with w not a
-    parent of y compels every edge into y. Otherwise y inherits x's
-    compelled parents, and then a parent z of y that is not a parent of x
-    (a v-structure x -> y <- z) compels all of y's edges; without one, the
-    edges into y not yet compelled are reversible. Both parent sets are int
-    bitsets (bit i: node i): a node costs a max over its parents and a few
-    d-bit operations, O(d^2 / 64) word operations in all, and one unpack.
-    """
-    rank = {v: r for r, v in enumerate(order)}
-    pb = [sum(1 << i for i in p) for p in parents]
-    comp = [0] * len(order)  # comp[y] bit i: i -> y is compelled
-    for y in order:
-        if not parents[y]:
-            continue
-        x = max(parents[y], key=rank.__getitem__)
-        # a compelled w -> x with w outside pa(y), or a parent of y besides x
-        # outside pa(x) (x itself is one, as B has no self-loops)
-        comp[y] = pb[y] if comp[x] & ~pb[y] or (pb[y] & ~pb[x]).bit_count() > 1 else comp[x]
-    D = _unpack_bits(comp, len(order)).T  # compelled i -> j
-    U = B & ~D
-    return Cpdag(D, U | U.T)
+    return _Dag(check_weights(W) != 0, "input graph").cpdag()
 
 
 def _unpack_bits(bits, d: int) -> np.ndarray:

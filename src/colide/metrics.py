@@ -2,23 +2,24 @@
 
 All structural metrics operate on supports (nonzero patterns); reversed
 edges count once in SHD, and as false positives for FDR / misses for TPR.
-Each metric is a core on two `_Dag`s: a validated support with its parent
-and child lists (one np.nonzero), topological order and descendant closure
-(int bitsets), built once per graph in O(d + edges * d / 64) word operations.
-The public functions take weight matrices, and `evaluate` builds the two
-`_Dag`s once for every core. SID (Peters & Buehlmann, Neural Computation
-2015) costs one mask per source node plus one O(d + edges) Bayes-ball walk
+Each metric is a core on two `graphs._Dag`s, the structure object that
+`sem.simulate_sem` and `graphs.cpdag_of` also read: a validated support with
+its parent and child lists, topological order and descendant closure, built
+once per graph in O(d + edges * d / 64) word operations. The public
+functions take weight matrices, and `evaluate` builds the two `_Dag`s once
+for every core. SID (Peters & Buehlmann, Neural Computation 2015) costs one
+mask per source node plus one O(d + edges) Bayes-ball walk (`_Dag.reached`)
 per group of targets that keep the same children of the source, and has no
-size ceiling. SHD-C labels compelled edges in one topological pass
-(Chickering, UAI 1995) on int bitsets, O(d^2 / 64) word operations per graph.
+size ceiling. SHD-C compares the two graphs' `_Dag.cpdag()`, Chickering's
+compelled-edge labelling (UAI 1995), O(d^2 / 64) word operations per graph.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CyclicGraphError, DataError
-from .graphs import _cpdag, _structure, _unpack_bits, check_weights
+from .errors import DataError
+from .graphs import _Dag, check_weights
 from .sem import Dataset
 
 __all__ = [
@@ -45,61 +46,6 @@ class MetricReport:
     edge_count_est: int
     edge_count_true: int
     noise_rel_error: float | None = None
-
-
-class _Dag:
-    """A DAG support with its topological order, parent and child lists and descendant closure.
-
-    graphs._structure gives the lists and the order once; a cycle raises
-    CyclicGraphError naming role. The closure is one reverse-topological pass
-    over int bitsets, bits[v] = OR of bits[c] | 1 << c over v's children c:
-    a d-bit OR per edge, O(edges * d / 64) word operations, and one unpack.
-    """
-
-    def __init__(self, A: np.ndarray, role: str = "graph"):
-        order, self.parents, self.children = _structure(A)
-        if order is None:
-            raise CyclicGraphError(role)
-        self.A, self.order = A, order
-        bits = [0] * len(order)
-        for v in reversed(order):
-            for c in self.children[v]:
-                bits[v] |= bits[c] | 1 << c
-        self.desc = _unpack_bits(bits, len(order))  # desc[i, j]: a directed path i -> ... -> j
-
-    def ancestors(self, Z: np.ndarray) -> np.ndarray:
-        """Mask of the nodes in Z and of every node with a directed path into Z."""
-        return Z | self.desc[:, Z].any(axis=1)
-
-    def reached(self, x, in_z, in_anc, x_children) -> np.ndarray:
-        """Mask of the nodes y with a path x .. y active given Z (not d-separated from x).
-
-        in_z and in_anc are Z and ancestors(Z) as lists of bools. A Bayes-ball
-        search over (node, direction) states, "up" meaning entered against an
-        arrow, expands each state once: O(d + edges) per walk, answering every
-        target. x_children replaces x's children, cutting x's other out-edges.
-        """
-        seen_up, seen_down = bytearray(len(in_z)), bytearray(len(in_z))
-        up, down = [x], []  # nodes to enter against an arrow / along one
-        while up or down:
-            if up:
-                v = up.pop()
-                if seen_up[v]:
-                    continue
-                seen_up[v] = 1
-                if not in_z[v]:
-                    down.extend(x_children if v == x else self.children[v])
-                    up.extend(self.parents[v])
-            else:
-                v = down.pop()
-                if seen_down[v]:
-                    continue
-                seen_down[v] = 1
-                if not in_z[v]:
-                    down.extend(x_children if v == x else self.children[v])
-                if in_anc[v]:  # collider opened by conditioning on a descendant
-                    up.extend(self.parents[v])
-        return np.frombuffer(seen_up, dtype=bool) | np.frombuffer(seen_down, dtype=bool)
 
 
 def _supports(est, true):
@@ -144,7 +90,7 @@ def _shd_c(est, true) -> int:
     An undirected edge mismatching a directed one counts 1, like any other
     status difference on a node pair.
     """
-    ca, cb = (_cpdag(g.A, g.order, g.parents) for g in (est, true))
+    ca, cb = est.cpdag(), true.cpdag()
     return int(np.count_nonzero(_pair_status(ca.directed, ca.undirected)
                                 != _pair_status(cb.directed, cb.undirected))) // 2
 

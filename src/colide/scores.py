@@ -157,9 +157,9 @@ def ldet_and_grad(W: np.ndarray, s: float, X: np.ndarray | None = None):
 
 
 def _ldet_of_one(W: np.ndarray, s: float):
-    """(h, grad) of ldet_and_grad at one W; ValueError unless s > 0, DomainViolation outside the domain."""
-    if s <= 0:
-        raise ValueError("s must be positive")
+    """(h, grad) of ldet_and_grad at one W; ValueError unless 0 < s < inf, DomainViolation outside the domain."""
+    if not 0 < s < math.inf:  # NaN fails
+        raise ValueError("s must be positive and finite")
     h, grad, _, inside = ldet_and_grad(np.asarray(W)[None], s)
     if not inside[0]:
         raise DomainViolation(s)
@@ -175,7 +175,7 @@ def h_ldet(W: np.ndarray, s: float) -> float:
     """Log-determinant acyclicity value d*log(s) - log det(sI - W*W).
 
     Zero exactly when W is a DAG (W*W nilpotent); positive on cyclic W inside the domain
-    s > rho(W*W). Raises ValueError unless s > 0, and DomainViolation outside the domain, which
+    s > rho(W*W). Raises ValueError unless 0 < s < inf, and DomainViolation outside the domain, which
     _certified decides on the inverse, not on the determinant's sign.
     """
     return _ldet_of_one(W, s)[0]

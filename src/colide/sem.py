@@ -2,15 +2,15 @@
 
 Each variable is a linear function of its parents plus exogenous noise:
 x_i = w_i^T x + z_i, or in matrix form X = W^T X + Z for a d x n sample
-matrix X (columns are samples).
+matrix X (columns are samples); simulate_sem walks the graph as graphs._Dag.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CyclicGraphError, DataError
-from .graphs import _structure, check_weights
+from .errors import DataError
+from .graphs import _Dag, check_weights
 
 __all__ = [
     "NoiseSpec",
@@ -106,20 +106,18 @@ def sample_noise(family: str, variances, n: int, rng: np.random.Generator) -> np
 def simulate_sem(W: np.ndarray, Z: np.ndarray) -> Dataset:
     """Propagate noise Z through the DAG W: X = (I - W^T)^{-1} Z.
 
-    Evaluates node by node in topological order, which is exact and avoids
-    forming the inverse.
+    Evaluates node by node along graphs._Dag's order and parent lists, which
+    is exact and avoids forming the inverse; a cycle names the "weight matrix".
     """
     W = check_weights(W)
-    order, parents, _ = _structure(W != 0)
-    if order is None:
-        raise CyclicGraphError("weight matrix")
+    g = _Dag(W != 0, "weight matrix")
     Z = np.asarray(Z, dtype=float)
     if Z.shape[0] != W.shape[0]:
         raise ValueError("Z row count must match graph size")
     X = np.array(Z, copy=True)
-    for i in order:
-        if parents[i]:
-            X[i] += W[parents[i], i] @ X[parents[i]]
+    for i in g.order:
+        if g.parents[i]:
+            X[i] += W[g.parents[i], i] @ X[g.parents[i]]
     return Dataset(X=X)
 
 

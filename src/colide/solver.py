@@ -65,12 +65,13 @@ DEFAULT_THRESHOLD = 0.3
 EARLY_STOP_RTOL = 1e-6
 MAX_HALVINGS = 20
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_COUNT = (int, np.integer)  # the types of an iteration, epoch or sample count
 _NO_SLICES = np.zeros(0, dtype=int)
 
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Ordered stages (mu, s, max_iters) with strictly decreasing mu."""
+    """One or more ordered stages (mu, s, max_iters) with strictly decreasing mu."""
 
     stages: tuple
 
@@ -78,8 +79,9 @@ class StageSchedule:
         mus = [mu for mu, _, _ in self.stages]
         if any(b >= a for a, b in zip(mus, mus[1:])):
             raise ValueError("mu must be strictly decreasing across stages")
-        if any(not (0 < mu < math.inf and 0 < s < math.inf) or t < 1 for mu, s, t in self.stages):
-            raise ValueError("need finite mu > 0 and s > 0 and max_iters >= 1")
+        if not mus or not all(0 < mu < math.inf and 0 < s < math.inf and isinstance(t, _COUNT) and t >= 1
+                              for mu, s, t in self.stages):
+            raise ValueError("need one or more stages, each with finite mu > 0 and s > 0 and integer max_iters >= 1")
 
 
 def default_schedule() -> StageSchedule:
@@ -407,16 +409,17 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
     scale_of = METHOD_CORES[method][1]
     if scale_of is None:
         raise ValueError(f"online fits need a method with a scale core; got {method!r}")
-    if batch_size < 1 or batch_size > ds.n:
-        raise ValueError("batch_size must be in [1, n]")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be at least 1")
+    if not (isinstance(batch_size, _COUNT) and 1 <= batch_size <= ds.n):
+        raise ValueError("batch_size must be an integer in [1, n]")
+    if not (isinstance(snapshot_every, _COUNT) and snapshot_every >= 1):
+        raise ValueError("snapshot_every must be an integer of at least 1")
     schedule = schedule or default_schedule()
     batches = [ds.X[:, i:i + batch_size] for i in range(0, ds.n, batch_size)]
     if epochs_per_stage is None:
         epochs_per_stage = [math.ceil(t / len(batches)) for _, _, t in schedule.stages]
-    if len(epochs_per_stage) != len(schedule.stages) or any(e < 1 for e in epochs_per_stage):
-        raise ValueError(f"epochs_per_stage needs one entry >= 1 per stage; got {epochs_per_stage}")
+    if len(epochs_per_stage) != len(schedule.stages) or not all(isinstance(e, _COUNT) and e >= 1
+                                                                for e in epochs_per_stage):
+        raise ValueError(f"epochs_per_stage needs one integer entry >= 1 per stage; got {epochs_per_stage}")
     # a batch's X_b X_b^T is bounded entrywise by X X^T's diagonal, so the setup's overflow check covers every batch
     covs, floors, scales, (n_scales,), errors = _setup([ds], [method])
     if errors:

@@ -68,6 +68,8 @@ class TestConfigParsing:
         assert cfg.seeds == (0, 1)
         assert isinstance(cfg.schedule, StageSchedule)
         assert cfg.schedule.stages[0] == (1.0, 1.0, 4000)
+        assert parse_config(SMALL_CFG + "data.standardize = false\n").standardize is False
+        assert parse_config(SMALL_CFG + "data.standardize = yes\n").standardize is True
 
     def test_defaults(self):
         cfg = parse_config("graph.d = 10")
@@ -377,11 +379,10 @@ class TestEmitResults:
 
     def test_summary_csv(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        emit_results(self._records(), path)
+        # a method whose every cell failed aggregates to no metric: its cell of each line is empty
+        emit_results(self._records() + aggregate([{"method": "ls_baseline", "error": "x"}], ["ls_baseline"]), path)
         summary = (tmp_path / "out.jsonl.summary.csv").read_bytes().decode("utf-8")
-        assert "colide_ev" in summary
-        assert "1±0" in summary
-        assert "\r" not in summary
+        assert summary.split("\n") == ["metric,colide_ev,ls_baseline", "shd,1±0,", ""]
 
 
 class TestFailedCells:

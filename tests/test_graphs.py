@@ -70,6 +70,15 @@ class TestIsDag:
         W = np.zeros((2, 2))
         W[0, 1] = W[1, 0] = 0.5
         assert not is_dag(W)
+        # a self-loop is a cycle too, not check_weights' diagonal fault
+        assert not is_dag(np.diag([0.0, 0.5])) and topological_order(np.diag([0.0, 0.5])) is None
+
+    @pytest.mark.parametrize("W", [np.zeros((3, 2)), np.zeros(3), np.ones((2, 3)), np.zeros((0, 0)),
+                                   np.zeros((1, 2, 2), dtype=bool)], ids=lambda W: str(W.shape))
+    def test_matrix_that_is_not_square_is_a_data_error(self, W):
+        for f in (is_dag, topological_order):
+            with pytest.raises(DataError, match=r"expected square matrix, got shape"):
+                f(W)
 
     def test_tolerance_thresholds_support(self):
         W = np.zeros((3, 3))
@@ -115,6 +124,11 @@ class TestSpecValidation:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             GraphModelSpec(model="BA", d=10, k=2)
+
+    def test_sampler_of_the_other_model_rejected(self):
+        for sampler, model in ((sample_er_dag, "SF"), (sample_sf_dag, "ER")):
+            with pytest.raises(ValueError, match="spec.model must be"):
+                sampler(GraphModelSpec(model=model, d=10, k=2), stream(0, 0, "graph"))
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
@@ -303,7 +317,7 @@ class TestCpdag:
             D, U = equivalence_class_cpdag(A)
             assert cpdag_of(A.astype(float)) == Cpdag(directed=D, undirected=U)
 
-    # One example per branch of the compelled-edge labelling in graphs._cpdag:
+    # One example per branch of the compelled-edge labelling in graphs._Dag.cpdag:
     # 0 -> 2 <- 1, 2 -> 3: the compelled 0 -> 2 has 0 outside pa(3), so 2 -> 3 is compelled
     @example(_support(4, [(0, 2), (1, 2), (2, 3)]))
     # 0 -> 1 -> 2 <- 3: a parent of 2 outside the parents of 2's highest parent compels both

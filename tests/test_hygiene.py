@@ -2,7 +2,8 @@
 module, every private top-level name of the package is read somewhere in it,
 every public name outside its module's `__all__` and every method of the
 package is read by the package or by perfbench, every exception class of the
-package is defined in `errors.py`, every name a demo script imports from the
+package is defined in `errors.py`, a directed cycle is reported only where
+`graphs` builds a DAG's structure, every name a demo script imports from the
 package exists, `import colide` loads from files only the standard library,
 numpy and colide's modules other than bench and cli, and every python block
 of the README runs.
@@ -190,6 +191,23 @@ def test_every_exception_class_is_in_errors():
     # one module holds the package's error types, each of which the CLI maps to an exit code
     found = exception_classes({p.stem: p.read_text() for p in PACKAGE})
     assert found and all(c.startswith("errors: ") for c in found), found
+
+
+def calls_of(sources: dict, name: str) -> list:
+    """'module: line N' for each call of name in sources, bare (name(...)) or as an attribute (m.name(...))."""
+    return [f"{module}: line {node.lineno}" for module, text in sources.items() for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_scan_flags_calls_of_a_name():
+    sources = {"a": "raise E('x')\nraise errors.E('y')\nE\nF(E)\nclass G(E): pass\n", "b": "x = [E(1)]\n"}
+    assert calls_of(sources, "E") == ["a: line 1", "a: line 2", "b: line 1"]
+
+
+def test_a_cycle_is_reported_only_by_the_dag_structure():
+    # graphs._Dag builds every DAG's lists and order, so it is the one place that finds a directed cycle
+    found = calls_of({p.stem: p.read_text() for p in PACKAGE}, "CyclicGraphError")
+    assert found and all(c.startswith("graphs: ") for c in found), found
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

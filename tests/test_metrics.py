@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colide.errors import CyclicGraphError, DataError
-from colide.graphs import GraphModelSpec, is_dag, sample_er_dag, sample_sf_dag, topological_order
+from colide.graphs import _Dag, GraphModelSpec, is_dag, sample_er_dag, sample_sf_dag, topological_order
 from colide.metrics import (
-    _Dag,
     evaluate,
     fdr,
     noise_error,

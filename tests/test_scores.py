@@ -61,7 +61,7 @@ class TestHLdet:
 
     def test_invalid_s(self):
         for f in (h_ldet, grad_ldet):
-            for s in (0.0, -1.0):
+            for s in (0.0, -1.0, np.nan, np.inf):
                 with pytest.raises(ValueError, match="s must be positive"):
                     f(np.zeros((2, 2)), s)
 

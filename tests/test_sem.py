@@ -28,8 +28,9 @@ def random_sem(d, seed, k=2):
 
 class TestNoiseSpec:
     def test_bad_family(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(family="cauchy")
+        for kw in (dict(family="cauchy"), dict(profile="heteroscedastic")):
+            with pytest.raises(ValueError, match="unknown noise"):
+                NoiseSpec(**kw)
 
     def test_bad_variance(self):
         with pytest.raises(ValueError):
@@ -90,6 +91,10 @@ class TestSampleNoise:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
             sample_noise("gaussian", np.array([0.0]), 10, stream(0, 0, "x"))
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown noise family 'cauchy'"):
+            sample_noise("cauchy", np.array([1.0]), 10, stream(0, 0, "x"))
 
 
 class TestDrawNodeVariances:
@@ -156,6 +161,11 @@ class TestSimulateSem:
         W[0, 1] = W[1, 0] = 1.0
         with pytest.raises(ValueError):
             simulate_sem(W, np.ones((2, 3)))
+
+    def test_noise_rows_must_match_the_graph(self):
+        for rows in (1, 3):
+            with pytest.raises(ValueError, match="Z row count"):
+                simulate_sem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones((rows, 3)))
 
     @pytest.mark.parametrize("build", [lambda W: simulate_sem(W, np.ones((2, 3))), cpdag_of],
                              ids=["simulate_sem", "cpdag_of"])

@@ -89,9 +89,11 @@ class TestSchedule:
 
     def test_positive_s_and_iters(self):
         for stage in ((1.0, 0.0, 10), (0.0, 1.0, 10), (-1.0, 1.0, 10), (np.inf, 1.0, 10), (1.0, np.inf, 10),
-                      (np.nan, 1.0, 10), (1.0, np.nan, 10)):
+                      (np.nan, 1.0, 10), (1.0, np.nan, 10), (1.0, 1.0, 2.5), (1.0, 1.0, 10.0), (1.0, 1.0, "10")):
             with pytest.raises(ValueError):
                 StageSchedule(stages=(stage,))
+        with pytest.raises(ValueError, match="one or more stages"):
+            StageSchedule(stages=())
 
 
 class TestAdam:
@@ -811,10 +813,11 @@ class TestOnline:
 
     def test_fit_online_bad_snapshot_every(self):
         _, _, ds = small_instance(seed=12, d=6, n=100)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            fit_online(ds, 50, snapshot_every=0)
+        for every in (0, 2.5):
+            with pytest.raises(ValueError, match="snapshot_every"):
+                fit_online(ds, 50, snapshot_every=every)
 
-    @pytest.mark.parametrize("epochs", [[0, 0, 0, 0], [-3, 1, 1, 1], [1, 1, 1]])
+    @pytest.mark.parametrize("epochs", [[0, 0, 0, 0], [-3, 1, 1, 1], [1, 1, 1], [1.5, 1, 1, 1], [1, 1, 1, 2.0]])
     def test_fit_online_bad_epochs_per_stage(self, epochs):
         _, _, ds = small_instance(seed=12, d=6, n=100)
         with pytest.raises(ValueError, match="epochs_per_stage"):
@@ -822,10 +825,9 @@ class TestOnline:
 
     def test_fit_online_bad_batch_size(self):
         _, _, ds = small_instance(seed=12, d=6, n=100)
-        with pytest.raises(ValueError):
-            fit_online(ds, 0)
-        with pytest.raises(ValueError):
-            fit_online(ds, 101)
+        for batch_size in (0, 101, 10.5, 10.0):
+            with pytest.raises(ValueError, match="batch_size"):
+                fit_online(ds, batch_size)
 
     @pytest.mark.parametrize("setting", [{"lr": -1.0}, {"lr": 0.0}, {"lr": np.nan}, {"lr": np.inf}, {"lam": -1.0},
                                          {"lam": np.nan}, {"lam": np.inf}],
