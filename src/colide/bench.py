@@ -235,11 +235,8 @@ def _fit_and_score(ds, W_true, res, profile: str, true_sigmas=None):
     if "error" in record:
         return record
     key = "sigma_estimate" if "sigma_estimate" in record else "sigma_posthoc"
-    true_scale = true_sigmas  # per-node estimates against per-node sigmas, one against the RMS sigma
-    if true_sigmas is not None and len(record[key]) == 1:
-        true_scale = float(np.sqrt(np.mean(true_sigmas ** 2)))
     try:
-        scored = asdict(evaluate(res.W_thresholded, W_true, est_scale=record[key], true_scale=true_scale))
+        scored = asdict(evaluate(res.W_thresholded, W_true, est_scale=record[key], true_scale=true_sigmas))
     except DataError as exc:
         if isinstance(exc, CyclicGraphError) and exc.graph == "estimate":
             del record[key]

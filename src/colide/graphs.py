@@ -2,13 +2,14 @@
 
 A graph is a dense d x d float matrix W with zero diagonal; W[i, j] is the
 weight of the edge i -> j. Supports are the same matrices with 0/1 entries.
-_Dag builds a support's parent and child lists, topological order and
-descendant closure once, and is the one place that reports a directed cycle;
-sem, metrics, topological_order and cpdag_of read it. Its cpdag() is
-Chickering's compelled-edge labelling (UAI 1995), one pass over the order.
+_Dag builds a support's parent and child lists and topological order once,
+and its descendant closure on first read; it is the one place that reports a
+directed cycle, and sem, metrics, topological_order and cpdag_of read it. Its
+cpdag() is Chickering's compelled-edge labelling (UAI 1995).
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,32 +77,36 @@ class Cpdag:
 
 def check_weights(W: np.ndarray) -> np.ndarray:
     """Validate a weight matrix: square, finite, zero diagonal."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] < 1:
-        raise DataError(f"expected square matrix, got shape {W.shape}")
-    if not np.all(np.isfinite(W)):
-        raise DataError("weight matrix has non-finite entries")
+    W = _square_finite(W)
     if np.any(np.diag(W) != 0):
         raise DataError("weight matrix diagonal must be zero")
     return W
 
 
+def _square_finite(W) -> np.ndarray:
+    """W as a float matrix; a DataError unless it is square, nonempty and finite."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] < 1:
+        raise DataError(f"expected square matrix, got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise DataError("weight matrix has non-finite entries")
+    return W
+
+
 def topological_order(W: np.ndarray):
-    """Kahn's order of _Dag on the support {|W[i,j]| > 0}; a boolean W is read as the support.
+    """Kahn's order of _Dag on the support {W[i,j] != 0}; a boolean W is read as the support.
 
     Returns a list of node indices in topological order, or None if the
-    support has a directed cycle, a self-loop included. W not square is a DataError.
+    support has a directed cycle, a self-loop included. W not square or not finite is a DataError.
     """
-    A = np.asarray(W)
-    check_weights(np.zeros(A.shape))  # its shape rule alone: a self-loop is a cycle here, not a fault
     try:
-        return _Dag(A if A.dtype == bool else np.abs(A.astype(float)) > 0).order
+        return _Dag(_square_finite(W) != 0).order
     except CyclicGraphError:
         return None
 
 
 def is_dag(W: np.ndarray) -> bool:
-    """True iff the support {|W[i,j]| > 0} is acyclic; threshold W first to drop small weights."""
+    """True iff the support {W[i,j] != 0} is acyclic (topological_order); threshold W first to drop small weights."""
     return topological_order(W) is not None
 
 
@@ -233,11 +238,15 @@ class _Dag:
         if len(order) != len(A):
             raise CyclicGraphError(role)
         self.A, self.order, self.parents, self.children = A, order, parents, children
-        bits = [0] * len(order)
-        for v in reversed(order):
-            for c in children[v]:
+
+    @functools.cached_property
+    def desc(self) -> np.ndarray:
+        """desc[i, j]: a directed path i -> ... -> j; built on first read, which only SID makes."""
+        bits = [0] * len(self.order)
+        for v in reversed(self.order):
+            for c in self.children[v]:
                 bits[v] |= bits[c] | 1 << c
-        self.desc = _unpack_bits(bits, len(order))  # desc[i, j]: a directed path i -> ... -> j
+        return _unpack_bits(bits, len(self.order))
 
     def ancestors(self, Z: np.ndarray) -> np.ndarray:
         """Mask of the nodes in Z and of every node with a directed path into Z."""
@@ -253,6 +262,7 @@ class _Dag:
         """
         seen_up, seen_down = bytearray(len(in_z)), bytearray(len(in_z))
         up, down = [x], []  # nodes to enter against an arrow / along one
+        children, parents = self.children, self.parents  # loads on self are slower once desc is cached
         while up or down:
             if up:
                 v = up.pop()
@@ -260,17 +270,17 @@ class _Dag:
                     continue
                 seen_up[v] = 1
                 if not in_z[v]:
-                    down.extend(x_children if v == x else self.children[v])
-                    up.extend(self.parents[v])
+                    down.extend(x_children if v == x else children[v])
+                    up.extend(parents[v])
             else:
                 v = down.pop()
                 if seen_down[v]:
                     continue
                 seen_down[v] = 1
                 if not in_z[v]:
-                    down.extend(x_children if v == x else self.children[v])
+                    down.extend(x_children if v == x else children[v])
                 if in_anc[v]:  # collider opened by conditioning on a descendant
-                    up.extend(self.parents[v])
+                    up.extend(parents[v])
         return np.frombuffer(seen_up, dtype=bool) | np.frombuffer(seen_down, dtype=bool)
 
     def cpdag(self) -> Cpdag:

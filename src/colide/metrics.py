@@ -4,8 +4,8 @@ All structural metrics operate on supports (nonzero patterns); reversed
 edges count once in SHD, and as false positives for FDR / misses for TPR.
 Each metric is a core on two `graphs._Dag`s, the structure object that
 `sem.simulate_sem` and `graphs.cpdag_of` also read: a validated support with
-its parent and child lists, topological order and descendant closure, built
-once per graph in O(d + edges * d / 64) word operations. The public
+its parent and child lists and topological order, and a descendant closure
+built on SID's first read in O(d + edges * d / 64) word operations. The public
 functions take weight matrices, and `evaluate` builds the two `_Dag`s once
 for every core. SID (Peters & Buehlmann, Neural Computation 2015) costs one
 mask per source node plus one O(d + edges) Bayes-ball walk (`_Dag.reached`)
@@ -162,11 +162,15 @@ shd, shd_c, tpr, fdr, sid = map(_on_weights, (_shd, _shd_c, _tpr, _fdr, _sid))
 # ---------------------------------------------------------------------------
 
 def noise_error(est_scale, true_scale) -> float:
-    """Relative error of noise standard deviations: ||est - true|| / ||true||."""
+    """Relative error ||est - true|| / ||true|| of noise sds; one estimate is scored against the RMS of d truths."""
     est = np.atleast_1d(np.asarray(est_scale, dtype=float))
     true = np.atleast_1d(np.asarray(true_scale, dtype=float))
     if np.any(true <= 0) or np.any(est <= 0):
         raise ValueError("scales must be positive")
+    if len(est) == 1 < len(true):
+        true = np.array([np.sqrt(np.mean(true ** 2))])
+    elif len(est) != len(true):
+        raise ValueError(f"{len(est)} noise estimates against {len(true)} true scales")
     return float(np.linalg.norm(est - true) / np.linalg.norm(true))
 
 

@@ -7,15 +7,15 @@ Stages warm-start W and the scale; ADAM moments reset at stage boundaries.
 
 fit_stack runs B datasets of one size as a (B, d, d) stack, each slice on
 exactly the iterates a fit of its own would take; fit is a stack of one.
-fit_stack and fit_online share one data setup (_setup) and one guarded step,
-whose guard hands a stalled slice back whole. A stack may span methods: its
-slices run ordered by method, each method's score and scale cores run on its
-contiguous block, and everything else runs once on the whole stack. One
-_Slices object holds a row per slice of every array a stage runs on: W, h,
-grad_h, the inverse X of M = sI - W*W, cov, P = cov (I - W), ADAM's m and v,
-the floor, scale, stall and iteration counts; both drivers move that object,
-and a slice leaving the stack is stored back to its dataset's row. Per stack
-iteration without halvings:
+One _Slices object carries a stack's state, a row per slice of its method,
+W, h, grad_h, the inverse X of M = sI - W*W, cov, P = cov (I - W), ADAM's m
+and v, the floor, scale, stall and iteration counts. Both drivers run one
+flow: _setup builds every dataset's row at W = 0 and decides data faults; a
+stage takes the rows still fitting, ordered by method so that each method's
+cores run on one contiguous block; the guard moves the take in place; and a
+slice leaving the stage is stored, P with W, to its dataset's row, from which
+the next stage starts and the result is read. Per stack iteration without
+halvings:
 - one slogdet of the guard's accepted M, for h in the objective;
 - two Newton-Schulz steps (four d x d matmuls) that refresh the previous
   iterate's X to M^{-1}, and a residual and Collatz-Wielandt test that
@@ -106,34 +106,27 @@ def adam_step(m: np.ndarray, v: np.ndarray, grad: np.ndarray, t: int, lr: float)
     return m, v, -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def domain_guard(W: np.ndarray, update: np.ndarray, s: float, X: np.ndarray, h: np.ndarray, grad_h: np.ndarray):
-    """Apply W + update to a (B, d, d) stack, halving a slice's update while it leaves the log-det domain.
+def domain_guard(run, update: np.ndarray, s: float) -> np.ndarray:
+    """Move run's (B, d, d) stack to W + update, halving a slice's update while it leaves the log-det domain.
 
-    Returns (accepted W, stalled, h, grad_h, X): stalled holds the indices of
-    the slices that kept their W because MAX_HALVINGS halvings all left the
-    domain, and (h, grad_h, X) = ldet_and_grad of every other slice's
-    accepted point, from the inverse that checked it. A stalled slice comes
-    back whole: its own W, h, grad_h and X, the entries passed in. X holds
-    inverses of sI - W*W at W: the full step refreshes them by Newton-Schulz
-    steps, and the halvings invert afresh. W itself is assumed in-domain on
-    entry.
+    Writes each accepted W and its (h, grad_h, X) = ldet_and_grad, from the inverse that checked it,
+    into run. Returns the slices that stalled, as MAX_HALVINGS halvings all left the domain; they keep
+    their W, h, grad_h and X. run.X holds inverses of sI - W*W at W: the full step refreshes them by
+    Newton-Schulz steps, and the halvings invert afresh. run.W is assumed in-domain on entry.
     """
-    candidate = W + update
-    h_new, grad_new, X_new, inside = ldet_and_grad(candidate, s, X)
+    candidate = run.W + update
+    h, grad_h, X, inside = ldet_and_grad(candidate, s, run.X)
     if inside.all():
-        return candidate, _NO_SLICES, h_new, grad_new, X_new
-    bad = np.flatnonzero(~inside)
-    step = update[bad]
-    for _ in range(MAX_HALVINGS):
-        step = step / 2.0
-        retry = W[bad] + step
-        h_r, grad_r, X_r, ok = ldet_and_grad(retry, s)
-        candidate[bad[ok]], h_new[bad[ok]], grad_new[bad[ok]], X_new[bad[ok]] = retry[ok], h_r[ok], grad_r[ok], X_r[ok]
-        bad, step = bad[~ok], step[~ok]
-        if not len(bad):
-            break
-    candidate[bad], h_new[bad], grad_new[bad], X_new[bad] = W[bad], h[bad], grad_h[bad], X[bad]
-    return candidate, bad, h_new, grad_new, X_new
+        run.W, run.h, run.grad_h, run.X = candidate, h, grad_h, X
+        return _NO_SLICES
+    bad, step, ok = np.arange(len(inside)), update, inside
+    for halving in range(MAX_HALVINGS + 1):
+        run.W[bad[ok]], run.h[bad[ok]], run.grad_h[bad[ok]], run.X[bad[ok]] = candidate[ok], h[ok], grad_h[ok], X[ok]
+        bad, step = bad[~ok], step[~ok] / 2.0
+        if not len(bad) or halving == MAX_HALVINGS:
+            return bad
+        candidate = run.W[bad] + step
+        h, grad_h, X, ok = ldet_and_grad(candidate, s)
 
 
 def _guarded_step(run, t, mu, lam, lr, s):
@@ -142,8 +135,7 @@ def _guarded_step(run, t, mu, lam, lr, s):
     grad = mu * (lam * np.sign(run.W) - run.P / run.scale[:, None, :]) + run.grad_h
     grad.reshape(len(grad), -1)[:, ::grad.shape[-1] + 1] = 0.0
     run.m, run.v, update = adam_step(run.m, run.v, grad, t, lr)
-    run.W, stalled, run.h, run.grad_h, run.X = domain_guard(run.W, update, s, run.X, run.h, run.grad_h)
-    return stalled
+    return domain_guard(run, update, s)
 
 
 def _stage_entry(run, s, k):
@@ -218,9 +210,14 @@ def _check_settings(methods, lam, lr, tau) -> None:
 
 @dataclass
 class _Slices:
-    """A stack's per-slice state, each array indexed first by slice; one instance holds every dataset's."""
+    """A stack's state, one row per slice of every array; _setup builds one holding every dataset's.
+
+    store keeps each dataset's row at P = cov (I - W) of its W, which the next stage starts from.
+    """
 
     b: np.ndarray  # each slice's dataset index
+    method: np.ndarray  # its index into METHODS
+    n_scales: np.ndarray  # how many scales its fit reports: 0 (ls_baseline), 1 (colide_ev) or d (colide_nv)
     W: np.ndarray
     h: np.ndarray
     grad_h: np.ndarray
@@ -234,25 +231,21 @@ class _Slices:
     stalls: np.ndarray
     iters: np.ndarray  # (slices, stages) iteration counts
 
-    @classmethod
-    def of(cls, covs, floors, scales, stages: int) -> "_Slices":
-        """Every dataset's slice at W = 0, from _setup's covariances, floor and scale rows."""
-        zeros = np.zeros(covs.shape)
-        return cls(b=np.arange(len(covs)), W=zeros, h=np.zeros(len(covs)), grad_h=zeros.copy(), X=zeros.copy(),
-                   P=covs.copy(), m=zeros.copy(), v=zeros.copy(), cov=covs, floor=floors, scale=scales,
-                   stalls=np.zeros(len(covs), dtype=int), iters=np.zeros((len(covs), stages), dtype=int))
-
     def take(self, keep) -> "_Slices":
         return _Slices(**{name: a[keep] for name, a in vars(self).items()})
 
     def store(self, into: "_Slices", k: int, it: int) -> None:
-        """Write W, scale, stalls and it iterations in stage k to each slice's dataset row of into."""
-        into.W[self.b], into.scale[self.b], into.stalls[self.b] = self.W, self.scale, self.stalls
-        into.iters[self.b, k] = it
+        """Write W, P, scale, stalls and it iterations in stage k to each slice's dataset row of into."""
+        into.W[self.b], into.P[self.b], into.scale[self.b] = self.W, self.P, self.scale
+        into.stalls[self.b], into.iters[self.b, k] = self.stalls, it
+
+    def result_scale(self, b: int):
+        """Row b's scale as its fit reports it: None (ls_baseline), a float (colide_ev) or the (d,) row (colide_nv)."""
+        return None if self.n_scales[b] == 0 else float(self.scale[b, 0]) if self.n_scales[b] == 1 else self.scale[b]
 
 
-def _setup(datasets, methods):
-    """Stacked (covariances, floor rows, starting scale rows, number of scales, DataErrors) of fits by methods.
+def _setup(datasets, methods, stages: int):
+    """(fits, errors): each dataset's row at W = 0 for a fit of that many stages by its method, and the DataErrors.
 
     A floor is 1e-2 times the method's closed-form scale at W = 0, on diag C:
     sqrt(tr C / d) * 1e-2 (colide_ev) or sqrt(diag C) * 1e-2 (colide_nv). A
@@ -265,12 +258,12 @@ def _setup(datasets, methods):
     if datasets[0].d < 2:
         raise DataError("need at least two variables")
     covs = np.stack([sample_cov(ds) for ds in datasets])
-    diag = covs.diagonal(axis1=1, axis2=2)
+    diag, method = covs.diagonal(axis1=1, axis2=2), np.array([METHODS.index(m) for m in methods])
     floors, n_scales = np.full(diag.shape, np.nan), np.zeros(len(datasets), dtype=int)
-    for method in dict.fromkeys(methods):
-        scale_of, on = METHOD_CORES[method][1], [b for b, m in enumerate(methods) if m == method]
+    for i in dict.fromkeys(method.tolist()):
+        scale_of, on = METHOD_CORES[METHODS[i]][1], method == i
         if scale_of:
-            at_zero = scale_of(diag[on], np.zeros((len(on), diag.shape[1])))
+            at_zero = scale_of(diag[on], np.zeros((np.count_nonzero(on), diag.shape[1])))
             floors[on], n_scales[on] = 1e-2 * at_zero, at_zero.shape[1]
     zero = (floors == 0).any(axis=1)
     errors = {b: DataError(("all-zero dataset" if n_scales[b] == 1 else "identically-zero variable")
@@ -278,20 +271,19 @@ def _setup(datasets, methods):
     overflow = ~np.isfinite(covs).all(axis=(1, 2)) | np.isinf(floors).any(axis=1)  # ls_baseline's floor is NaN
     for b in np.flatnonzero(~zero & overflow).tolist():
         errors[b] = DataError("sample covariance overflows: data values too large")
-    return covs, floors, np.where(n_scales[:, None] == 0, 1.0, floors * 1e2), n_scales, errors
+    B, zeros = len(datasets), np.zeros(covs.shape)
+    return _Slices(b=np.arange(B), method=method, n_scales=n_scales, W=zeros, h=np.zeros(B), grad_h=zeros.copy(),
+                   X=zeros.copy(), P=covs.copy(), m=zeros.copy(), v=zeros.copy(), cov=covs, floor=floors,
+                   scale=np.where(n_scales[:, None] == 0, 1.0, floors * 1e2), stalls=np.zeros(B, dtype=int),
+                   iters=np.zeros((B, stages), dtype=int)), errors
 
 
-def _result_scale(row, n_scales):
-    """A fit's scale from its (d,) scale row: None (ls_baseline), a float (colide_ev) or the row (colide_nv)."""
-    return None if n_scales == 0 else float(row[0]) if n_scales == 1 else row
-
-
-def _blocks(methods) -> list:
-    """(score, scale, lo, hi): the score and scale cores of each run of one name in methods, on slices lo:hi."""
+def _blocks(run) -> list:
+    """(score, scale, lo, hi): the score and scale cores of each run of one method in run's slices, on lo:hi."""
     blocks, lo = [], 0
-    for method, names in itertools.groupby(methods):
-        hi = lo + len(list(names))
-        blocks.append((*METHOD_CORES[method], lo, hi))
+    for i, slices in itertools.groupby(run.method.tolist()):
+        hi = lo + len(list(slices))
+        blocks.append((*METHOD_CORES[METHODS[i]], lo, hi))
         lo = hi
     return blocks
 
@@ -308,9 +300,9 @@ def fit_stack(datasets, method: str | list = "colide_ev",
     per dataset. The slices run ordered by method, so each method's score
     and scale cores run once per iteration on one contiguous block of the
     stack, and everything else once on the whole stack. Each slice keeps its
-    own W, scale, ADAM moments, halvings, stall count,
-    previous objective and iteration counts, so it takes exactly the iterates
-    fit() takes on its dataset alone; every running slice starts a stage
+    own W, scale, ADAM moments, halvings, stall count, previous objective and
+    iteration counts, so it takes exactly the iterates fit() takes on its
+    dataset alone; every running slice starts a stage
     together, sharing ADAM's step count. A slice whose objective stops
     changing is stored back and sits out the rest of the stage. Each fault is
     its own slice's error while the others run on: data without a usable
@@ -328,11 +320,8 @@ def fit_stack(datasets, method: str | list = "colide_ev",
     schedule = schedule or default_schedule()
     start = time.perf_counter()
 
-    B = len(datasets)
-    covs, floors, scales, n_scales, errors = _setup(datasets, methods)
-    fits = _Slices.of(covs, floors, scales, len(schedule.stages))
-    order = sorted(range(B), key=lambda b: METHODS.index(methods[b]))
-    eye = np.eye(datasets[0].d)
+    fits, errors = _setup(datasets, methods, len(schedule.stages))
+    order, eye = np.argsort(fits.method, kind="stable").tolist(), np.eye(datasets[0].d)
 
     for k, (mu, s, max_iters) in enumerate(schedule.stages):
         run = fits.take([b for b in order if b not in errors])
@@ -340,7 +329,7 @@ def fit_stack(datasets, method: str | list = "colide_ev",
         run = run.take([j for j, b in enumerate(run.b.tolist()) if b not in errors])
         if not len(run.b):
             break
-        blocks, run.P = _blocks(methods[b] for b in run.b.tolist()), run.cov @ (eye - run.W)
+        blocks = _blocks(run)
         prev_obj = [math.nan] * len(run.b)  # NaN never settles
         for it in range(1, max_iters + 1):
             run.stalls[_guarded_step(run, it, mu, lam, lr, s)] += 1
@@ -368,15 +357,14 @@ def fit_stack(datasets, method: str | list = "colide_ev",
                 if not keep:
                     break
                 run, obj = run.take(keep), [obj[j] for j in keep]
-                blocks = _blocks(methods[b] for b in run.b.tolist())
+                blocks = _blocks(run)
             prev_obj = obj
 
-    wall_time = (time.perf_counter() - start) / B
+    wall_time = (time.perf_counter() - start) / len(datasets)
     return [errors[b] if b in errors else FitResult(
-        W=fits.W[b], W_thresholded=threshold(fits.W[b], tau),
-        scale=_result_scale(fits.scale[b], n_scales[b]),
+        W=fits.W[b], W_thresholded=threshold(fits.W[b], tau), scale=fits.result_scale(b),
         iters_per_stage=fits.iters[b].tolist(), stalls=int(fits.stalls[b]), wall_time=wall_time,
-    ) for b in range(B)]
+    ) for b in range(len(datasets))]
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +409,10 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
                                                                 for e in epochs_per_stage):
         raise ValueError(f"epochs_per_stage needs one integer entry >= 1 per stage; got {epochs_per_stage}")
     # a batch's X_b X_b^T is bounded entrywise by X X^T's diagonal, so the setup's overflow check covers every batch
-    covs, floors, scales, (n_scales,), errors = _setup([ds], [method])
+    run, errors = _setup([ds], [method], len(schedule.stages))
     if errors:
         raise errors[0]
-    run, eye = _Slices.of(covs, floors, scales, len(schedule.stages)), np.eye(ds.d)
-    snapshots = []
+    snapshots, eye = [], np.eye(ds.d)
     for k, ((mu, s, _), epochs) in enumerate(zip(schedule.stages, epochs_per_stage)):
         failed = _stage_entry(run, s, k)
         if failed:
@@ -443,5 +430,5 @@ def fit_online(ds: Dataset, batch_size: int, method: str = "colide_ev",
                 diag += (residual_diag(I_W, cov_b @ I_W) - diag) / t
                 run.scale = scale_of(diag, run.floor)
             if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:
-                snapshots.append((k, epoch, run.W[0].copy(), _result_scale(run.scale[0], n_scales)))
+                snapshots.append((k, epoch, run.W[0].copy(), run.result_scale(0)))
     return snapshots

@@ -465,14 +465,12 @@ class TestGridContract:
     @settings(max_examples=25, deadline=None)
     @given(cfg=grid_configs())
     def test_noise_error_is_against_the_instances_own_sigma_property(self, cfg):
-        # a one-value scale is scored against the RMS sigma, a per-node one node by node
+        # noise_error's rule: a one-value scale against the RMS sigma, a per-node one node by node
         for r in run_grid(cfg):
             if r.get("aggregate") or "error" in r:
                 continue
             sigma = generate_instance(cfg, r["seed"], r["n"])[1]
             scale = r.get("sigma_estimate", r.get("sigma_posthoc"))
-            if len(scale) == 1:
-                sigma = np.sqrt(np.mean(sigma ** 2))
             assert r["noise_rel_error"] == pytest.approx(noise_error(scale, sigma), rel=1e-12)
 
     @settings(max_examples=5, deadline=None)

@@ -10,6 +10,7 @@ from colide.graphs import (
     Cpdag,
     GraphModelSpec,
     assign_edge_weights,
+    check_weights,
     cpdag_of,
     is_dag,
     load_adjacency_csv,
@@ -79,6 +80,16 @@ class TestIsDag:
         for f in (is_dag, topological_order):
             with pytest.raises(DataError, match=r"expected square matrix, got shape"):
                 f(W)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_a_data_error(self, bad):
+        # check_weights' fault: a NaN weight is no silent non-edge, and an infinite one no edge
+        W = np.zeros((2, 2))
+        W[0, 1] = W[1, 0] = bad
+        for W_bad in (W, np.triu(W)):
+            for f in (is_dag, topological_order, check_weights):
+                with pytest.raises(DataError, match="^weight matrix has non-finite entries$"):
+                    f(W_bad)
 
     def test_tolerance_thresholds_support(self):
         W = np.zeros((3, 3))

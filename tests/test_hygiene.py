@@ -210,7 +210,8 @@ def test_a_cycle_is_reported_only_by_the_dag_structure():
     assert found and all(c.startswith("graphs: ") for c in found), found
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "tools").glob("*.py")]),
+                         ids=lambda p: p.name)
 def test_demo_imports_exist(path):
     imports = [(node.module, alias.name) for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "colide"
@@ -231,6 +232,20 @@ def test_import_loads_only_the_stdlib_and_numpy():
     assert Path(path).parent == ROOT / "src" / "colide"
     assert {m.partition(".")[0] for m in loaded} - set(sys.stdlib_module_names) == {"colide", "numpy"}
     assert not {"colide.bench", "colide.cli"} & set(loaded)
+
+
+def test_fits_and_metrics_load_no_module_beyond_the_import():
+    # a module that a first call loads is import time paid by every fit (np.unique loads numpy.ma)
+    code = ("import sys; import numpy as np; import colide; from colide.solver import METHODS, fit_stack; "
+            "before = set(sys.modules); X = np.random.default_rng(0).standard_normal((3, 40)); "
+            "schedule = colide.StageSchedule(((1.0, 1.0, 5), (0.1, 0.9, 5))); "
+            "res = fit_stack([colide.Dataset(X=X)] * 3, list(METHODS)[::-1], schedule); "
+            "colide.fit_online(colide.Dataset(X=X), 10, schedule=schedule, epochs_per_stage=[1, 1]); "
+            "colide.evaluate(res[2].W_thresholded, np.triu(np.ones((3, 3)), 1), res[2].scale, [1.0, 2.0, 3.0]); "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.split() == []
 
 
 @pytest.mark.slow

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colide.errors import CyclicGraphError, DataError
-from colide.graphs import _Dag, GraphModelSpec, is_dag, sample_er_dag, sample_sf_dag, topological_order
+from colide import graphs, sem
+from colide.graphs import _Dag, GraphModelSpec, cpdag_of, is_dag, sample_er_dag, sample_sf_dag, topological_order
 from colide.metrics import (
     evaluate,
     fdr,
@@ -17,7 +18,7 @@ from colide.metrics import (
     sid,
     tpr,
 )
-from colide.sem import Dataset
+from colide.sem import Dataset, simulate_sem
 
 from helpers import (
     all_dags,
@@ -137,6 +138,26 @@ class TestDagStructure:
         assert g.parents == [np.flatnonzero(col).tolist() for col in A.T]
         assert g.children == [np.flatnonzero(row).tolist() for row in A]
         assert g.desc.dtype == bool and np.array_equal(g.desc, transitive_closure(A))
+
+    def test_closure_is_built_on_first_read(self, monkeypatch):
+        # simulate_sem, cpdag_of and is_dag read the lists and the order, and leave the closure unbuilt
+        built = []
+
+        class Recording(_Dag):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(graphs, "_Dag", Recording)
+        monkeypatch.setattr(sem, "_Dag", Recording)
+        W = 0.5 * chain(5)
+        simulate_sem(W, np.random.default_rng(0).standard_normal((5, 10)))
+        cpdag_of(W)
+        is_dag(W)
+        assert len(built) == 3
+        assert all("desc" not in vars(g) for g in built)
+        assert np.array_equal(built[0].desc, np.triu(np.ones((5, 5), dtype=bool), 1))
+        assert "desc" in vars(built[0])
 
     @settings(max_examples=40, deadline=None)
     @given(wide_dags().filter(lambda A: len(A) > 1))
@@ -412,6 +433,17 @@ class TestNoiseMetrics:
         est = np.array([1.0, 2.0])
         true = np.array([1.0, 1.0])
         assert noise_error(est, true) == pytest.approx(1.0 / np.sqrt(2.0))
+
+    def test_one_estimate_is_scored_against_the_rms_truth(self):
+        # not against each node: broadcasting 1.0 over [1, 2, 3] would give 0.598
+        rms = np.sqrt(14.0 / 3.0)
+        assert noise_error([1.0], [1.0, 2.0, 3.0]) == (rms - 1.0) / rms
+        assert noise_error(1.5, [1.0, 2.0]) == noise_error(1.5, np.sqrt(2.5))
+
+    @pytest.mark.parametrize("est, true", [([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], 1.0)])
+    def test_other_length_mismatch_rejected(self, est, true):
+        with pytest.raises(ValueError, match=f"^{len(est)} noise estimates against {np.size(true)} true scales$"):
+            noise_error(est, true)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

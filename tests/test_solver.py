@@ -47,10 +47,10 @@ def fit_recording(ds, **kw):
     """fit(ds, **kw) with the domain guard wrapped; returns (result, W accepted at each iteration)."""
     accepted = []
 
-    def guard(*args):
-        out = domain_guard(*args)
-        accepted.append(out[0][0])  # fit runs a stack of one
-        return out
+    def guard(run, *rest):
+        stalled = domain_guard(run, *rest)
+        accepted.append(run.W[0].copy())  # fit runs a stack of one, which later guards move in place
+        return stalled
 
     with mock.patch.object(solver, "domain_guard", guard):
         res = fit(ds, **kw)
@@ -113,19 +113,42 @@ class TestAdam:
         assert update[0, 1] == pytest.approx(-0.5, rel=1e-3)
 
 
-def guard_stack(W, update, s):
-    """domain_guard on a (B, d, d) stack at W's own h and grad_h, with every candidate on the checked LU inverse.
+def setup_stack(B, d, stages=1):
+    """_setup's colide_ev stack of B random d-variable datasets at W = 0."""
+    rng = np.random.default_rng(0)
+    fits, errors = solver._setup([Dataset(X=rng.standard_normal((d, 10))) for _ in range(B)], ["colide_ev"] * B, stages)
+    assert not errors
+    return fits
 
-    An X of NaNs certifies no Newton-Schulz refresh.
+
+def guard_stack(W, update, s):
+    """domain_guard on a (B, d, d) stack moved to W, at W's own h and grad_h; returns (run, stalled) after it.
+
+    Every candidate is on the checked LU inverse: an X of NaNs certifies no Newton-Schulz
+    refresh. Checks that a stalled slice keeps the very W, h, grad_h and X it had, and that an
+    accepted slice's h, grad_h and X are ldet_and_grad's at its accepted W.
     """
-    h, grad_h, _, _ = ldet_and_grad(W, s)
-    return domain_guard(W, update, s, np.full_like(W, np.nan), h, grad_h)
+    run = setup_stack(*W.shape[:2])
+    run.W, run.X = W.copy(), np.full_like(W, np.nan)
+    run.h, run.grad_h, _, _ = ldet_and_grad(W, s)
+    before = run.take(np.arange(len(W)))  # a copy of every field
+    stalled = domain_guard(run, update, s)
+    for b in range(len(W)):
+        if b in stalled:
+            want = before.W[b], before.h[b], before.grad_h[b], before.X[b]
+        else:
+            h, grad_h, X, inside = ldet_and_grad(run.W[b][None], s)
+            assert inside[0]
+            want = run.W[b], h[0], grad_h[0], X[0]
+        for got, expect in zip((run.W[b], run.h[b], run.grad_h[b], run.X[b]), want):
+            assert np.array_equal(got, expect, equal_nan=True)
+    return run, stalled
 
 
 def guard_one(W, update, s):
     """guard_stack on a stack of one: (W, stalled, h, grad_h) of the slice."""
-    out, stalled, h, grad_h, _ = guard_stack(W[None], update[None], s)
-    return out[0], stalled.tolist() == [0], h[0], grad_h[0]
+    run, stalled = guard_stack(W[None], update[None], s)
+    return run.W[0], stalled.tolist() == [0], run.h[0], run.grad_h[0]
 
 
 class TestDomainGuard:
@@ -156,7 +179,7 @@ class TestDomainGuard:
         up[0, 1] = 1e9
         out, stalled, h, grad_h = guard_one(W, up, s=1.0)
         assert stalled
-        # the stalled slice comes back whole: its own W, h and log-det gradient
+        # the stalled slice keeps its own W, h and log-det gradient
         assert np.array_equal(out, W)
         assert h == h_ldet(W, 1.0) and np.array_equal(grad_h, grad_ldet(W, 1.0))
 
@@ -187,13 +210,13 @@ class TestDomainGuard:
         up[0, 0, 1] = 0.1
         up[1, 0, 1] = up[1, 1, 0] = 1.5
         up[2, 0, 1] = 1e9
-        out, stalled, h, grad_h, _ = guard_stack(W, up, s=1.0)
-        assert stalled.tolist() == [2]
+        run, stalled = guard_stack(W, up, s=1.0)
+        assert stalled.tolist() == [2] and np.array_equal(run.W[2], edge)
         for b in range(3):
             one = guard_one(W[b], up[b], s=1.0)
-            assert np.array_equal(out[b], one[0])
-            assert h[b] == one[2]
-            assert np.array_equal(grad_h[b], one[3])
+            assert np.array_equal(run.W[b], one[0])
+            assert run.h[b] == one[2]
+            assert np.array_equal(run.grad_h[b], one[3])
 
 
 class TestThreshold:
@@ -313,7 +336,7 @@ class TestFit:
 
     def test_singular_warm_start_has_the_one_domain_message(self):
         # a singular sI - W*W has s as an eigenvalue of W*W: the fault is the domain's, with its message
-        run = solver._Slices.of(np.stack([np.eye(2)] * 2), np.ones((2, 2)), np.ones((2, 2)), 2)
+        run = setup_stack(2, 2, stages=2)
         run.W[1, 0, 1] = run.W[1, 1, 0] = 1.0
         failed = solver._stage_entry(run, 1.0, 1)
         assert list(failed) == [1] and isinstance(failed[1], FitError)
@@ -601,6 +624,34 @@ class TestFitStack:
                 reports.append(str(exc))
         assert reports[1] == reports[0]
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_row_keeps_its_covariance_product(self, method, monkeypatch):
+        # the MIXED kinds under each method: each stage starts, and the fit ends, on rows whose
+        # P is cov (I - W) at their own W, bit for bit, for every slice without a fault so far
+        rng = np.random.default_rng(MIXED["seed"])
+        datasets = [kind_dataset(kind, MIXED["d"], rng) for kind, _ in MIXED["slices"]]
+        setup, entry, made, entries = solver._setup, solver._stage_entry, [], []
+
+        def recording_setup(*args):
+            fits, errors = setup(*args)
+            made.append(fits)
+            return fits, errors
+
+        def checked_entry(run, s, k):
+            entries.append((k, bool(run.W.any())))
+            assert np.array_equal(run.P, run.cov @ (np.eye(MIXED["d"]) - run.W)), k
+            return entry(run, s, k)
+
+        monkeypatch.setattr(solver, "_setup", recording_setup)
+        monkeypatch.setattr(solver, "_stage_entry", checked_entry)
+        results = fit_stack(datasets, method, StageSchedule(stages=((1.0, 1.0, 40), (0.1, 0.2, 40))),
+                            lr=MIXED["lr"])
+        fitted = [b for b, res in enumerate(results) if isinstance(res, FitResult)]
+        fits = made[0]
+        # stage 1 starts from a W that moved, where P = cov would not do
+        assert [k for k, _ in entries] == [0, 1] and entries[1][1] and fitted
+        assert np.array_equal(fits.P[fitted], (fits.cov @ (np.eye(MIXED["d"]) - fits.W))[fitted])
+
     def test_datasets_must_share_one_size(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -616,7 +667,7 @@ class TestSlices:
     def test_take_keeps_every_field_aligned(self):
         # every field, present or added later, is one row per slice, and take moves the rows together
         rng, B, d = np.random.default_rng(0), 5, 3
-        run = solver._Slices.of(rng.random((B, d, d)), rng.random((B, d)), rng.random((B, d)), 4)
+        run = setup_stack(B, d, stages=4)
         assert np.array_equal(run.b, np.arange(B)) and np.array_equal(run.P, run.cov)
         assert all(getattr(run, name).shape == (B, d, d) for name in ("W", "grad_h", "X", "P", "m", "v", "cov"))
         for name, a in vars(run).items():
@@ -633,17 +684,19 @@ class TestSlices:
 
     def test_store_writes_only_its_datasets_rows(self):
         rng, B, d = np.random.default_rng(1), 5, 3
-        fits = solver._Slices.of(rng.random((B, d, d)), rng.random((B, d)), rng.random((B, d)), 4)
+        fits = setup_stack(B, d, stages=4)
         before = {name: a.copy() for name, a in vars(fits).items()}
         run, rows, others = fits.take([3, 1]), [3, 1], [0, 2, 4]
-        run.W, run.scale, run.stalls = rng.random((2, d, d)), rng.random((2, d)), np.array([7, 9])
+        run.W, run.P, run.scale = rng.random((2, d, d)), rng.random((2, d, d)), rng.random((2, d))
+        run.stalls = np.array([7, 9])
         run.h, run.m = rng.random(2), rng.random((2, d, d))  # state that store leaves alone
         run.store(fits, 2, 11)
-        assert np.array_equal(fits.W[rows], run.W) and np.array_equal(fits.scale[rows], run.scale)
+        assert np.array_equal(fits.W[rows], run.W) and np.array_equal(fits.P[rows], run.P)
+        assert np.array_equal(fits.scale[rows], run.scale)
         assert np.array_equal(fits.stalls[rows], [7, 9]) and np.array_equal(fits.iters[rows, 2], [11, 11])
         fits.iters[rows, 2] = 0
         for name, a in vars(fits).items():
-            unchanged = others if name in ("W", "scale", "stalls") else slice(None)
+            unchanged = others if name in ("W", "P", "scale", "stalls") else slice(None)
             assert np.array_equal(a[unchanged], before[name][unchanged]), name
 
 
@@ -765,15 +818,15 @@ class TestOnline:
         assert calls == {"slogdet": 4, "inv": 1}
 
     def test_a_stalled_update_keeps_its_gradient(self, monkeypatch):
-        # a huge step on rows sharing a component stalls some updates; the guard hands the
-        # stalled W back with its own log-det gradient, from which the next update steps
+        # a huge step on rows sharing a component stalls some updates; a stalled slice keeps its
+        # W and its own log-det gradient, from which the next update steps
         rng = np.random.default_rng(0)
         ds = Dataset(X=rng.standard_normal((3, 12)) + 3.0 * rng.standard_normal(12))
         stalled, guard = [], solver.domain_guard
 
-        def counting(*args):
-            out = guard(*args)
-            stalled.append(len(out[1]))
+        def counting(run, *rest):
+            out = guard(run, *rest)
+            stalled.append(len(out))
             return out
 
         monkeypatch.setattr(solver, "domain_guard", counting)
