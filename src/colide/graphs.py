@@ -2,10 +2,10 @@
 
 A graph is a dense d x d float matrix W with zero diagonal; W[i, j] is the
 weight of the edge i -> j. Supports are the same matrices with 0/1 entries.
-_Dag builds a support's parent and child lists and topological order once,
-and its descendant closure on first read; it is the one place that reports a
-directed cycle, and sem, metrics, topological_order and cpdag_of read it. Its
-cpdag() is Chickering's compelled-edge labelling (UAI 1995).
+_Dag builds a support's parent and child lists and bitsets and topological
+order once, and its closures on first read; it is the one place that reports
+a directed cycle, and sem, metrics, topological_order and cpdag_of read it.
+Its cpdag() is Chickering's compelled-edge labelling (UAI 1995).
 """
 
 import csv
@@ -207,24 +207,27 @@ def assign_edge_weights(support: np.ndarray, ranges, rng: np.random.Generator) -
 
 
 # ---------------------------------------------------------------------------
-# DAG structure: lists, order, descendant closure, Bayes-ball walk and CPDAG.
+# DAG structure: lists, order, bitsets, Bayes-ball walk and CPDAG.
 # ---------------------------------------------------------------------------
 
 class _Dag:
-    """A DAG support with its parent and child lists, topological order and descendant closure.
+    """A DAG support with its parent and child lists, topological order and int bitsets.
 
-    The lists are ascending, from one np.nonzero; the order is Kahn's over
-    the child lists with a LIFO ready list, and a directed cycle raises
-    CyclicGraphError naming role. The closure is one reverse-topological pass
-    over int bitsets, bits[v] = OR of bits[c] | 1 << c over v's children c:
-    a d-bit OR per edge, O(edges * d / 64) word operations, and one unpack.
+    The lists are ascending, from one np.nonzero; parent_bits and child_bits
+    hold them as Python ints, bit j for node j. The order is Kahn's over the
+    child lists with a LIFO ready list; a directed cycle raises CyclicGraphError
+    naming role. The closures desc_bits and anc_bits, read only by SID, take one
+    topological pass of d-bit ORs each on first read, O(edges * d / 64) words.
     """
 
     def __init__(self, A: np.ndarray, role: str = "graph"):
         parents, children = [[] for _ in A], [[] for _ in A]
+        parent_bits, child_bits = [0] * len(A), [0] * len(A)
         for i, j in zip(*(idx.tolist() for idx in np.nonzero(A))):
             parents[j].append(i)
             children[i].append(j)
+            parent_bits[j] |= 1 << i
+            child_bits[i] |= 1 << j
         indeg = [len(p) for p in parents]
         ready = [v for v, n in enumerate(indeg) if not n]
         order = []
@@ -238,50 +241,33 @@ class _Dag:
         if len(order) != len(A):
             raise CyclicGraphError(role)
         self.A, self.order, self.parents, self.children = A, order, parents, children
+        self.parent_bits, self.child_bits = parent_bits, child_bits
 
     @functools.cached_property
-    def desc(self) -> np.ndarray:
-        """desc[i, j]: a directed path i -> ... -> j; built on first read, which only SID makes."""
-        bits = [0] * len(self.order)
-        for v in reversed(self.order):
-            for c in self.children[v]:
-                bits[v] |= bits[c] | 1 << c
-        return _unpack_bits(bits, len(self.order))
+    def desc_bits(self) -> list:
+        return _closure(reversed(self.order), self.children)
 
-    def ancestors(self, Z: np.ndarray) -> np.ndarray:
-        """Mask of the nodes in Z and of every node with a directed path into Z."""
-        return Z | self.desc[:, Z].any(axis=1)
+    @functools.cached_property
+    def anc_bits(self) -> list:
+        return _closure(self.order, self.parents)
 
-    def reached(self, x, in_z, in_anc, x_children) -> np.ndarray:
-        """Mask of the nodes y with a path x .. y active given Z (not d-separated from x).
+    def reached(self, x, z, anc_z, kept) -> int:
+        """Bitset of the nodes y with a path x .. y active given Z (not d-separated from x).
 
-        in_z and in_anc are Z and ancestors(Z) as lists of bools. A Bayes-ball
-        search over (node, direction) states, "up" meaning entered against an
-        arrow, expands each state once: O(d + edges) per walk, answering every
-        target. x_children replaces x's children, cutting x's other out-edges.
+        z and anc_z are Z (without x) and Z with its ancestors; kept replaces x's children.
+        Bayes-ball as two int frontiers, nodes entered against an arrow (up)
+        and along one (down): a node outside Z passes the ball down, and an up
+        node outside Z or a down node in anc_z (an opened collider) passes it
+        up. x passes it both ways at the start, which covers both its states;
+        every other state is expanded once, O(d + edges) int ORs per walk.
         """
-        seen_up, seen_down = bytearray(len(in_z)), bytearray(len(in_z))
-        up, down = [x], []  # nodes to enter against an arrow / along one
-        children, parents = self.children, self.parents  # loads on self are slower once desc is cached
+        ch, pa = self.child_bits, self.parent_bits
+        up, down, seen_up, seen_down = pa[x], kept, 1 << x, 1 << x
         while up or down:
-            if up:
-                v = up.pop()
-                if seen_up[v]:
-                    continue
-                seen_up[v] = 1
-                if not in_z[v]:
-                    down.extend(x_children if v == x else children[v])
-                    up.extend(parents[v])
-            else:
-                v = down.pop()
-                if seen_down[v]:
-                    continue
-                seen_down[v] = 1
-                if not in_z[v]:
-                    down.extend(x_children if v == x else children[v])
-                if in_anc[v]:  # collider opened by conditioning on a descendant
-                    up.extend(parents[v])
-        return np.frombuffer(seen_up, dtype=bool) | np.frombuffer(seen_down, dtype=bool)
+            seen_up, seen_down = seen_up | up, seen_down | down
+            up, down = (_union(pa, up & ~z | down & anc_z) & ~seen_up,
+                        _union(ch, (up | down) & ~z) & ~seen_down)
+        return seen_up | seen_down
 
     def cpdag(self) -> Cpdag:
         """The CPDAG of this DAG's Markov equivalence class (cpdag_of).
@@ -297,7 +283,7 @@ class _Dag:
         d-bit operations, O(d^2 / 64) word operations in all, and one unpack.
         """
         rank = {v: r for r, v in enumerate(self.order)}
-        pb = [sum(1 << i for i in p) for p in self.parents]
+        pb = self.parent_bits
         comp = [0] * len(self.order)  # comp[y] bit i: i -> y is compelled
         for y in self.order:
             if not self.parents[y]:
@@ -318,6 +304,25 @@ def cpdag_of(W: np.ndarray) -> Cpdag:
     directed; the remaining skeleton edges become undirected.
     """
     return _Dag(check_weights(W) != 0, "input graph").cpdag()
+
+
+def _closure(order, nbrs) -> list:
+    """bits[v] = OR of bits[u] | 1 << u over v's neighbours u, each u ahead of v in order."""
+    bits = [0] * len(nbrs)
+    for v in order:
+        for u in nbrs[v]:
+            bits[v] |= bits[u] | 1 << u
+    return bits
+
+
+def _union(bits, m: int) -> int:
+    """OR of bits[v] over the nodes v in the bitset m."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= bits[low.bit_length() - 1]
+        m ^= low
+    return out
 
 
 def _unpack_bits(bits, d: int) -> np.ndarray:

@@ -4,14 +4,15 @@ All structural metrics operate on supports (nonzero patterns); reversed
 edges count once in SHD, and as false positives for FDR / misses for TPR.
 Each metric is a core on two `graphs._Dag`s, the structure object that
 `sem.simulate_sem` and `graphs.cpdag_of` also read: a validated support with
-its parent and child lists and topological order, and a descendant closure
-built on SID's first read in O(d + edges * d / 64) word operations. The public
-functions take weight matrices, and `evaluate` builds the two `_Dag`s once
-for every core. SID (Peters & Buehlmann, Neural Computation 2015) costs one
-mask per source node plus one O(d + edges) Bayes-ball walk (`_Dag.reached`)
-per group of targets that keep the same children of the source, and has no
-size ceiling. SHD-C compares the two graphs' `_Dag.cpdag()`, Chickering's
-compelled-edge labelling (UAI 1995), O(d^2 / 64) word operations per graph.
+its parent and child lists (as index lists and Python-int bitsets) and
+topological order, and the int descendant and ancestor closures built on
+SID's first read. The public functions take weight matrices, and `evaluate`
+builds the two `_Dag`s once for every core. SID (Peters & Buehlmann, Neural
+Computation 2015) costs per source node one int mask, which tests the
+forbidden set for all targets, and at most one Bayes-ball walk (`_Dag.reached`),
+two int frontiers that return the reached set as one int, for the rest. SHD-C
+compares the two graphs' `_Dag.cpdag()`, Chickering's compelled-edge
+labelling (UAI 1995), O(d^2 / 64) word operations per graph.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .graphs import _Dag, check_weights
+from .graphs import _Dag, _union, check_weights
 from .sem import Dataset
 
 __all__ = [
@@ -122,35 +123,29 @@ def _sid(est, true) -> int:
     (i, j) in true. When est claims no effect, the pair is disrupted iff true
     has a causal path.
 
-    The work is organised per source i, as Peters & Buehlmann do. Z meets
-    the forbidden set of (i, j) iff some w below i in true is in Z or above
-    it and is j or above j, so with T = desc(i) & anc(Z) one O(d * |T|) mask
-    T | desc[T] tests every target at once. The other targets need Z to
-    d-separate i and j once i's children on causal paths to j are cut; the
-    ones that keep the same children share one O(d + edges) Bayes-ball walk
-    from i. A source costs one walk per kept-children set, not one per pair.
+    The work is organised per source i, as Peters & Buehlmann do, on int
+    bitsets. Z meets the forbidden set of (i, j) iff some w below i in true
+    is in Z or above it and is j or above j, so with T = desc(i) & anc(Z) the
+    one mask T | desc[T] tests every target at once. The other targets need Z
+    to d-separate i and j once the children k of i on causal paths to j are
+    cut, those whose cut mask desc[k] | k holds j. A child in anc(Z) is in T,
+    so it cuts no remaining target; a child outside anc(Z) passes the ball
+    only down to its descendants, which hold no target it does not cut. So
+    one Bayes-ball walk from i, keeping its children in anc(Z), answers every
+    remaining target: a source costs one mask and at most one walk.
     """
-    count = int(np.count_nonzero(true.desc & ~est.desc))
-    for i in range(est.A.shape[0]):
-        targets = np.flatnonzero(est.desc[i])
-        if targets.size == 0:
+    t_desc, t_anc, count = true.desc_bits, true.anc_bits, 0
+    for i, targets in enumerate(est.desc_bits):
+        count += (t_desc[i] & ~targets).bit_count()
+        if not targets:
             continue
-        Z = est.A[:, i]  # est's parents of i; a DAG never has i or j here
-        anc_z = true.ancestors(Z)
-        T = true.desc[i] & anc_z
-        hit = (T | true.desc[T].any(axis=0))[targets]
-        count += int(np.count_nonzero(hit))
-        targets = targets[~hit]
-        kids = np.array(true.children[i], dtype=int)
-        # kept[t, k]: child k of i is neither targets[t] nor above it, so its edge stays
-        kept = ~(true.desc[kids][:, targets] | (kids[:, None] == targets)).T
-        groups = {}  # bytes keys: tuples of many sizes would pile up in CPython's free lists
-        for t, key in enumerate(np.packbits(kept, axis=1)):
-            groups.setdefault(key.tobytes(), []).append(t)
-        in_z, in_anc = Z.tolist(), anc_z.tolist()
-        for rows in groups.values():
-            reached = true.reached(i, in_z, in_anc, kids[kept[rows[0]]].tolist())
-            count += int(np.count_nonzero(reached[targets[rows]]))
+        Z = est.parent_bits[i]  # a DAG never has i or j here
+        anc_z = Z | _union(t_anc, Z)
+        T = t_desc[i] & anc_z
+        bad = T | _union(t_desc, T)
+        if targets & ~bad:
+            bad |= true.reached(i, Z, anc_z, true.child_bits[i] & anc_z)
+        count += (targets & bad).bit_count()
     return count
 
 
@@ -165,7 +160,7 @@ def noise_error(est_scale, true_scale) -> float:
     """Relative error ||est - true|| / ||true|| of noise sds; one estimate is scored against the RMS of d truths."""
     est = np.atleast_1d(np.asarray(est_scale, dtype=float))
     true = np.atleast_1d(np.asarray(true_scale, dtype=float))
-    if np.any(true <= 0) or np.any(est <= 0):
+    if not (np.all(true > 0) and np.all(est > 0)):  # NaN fails
         raise ValueError("scales must be positive")
     if len(est) == 1 < len(true):
         true = np.array([np.sqrt(np.mean(true ** 2))])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from colide.errors import CyclicGraphError, DataError
 from colide import graphs, sem
-from colide.graphs import _Dag, GraphModelSpec, cpdag_of, is_dag, sample_er_dag, sample_sf_dag, topological_order
+from colide.graphs import (_Dag, _unpack_bits, GraphModelSpec, cpdag_of, is_dag, sample_er_dag, sample_sf_dag,
+                           topological_order)
 from colide.metrics import (
     evaluate,
     fdr,
@@ -32,6 +33,7 @@ from helpers import (
     transitive_closure,
     valid_adjustment_bf,
     valid_adjustment_pbd,
+    WIDE_DAG_SIZES,
     wide_dags,
     with_cycle,
 )
@@ -64,14 +66,14 @@ def dag_pairs(draw, max_d=6):
 
 
 @st.composite
-def large_dag_pairs(draw, min_d=8, max_d=40):
-    """(est, true) boolean DAG supports on min_d..max_d nodes, past the oracles' reach.
+def large_dag_pairs(draw, sizes=st.integers(8, 40)):
+    """(est, true) boolean DAG supports on d nodes drawn from sizes, past the oracles' reach.
 
     true has d to 2d edges. est keeps a random share of true's skeleton,
     adds up to d pairs of its own and orients them along true's node order
     or its own, so its parent sets range from true's to true descendants.
     """
-    d = draw(st.integers(min_d, max_d))
+    d = draw(sizes)
     pair = st.sampled_from(list(itertools.combinations(range(d), 2)))
 
     def orient(edges, rank):
@@ -91,9 +93,9 @@ def large_dag_pairs(draw, min_d=8, max_d=40):
 def _hub_pair():
     """true: 0 -> 1..10, 9 -> 11, 10 -> 12; est: 0 -> 11, 0 -> 12.
 
-    Targets 11 and 12 of source 0 each cut one of 0's ten children, the
-    ninth or the tenth, so their kept-children sets differ only in the
-    second byte of a packed key.
+    Targets 11 and 12 of source 0 are reached from 0 only through two of its
+    ten children, the ninth and the tenth, so the walk from 0 must cut both;
+    their bits lie past the first byte of a child mask.
     """
     true = np.zeros((13, 13), dtype=bool)
     true[0, 1:11] = true[9, 11] = true[10, 12] = True
@@ -105,8 +107,10 @@ def _hub_pair():
 def walk_separated(A, x, y, Z):
     """d-separation of x and y given Z read from the library's Bayes-ball walk, _Dag.reached."""
     g = _Dag(A)
-    Z = np.isin(np.arange(len(A)), list(Z))
-    return not g.reached(x, Z.tolist(), g.ancestors(Z).tolist(), g.children[x])[y]
+    z = anc_z = sum(1 << v for v in Z)
+    for v in Z:
+        anc_z |= g.anc_bits[v]
+    return not g.reached(x, z, anc_z, g.child_bits[x]) >> y & 1
 
 
 # the library's walk and the moral-ancestral oracle that sid_by_pairs rests on
@@ -137,7 +141,11 @@ class TestDagStructure:
         assert g.order == topological_order_by_columns(A)
         assert g.parents == [np.flatnonzero(col).tolist() for col in A.T]
         assert g.children == [np.flatnonzero(row).tolist() for row in A]
-        assert g.desc.dtype == bool and np.array_equal(g.desc, transitive_closure(A))
+        R = transitive_closure(A)
+        assert np.array_equal(_unpack_bits(g.desc_bits, len(A)), R)
+        assert np.array_equal(_unpack_bits(g.anc_bits, len(A)), R.T)
+        assert np.array_equal(_unpack_bits(g.child_bits, len(A)), A)
+        assert np.array_equal(_unpack_bits(g.parent_bits, len(A)), A.T)
 
     def test_closure_is_built_on_first_read(self, monkeypatch):
         # simulate_sem, cpdag_of and is_dag read the lists and the order, and leave the closure unbuilt
@@ -155,9 +163,9 @@ class TestDagStructure:
         cpdag_of(W)
         is_dag(W)
         assert len(built) == 3
-        assert all("desc" not in vars(g) for g in built)
-        assert np.array_equal(built[0].desc, np.triu(np.ones((5, 5), dtype=bool), 1))
-        assert "desc" in vars(built[0])
+        assert all("desc_bits" not in vars(g) for g in built)
+        assert np.array_equal(_unpack_bits(built[0].desc_bits, 5), np.triu(np.ones((5, 5), dtype=bool), 1))
+        assert "desc_bits" in vars(built[0])
 
     @settings(max_examples=40, deadline=None)
     @given(wide_dags().filter(lambda A: len(A) > 1))
@@ -378,9 +386,16 @@ class TestSid:
 
     @settings(max_examples=50, deadline=None)
     @given(large_dag_pairs())
-    @example(_hub_pair())  # targets whose kept children differ only past the eighth child
+    @example(_hub_pair())  # targets reached only through a source's ninth and tenth children
     def test_matches_pairwise_adjustment_property(self, pair):
-        # one walk per source group against a moral-graph adjustment check per pair
+        # one walk per source against a moral-graph adjustment check per pair
+        est, true = pair
+        assert sid(est.astype(float), true.astype(float)) == sid_by_pairs(est, true)
+
+    @settings(max_examples=10, deadline=None)
+    @given(large_dag_pairs(st.sampled_from([d for d in WIDE_DAG_SIZES if d > 62])))
+    def test_matches_pairwise_adjustment_across_words_property(self, pair):
+        # bitsets of 63, 64, 65 and 130 nodes: one 64-bit word, its boundary, and three words
         est, true = pair
         assert sid(est.astype(float), true.astype(float)) == sid_by_pairs(est, true)
 
@@ -448,6 +463,13 @@ class TestNoiseMetrics:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             noise_error(1.0, 0.0)
+
+    @pytest.mark.parametrize("est, true", [(np.nan, 1.0), ([1.0, np.nan], [1.0, 1.0]),
+                                           (1.0, np.nan), ([1.0, 1.0], [np.nan, 1.0])])
+    def test_nan_scale_rejected(self, est, true):
+        # NaN <= 0 is False, so a NaN is caught only as "not > 0"
+        with pytest.raises(ValueError, match="^scales must be positive$"):
+            noise_error(est, true)
 
     def test_posthoc_ev_on_true_graph(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the solver's iterates, for checking that a change keeps them bit-identical.
+"""Digests of solver iterates and metric outputs, for checking that a change keeps them bit-identical.
 
 Run it from a checkout, before and after a change, and compare the output:
 
@@ -15,7 +15,11 @@ thread, and prints one line per gate:
 - a sha256 over acceptance criterion 10's fit_online snapshots;
 - a sha256 over stacked and online fits whose huge steps make the domain
   guard halve and stall, with their stall count (the other gates rarely or
-  never stall).
+  never stall);
+- a sha256 over the repr of each `evaluate` report on the perfbench
+  eval_d200 inputs of seeds 0-9 (80 estimate-truth pairs), and one over the
+  directed and undirected arrays of `cpdag_of` of each of their 160 graphs.
+It reads only the public API, so it runs on older checkouts too.
 A payload hash is the first 12 hex digits of the sha256 that `colide bench`
 writes to its meta line. The whole run takes about a minute on a 2-vCPU VM,
 half of it in criterion 7's grid.
@@ -32,13 +36,16 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
 from colide.bench import ExperimentConfig, generate_instance, parse_config, payload_bytes, run_grid  # noqa: E402
-from colide.graphs import GraphModelSpec  # noqa: E402
+from colide.graphs import GraphModelSpec, cpdag_of  # noqa: E402
+from colide.metrics import evaluate  # noqa: E402
 from colide.sem import Dataset, NoiseSpec  # noqa: E402
 from colide.solver import METHODS, StageSchedule, fit, fit_online, fit_stack  # noqa: E402
+from workloads import EvalD200  # noqa: E402
 
 
 def grid_hash(cfg) -> str:
@@ -106,6 +113,17 @@ def main() -> None:
             add_array(guarded, W)
             add_array(guarded, scale)
     print(f"guard halvings and stalls ({stalls} stalls in the stacked fits): {guarded.hexdigest()}")
+
+    cases = [case for seed in range(10) for group in EvalD200().make_inputs(seed) for case in group]
+    reports, cpdags = hashlib.sha256(), hashlib.sha256()
+    for case in cases:
+        reports.update(repr(evaluate(case.W_est, case.W_true)).encode())
+        for W in (case.W_est, case.W_true):
+            cpdag = cpdag_of(W)
+            add_array(cpdags, cpdag.directed)
+            add_array(cpdags, cpdag.undirected)
+    print(f"eval_d200 seeds 0-9 reports ({len(cases)}): {reports.hexdigest()}")
+    print(f"eval_d200 seeds 0-9 CPDAGs ({2 * len(cases)} graphs): {cpdags.hexdigest()}")
 
 
 if __name__ == "__main__":
