@@ -2,25 +2,27 @@
 
 All structural metrics operate on supports (nonzero patterns); reversed
 edges count once in SHD, and as false positives for FDR / misses for TPR.
-Each metric is a core on two `graphs._Dag`s, the structure object that
-`sem.simulate_sem` and `graphs.cpdag_of` also read: a validated support with
-its parent and child lists (as index lists and Python-int bitsets) and
-topological order, and the int descendant and ancestor closures built on
-SID's first read. The public functions take weight matrices, and `evaluate`
-builds the two `_Dag`s once for every core. SID (Peters & Buehlmann, Neural
-Computation 2015) costs per source node one int mask, which tests the
-forbidden set for all targets, and at most one Bayes-ball walk (`_Dag.reached`),
-two int frontiers that return the reached set as one int, for the rest. SHD-C
-compares the two graphs' `_Dag.cpdag()`, Chickering's compelled-edge
-labelling (UAI 1995), O(d^2 / 64) word operations per graph.
+Each metric is a core on two `graphs._Dag`s, which `evaluate` builds once,
+and reads their Python-int bitsets, never a (d, d) array. With n_e and n_t
+the edge counts, same = sum_i popcount(child_e[i] & child_t[i]) and rev =
+sum_i popcount(child_e[i] & parent_t[i]): SHD = n_e + n_t - 2 same - rev,
+TPR = same / n_t and FDR = (n_e - same) / max(n_e, 1). SHD-C reads Chickering's
+compelled-edge labelling (UAI 1995, `_Dag.compelled_bits`) as the masks
+In[y] = parent[y] | T(parent & ~compelled)[y], T the bit transpose: bit x of
+In[y] is x -> y compelled or x - y undirected, so the pair (x in In[y], y in
+In[x]) is the CPDAG status of {x, y}, and with D = In_e ^ In_t, SHD-C =
+sum popcount(D | T(D)) / 2. SID (Peters & Buehlmann, Neural Computation 2015)
+costs per source node one int mask, which tests the forbidden set for all
+targets, and at most one Bayes-ball walk (`_Dag.reached`) for the rest.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .graphs import _Dag, _union, check_weights
+from .graphs import _Dag, _transpose, _union, check_weights
 from .sem import Dataset
 
 __all__ = [
@@ -66,14 +68,9 @@ def _on_weights(core):
     return metric
 
 
-def _pair_status(directed, undirected=None):
-    """Per node pair (i, j): 0 none, 1 i->j, 2 j->i, +3 undirected (a DAG has none).
-
-    (j, i) holds the code of (i, j) with 1 and 2 swapped, so two graphs'
-    codes differ at (i, j) iff at (j, i), and never on the diagonal.
-    """
-    status = directed + 2 * directed.T.astype(int)
-    return status if undirected is None else status + 3 * undirected
+def _common(est_bits, true_bits) -> int:
+    """Edges i -> j set in both bit matrices: sum over i of popcount(est_bits[i] & true_bits[i])."""
+    return sum(map(int.bit_count, map(operator.and_, est_bits, true_bits)))
 
 
 def _shd(est, true) -> int:
@@ -82,32 +79,32 @@ def _shd(est, true) -> int:
     Per unordered pair: a reversal counts 1; an edge present in exactly one
     graph counts 1 (addition or deletion).
     """
-    return int(np.count_nonzero(_pair_status(est.A) != _pair_status(true.A))) // 2
+    same = _common(est.child_bits, true.child_bits)
+    return est.n_edges + true.n_edges - 2 * same - _common(est.child_bits, true.parent_bits)
+
+
+def _arrows_in(g) -> list:
+    """Bit x of row y: x -> y is compelled or x - y is undirected in g's CPDAG."""
+    return list(map(operator.or_, g.parent_bits,
+                    _transpose([p & ~c for p, c in zip(g.parent_bits, g.compelled_bits)])))
 
 
 def _shd_c(est, true) -> int:
-    """SHD between the CPDAGs of two DAGs.
-
-    An undirected edge mismatching a directed one counts 1, like any other
-    status difference on a node pair.
-    """
-    ca, cb = est.cpdag(), true.cpdag()
-    return int(np.count_nonzero(_pair_status(ca.directed, ca.undirected)
-                                != _pair_status(cb.directed, cb.undirected))) // 2
+    """SHD between the CPDAGs of two DAGs: each node pair whose status differs (undirected included) counts 1."""
+    diff = list(map(operator.xor, _arrows_in(est), _arrows_in(true)))
+    return sum(map(int.bit_count, map(operator.or_, diff, _transpose(diff)))) // 2
 
 
 def _tpr(est, true) -> float:
     """Correctly directed detected edges / true edge count."""
-    n_true = int(true.A.sum())
-    if n_true == 0:
+    if not true.n_edges:
         raise DataError("true graph has no edges")
-    return int((est.A & true.A).sum()) / n_true
+    return _common(est.child_bits, true.child_bits) / true.n_edges
 
 
 def _fdr(est, true) -> float:
     """(Detections minus correctly directed) / detections; 0 when nothing detected."""
-    detected = int(est.A.sum())
-    return (detected - int((est.A & true.A).sum())) / max(detected, 1)
+    return (est.n_edges - _common(est.child_bits, true.child_bits)) / max(est.n_edges, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +191,12 @@ def evaluate(W_est: np.ndarray, W_true: np.ndarray,
     dist = _shd(est, true)
     return MetricReport(
         shd=dist,
-        shd_normalized=dist / est.A.shape[0],
+        shd_normalized=dist / len(est.order),
         shd_c=_shd_c(est, true),
         sid=_sid(est, true),
         tpr=_tpr(est, true),
         fdr=_fdr(est, true),
-        edge_count_est=int(est.A.sum()),
-        edge_count_true=int(true.A.sum()),
+        edge_count_est=est.n_edges,
+        edge_count_true=true.n_edges,
         noise_rel_error=err,
     )

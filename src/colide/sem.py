@@ -90,8 +90,8 @@ def sample_noise(family: str, variances, n: int, rng: np.random.Generator) -> np
     (variance v, mean sqrt(v), uncentered); Laplace with scale sqrt(v/2).
     """
     variances = np.asarray(variances, dtype=float)
-    if np.any(variances <= 0):
-        raise ValueError("variances must be positive")
+    if not np.all((variances > 0) & (variances < np.inf)):  # NaN fails
+        raise ValueError("variances must be positive and finite")
     d = variances.shape[0]
     sd = np.sqrt(variances)[:, None]
     if family == "gaussian":

@@ -9,11 +9,14 @@ on the proper back-door graph (sid_by_pairs: SID without the library's
 Bayes-ball walk, for graphs too large for path enumeration), Warshall's
 transitive closure, and Kahn's algorithm and the
 compelled-edge labelling written with one numpy call per node on boolean
-matrices (the library runs both on adjacency lists and int bitsets).
+matrices (the library runs both on adjacency lists and int bitsets), with
+SHD-C read off that labelling as a per-pair status matrix (shd_c_by_status;
+the library counts it with popcounts on bitsets).
 method_core evaluates the library's method table the way the solver does,
 and noise_floor takes the solver's noise floor from it, so the tests check
 the code the solver runs. wide_dags is the hypothesis strategy for DAGs
-whose bitsets span several bytes and machine words.
+whose bitsets span several bytes and machine words, and wide_dag_pairs for
+pairs of them on one node count.
 BAD_FIT_LINES are config lines whose fit settings are out of range, and
 NON_FINITE_LINES config lines with a non-finite graph, noise or schedule value.
 """
@@ -376,6 +379,27 @@ def wide_dags(draw):
     return random_dag(d, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), p)
 
 
+@st.composite
+def wide_dag_pairs(draw):
+    """(est, true) DAG supports on one d in WIDE_DAG_SIZES, true drawn by wide_dags.
+
+    est is a second wide DAG, or true's skeleton with a share of node pairs
+    toggled, oriented along a topological order of true (its edges kept
+    alike) or along a random order (kept edges often reversed).
+    """
+    true = draw(wide_dags())
+    d = len(true)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    orient = draw(st.sampled_from(("own", "true", "random")))
+    if orient == "own":
+        return random_dag(d, rng, draw(st.sampled_from((0.02, 0.1, 0.5)))), true
+    toggle = np.triu(rng.random((d, d)) < draw(st.sampled_from((0.0, 0.01, 0.1))), 1)
+    skeleton = (true | true.T) ^ (toggle | toggle.T)
+    rank = np.empty(d, dtype=int)
+    rank[topological_order_by_columns(true) if orient == "true" else rng.permutation(d)] = np.arange(d)
+    return skeleton & (rank[:, None] < rank[None, :]), true
+
+
 def with_cycle(A):
     """A copy of the DAG support A (d >= 2) plus i <-> j for a path i -> ... -> j in A, or 0 <-> 1."""
     A = A.copy()
@@ -433,6 +457,21 @@ def cpdag_by_columns(A):
             D[:, y] = D[:, x]
     U = A & ~D
     return D, U | U.T
+
+
+def pair_status(directed, undirected):
+    """Per node pair (i, j) of a CPDAG: 0 none, 1 i->j, 2 j->i, 3 undirected.
+
+    (j, i) holds the code of (i, j) with 1 and 2 swapped, so two graphs'
+    codes differ at (i, j) iff at (j, i), and never on the diagonal.
+    """
+    return directed + 2 * directed.T.astype(int) + 3 * undirected
+
+
+def shd_c_by_status(est, true):
+    """SHD-C as the node pairs whose status differs between the cpdag_by_columns of est and of true."""
+    (de, ue), (dt, ut) = cpdag_by_columns(est), cpdag_by_columns(true)
+    return int(np.count_nonzero(pair_status(de, ue) != pair_status(dt, ut))) // 2
 
 
 def random_in_domain(d, s, rng, scale=0.9):

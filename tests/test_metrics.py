@@ -23,10 +23,12 @@ from colide.sem import Dataset, simulate_sem
 
 from helpers import (
     all_dags,
+    cpdag_by_columns,
     d_separated_bf,
     d_separated_moral,
     random_dag,
     shd_bf,
+    shd_c_by_status,
     sid_bf,
     sid_by_pairs,
     topological_order_by_columns,
@@ -34,6 +36,7 @@ from helpers import (
     valid_adjustment_bf,
     valid_adjustment_pbd,
     WIDE_DAG_SIZES,
+    wide_dag_pairs,
     wide_dags,
     with_cycle,
 )
@@ -167,6 +170,12 @@ class TestDagStructure:
         assert np.array_equal(_unpack_bits(built[0].desc_bits, 5), np.triu(np.ones((5, 5), dtype=bool), 1))
         assert "desc_bits" in vars(built[0])
 
+    @settings(max_examples=80, deadline=None)
+    @given(wide_dags())
+    def test_compelled_bits_property(self, A):
+        # row y of compelled_bits holds the compelled parents of y: column y of the oracle's directed matrix
+        assert np.array_equal(_unpack_bits(_Dag(A).compelled_bits, len(A)), cpdag_by_columns(A)[0].T)
+
     @settings(max_examples=40, deadline=None)
     @given(wide_dags().filter(lambda A: len(A) > 1))
     def test_cycle_is_a_cyclic_graph_error_property(self, A):
@@ -210,7 +219,29 @@ class TestShd:
             shd(chain(3), chain(4))
 
 
-@pytest.mark.parametrize("metric", [shd, tpr, fdr])
+class TestPairMetricsAcrossWords:
+    """The pair metrics, counted by popcounts on bitsets, against matrix oracles on 1 to 130 nodes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(wide_dag_pairs())
+    def test_matches_matrix_oracles_property(self, pair):
+        est, true = pair
+        W_est, W_true = est.astype(float), true.astype(float)
+        n_est, n_true, same = int(est.sum()), int(true.sum()), int((est & true).sum())
+        want = (shd_bf(est, true), shd_c_by_status(est, true), (n_est - same) / max(n_est, 1))
+        assert (shd(W_est, W_true), shd_c(W_est, W_true), fdr(W_est, W_true)) == want
+        if not n_true:  # TPR is undefined
+            for metric in (tpr, evaluate):
+                with pytest.raises(DataError, match="no edges"):
+                    metric(W_est, W_true)
+            return
+        rep = evaluate(W_est, W_true)
+        assert (rep.shd, rep.shd_c, rep.fdr) == want
+        assert (rep.tpr, tpr(W_est, W_true)) == (same / n_true,) * 2
+        assert (rep.edge_count_est, rep.edge_count_true) == (n_est, n_true)
+
+
+@pytest.mark.parametrize("metric", [shd, shd_c, sid, tpr, fdr])
 @pytest.mark.parametrize("cyclic", ["est", "true"])
 def test_cyclic_graph_is_a_data_error(metric, cyclic):
     loop = chain(3)

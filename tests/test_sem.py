@@ -92,6 +92,12 @@ class TestSampleNoise:
         with pytest.raises(ValueError):
             sample_noise("gaussian", np.array([0.0]), 10, stream(0, 0, "x"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        # a NaN or infinite variance used to come back as a NaN or infinite noise row
+        with pytest.raises(ValueError, match="variances must be positive and finite"):
+            sample_noise("gaussian", [1.0, bad], 3, stream(0, 0, "x"))
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown noise family 'cauchy'"):
             sample_noise("cauchy", np.array([1.0]), 10, stream(0, 0, "x"))

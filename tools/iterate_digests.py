@@ -18,7 +18,10 @@ thread, and prints one line per gate:
   never stall);
 - a sha256 over the repr of each `evaluate` report on the perfbench
   eval_d200 inputs of seeds 0-9 (80 estimate-truth pairs), and one over the
-  directed and undirected arrays of `cpdag_of` of each of their 160 graphs.
+  directed and undirected arrays of `cpdag_of` of each of their 160 graphs;
+- a sha256 over the repr of each `evaluate` report on seeded random DAG
+  pairs at d = 2, 7, 8, 9, 63, 64, 65 and 130, where bitsets cross byte and
+  64-bit word boundaries (built with numpy alone, not the library's samplers).
 It reads only the public API, so it runs on older checkouts too.
 A payload hash is the first 12 hex digits of the sha256 that `colide bench`
 writes to its meta line. The whole run takes about a minute on a 2-vCPU VM,
@@ -54,6 +57,23 @@ def grid_hash(cfg) -> str:
 
 def add_array(digest, a) -> None:
     digest.update(np.ascontiguousarray(np.asarray(a, dtype=float)).tobytes())
+
+
+def random_dag_pair(d, p, rng):
+    """(est, true) DAG supports on d nodes, built with numpy alone.
+
+    true holds each forward pair of a random node order with probability p,
+    plus the first-to-last pair so that it has an edge; est toggles ~10% of
+    true's skeleton pairs and orients them along true's order or a fresh one.
+    """
+    rank = rng.permutation(d)
+    forward = rank[:, None] < rank[None, :]
+    true = forward & (rng.random((d, d)) < p)
+    true[np.argmin(rank), np.argmax(rank)] = True
+    toggle = np.triu(rng.random((d, d)) < 0.1, 1)
+    skeleton = (true | true.T) ^ (toggle | toggle.T)
+    est_rank = rank if rng.random() < 0.5 else rng.permutation(d)
+    return (skeleton & (est_rank[:, None] < est_rank[None, :])).astype(float), true.astype(float)
 
 
 def main() -> None:
@@ -124,6 +144,13 @@ def main() -> None:
             add_array(cpdags, cpdag.undirected)
     print(f"eval_d200 seeds 0-9 reports ({len(cases)}): {reports.hexdigest()}")
     print(f"eval_d200 seeds 0-9 CPDAGs ({2 * len(cases)} graphs): {cpdags.hexdigest()}")
+
+    rng, boundary = np.random.default_rng(0), hashlib.sha256()
+    pairs = [random_dag_pair(d, p, rng) for d in (2, 7, 8, 9, 63, 64, 65, 130) for p in (0.02, 0.1, 0.5)
+             for _ in range(4)]
+    for W_est, W_true in pairs:
+        boundary.update(repr(evaluate(W_est, W_true)).encode())
+    print(f"word-boundary DAG pairs d = 2-130 reports ({len(pairs)}): {boundary.hexdigest()}")
 
 
 if __name__ == "__main__":
